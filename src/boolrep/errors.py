@@ -45,21 +45,16 @@ class UnequalBasisSizes(BoolrepError):
 
 
 class ExchangeFails(BoolrepError):
-    """Basis exchange or augmentation fails; carries a counterexample.
+    """Basis exchange fails; carries the counterexample: no element of
+    basis2 - basis1 replaces `element` in basis1."""
 
-    With an element: no replacement for it exists across the two bases.
-    Without: no element of the larger set extends the smaller one.
-    """
-
-    def __init__(self, basis1, basis2, element=None):
+    def __init__(self, basis1, basis2, element):
         self.basis1 = tuple(basis1)
         self.basis2 = tuple(basis2)
         self.element = element
-        if element is None:
-            msg = f"no element of {self.basis2} extends {self.basis1}"
-        else:
-            msg = f"no exchange for {element!r} from {self.basis1} into {self.basis2}"
-        super().__init__(msg)
+        super().__init__(
+            f"no exchange for {element!r} from {self.basis1} into {self.basis2}"
+        )
 
 
 class AllLoops(BoolrepError):

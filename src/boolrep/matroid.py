@@ -2,8 +2,11 @@
 
 Subsets of the ground set are bitmasks over label positions.  A matroid is
 stored by its bases; the independent family is their downward closure.
-Validation happens at construction and raises a counterexample-carrying
-error, never a bare bool.
+Validation happens once, at construction, as a per-basis exchange check
+that raises a counterexample-carrying error, never a bare bool.  Rank,
+independence and closure are all answered by membership in the independent
+family: rank by the greedy algorithm (Edmonds 1971), closure from one greedy
+basis of the subset.
 """
 
 from __future__ import annotations
@@ -41,9 +44,6 @@ __all__ = [
 
 # Exhaustive isomorphism search walks up to n! bijections.
 ISOMORPHISM_CAP = 8
-
-# Redundant augmentation re-check of the downward closure at construction.
-AUGMENTATION_CHECK_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,12 @@ class HereditaryCollection:
 
 @dataclass(frozen=True)
 class Matroid:
-    """A matroid stored by its bases (equicardinal, exchange-closed)."""
+    """A matroid stored by its bases (equicardinal, exchange-closed).
+
+    Construction checks basis exchange once, per basis.  Every rank,
+    independence and closure query is then answered from one oracle:
+    membership in the downward closure of the bases (`independent_family`).
+    """
 
     ground: GroundSet
     bases: frozenset
@@ -220,24 +225,38 @@ class Matroid:
         if stray is not None:
             raise UnknownLabel(f"basis mask {stray:#x} has bits outside the ground set")
         self._check_exchange()
-        if self.ground.size <= AUGMENTATION_CHECK_CAP:
-            bad = self.independent_family.augmentation_violation()
-            if bad is not None:
-                raise ExchangeFails(bad[0], bad[1])
 
     def _check_exchange(self):
-        for b1 in self.bases:
-            for b2 in self.bases:
-                out = b1 & ~b2
-                into = b2 & ~b1
-                for x in bits(out):
-                    stripped = b1 ^ (1 << x)
-                    if not any(stripped | (1 << y) in self.bases for y in bits(into)):
-                        raise ExchangeFails(
-                            self.ground.labels_of(b1),
-                            self.ground.labels_of(b2),
-                            self.ground.labels[x],
-                        )
+        """Basis exchange, one basis at a time.
+
+        For a basis b1 and x in b1, let S hold every y outside b1 with
+        b1 - x + y a basis.  A basis b2 fails the exchange for (b1, x)
+        exactly when it avoids x and all of S.  Bit k of hits[e] marks that
+        the k-th basis contains e, so the bases meeting {x} + S are one OR.
+        """
+        order = sorted(self.bases, key=self.ground.sort_key)
+        hits = [0] * self.ground.size
+        for k, b in enumerate(order):
+            for e in bits(b):
+                hits[e] |= 1 << k
+        every = (1 << len(order)) - 1
+        full = self.ground.full_mask
+        for b1 in order:
+            rest = full & ~b1
+            for x in bits(b1):
+                stripped = b1 ^ (1 << x)
+                met = hits[x]
+                for y in bits(rest):
+                    if stripped | (1 << y) in self.bases:
+                        met |= hits[y]
+                free = every & ~met
+                if free:
+                    b2 = order[(free & -free).bit_length() - 1]
+                    raise ExchangeFails(
+                        self.ground.labels_of(b1),
+                        self.ground.labels_of(b2),
+                        self.ground.labels[x],
+                    )
 
     @classmethod
     def from_bases(cls, ground: GroundSet, bases: Iterable[Iterable[str]]) -> "Matroid":
@@ -249,14 +268,24 @@ class Matroid:
     def rank(self) -> int:
         return next(iter(self.bases)).bit_count()
 
+    def _greedy_basis(self, mask: int) -> int:
+        """A maximal independent subset of the mask, grown element by element."""
+        family = self.independent_family.family
+        basis = 0
+        for i in bits(mask):
+            grown = basis | (1 << i)
+            if grown in family:
+                basis = grown
+        return basis
+
     def rank_of_mask(self, mask: int) -> int:
-        return max((b & mask).bit_count() for b in self.bases)
+        return self._greedy_basis(mask).bit_count()
 
     def rank_of(self, labels: Iterable[str]) -> int:
         return self.rank_of_mask(self.ground.mask_of(labels))
 
     def is_independent_mask(self, mask: int) -> bool:
-        return self.rank_of_mask(mask) == mask.bit_count()
+        return mask in self.independent_family.family
 
     def is_independent(self, labels: Iterable[str]) -> bool:
         return self.is_independent_mask(self.ground.mask_of(labels))
@@ -285,12 +314,13 @@ class Matroid:
     # -- closure and flats ----------------------------------------------------
 
     def closure_mask(self, mask: int) -> int:
-        """Smallest flat containing the subset: adjoin every element that
-        leaves the rank unchanged."""
-        r = self.rank_of_mask(mask)
+        """Smallest flat containing the subset: adjoin every outside element
+        e for which I + e is dependent, I a greedy basis of the subset."""
+        family = self.independent_family.family
+        basis = self._greedy_basis(mask)
         out = mask
         for i in bits(self.ground.full_mask & ~mask):
-            if self.rank_of_mask(mask | (1 << i)) == r:
+            if basis | (1 << i) not in family:
                 out |= 1 << i
         return out
 
@@ -451,8 +481,8 @@ def matroid_from_json(text: str) -> Matroid:
     """Load {"ground": [...], "bases": [[...]]} or {"ground", "independent"}.
 
     An explicit independent family must be exactly the downward closure of
-    its maximum-cardinality members; anything else is rejected rather than
-    silently reinterpreted.
+    its maximum-cardinality members, and no set may list a label twice;
+    anything else is rejected rather than silently reinterpreted.
     """
     try:
         data = json.loads(text)
@@ -469,12 +499,20 @@ def matroid_from_json(text: str) -> Matroid:
 
     def collect(key):
         raw = data[key]
-        if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
+        if not isinstance(raw, list) or not all(
+            isinstance(s, list) and all(isinstance(x, str) for x in s) for s in raw
+        ):
             raise MatroidParseError(f'"{key}" must be a list of label lists')
-        try:
-            return frozenset(ground.mask_of(s) for s in raw)
-        except UnknownLabel as exc:
-            raise MatroidParseError(str(exc)) from None
+        masks = set()
+        for s in raw:
+            try:
+                mask = ground.mask_of(s)
+            except UnknownLabel as exc:
+                raise MatroidParseError(str(exc)) from None
+            if mask.bit_count() != len(s):
+                raise MatroidParseError(f'repeated label in "{key}" set {s!r}')
+            masks.add(mask)
+        return frozenset(masks)
 
     has_bases = "bases" in data
     has_independent = "independent" in data

@@ -133,3 +133,13 @@ def random_matroids():
     assert len(out) >= 50
     assert all(m.is_simple for m in out)
     return out
+
+
+@pytest.fixture(scope="session")
+def pool(u34, fivept, k4m, w3m, random_matroids):
+    """The verification pool: four catalog, two uniform, 50+ random."""
+    matroids = [u34, fivept, k4m, w3m, uniform(2, 4), uniform(3, 5)]
+    matroids.extend(random_matroids)
+    assert len(matroids) >= 56
+    assert all(m.ground.size <= 7 for m in matroids)
+    return matroids

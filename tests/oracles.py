@@ -143,9 +143,9 @@ def circuits_scan(bases, n):
     return out
 
 
-def closure_by_circuits(bases, n, mask):
-    """cl(X) = X plus every y outside X lying on a circuit inside X + y."""
-    circuits = circuits_scan(bases, n)
+def closure_by_circuits(circuits, n, mask):
+    """cl(X) = X plus every y outside X lying on a circuit inside X + y;
+    `circuits` as returned by circuits_scan."""
     out = mask
     for y in range(n):
         bit = 1 << y
@@ -154,6 +154,24 @@ def closure_by_circuits(bases, n, mask):
         if any(c & bit and c & ~(mask | bit) == 0 for c in circuits):
             out |= bit
     return out
+
+
+def exchange_fails(bases, b1, b2, x):
+    """No y in b2 - b1 makes b1 - x + y a basis."""
+    return not any(
+        (b1 & ~(1 << x)) | (1 << y) in bases for y in _positions(b2 & ~b1)
+    )
+
+
+def basis_exchange_holds(bases):
+    """Pairwise basis exchange, straight from the definition: for all bases
+    b1, b2 and every x in b1 - b2, some y in b2 - b1 has b1 - x + y a basis."""
+    return not any(
+        exchange_fails(bases, b1, b2, x)
+        for b1 in bases
+        for b2 in bases
+        for x in _positions(b1 & ~b2)
+    )
 
 
 def flats_scan(bases, n):

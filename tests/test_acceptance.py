@@ -24,7 +24,6 @@ from boolrep import (
     transversal_bases,
     transversal_witness,
     tropicalize,
-    uniform,
     size_bound,
     verify_representation,
 )
@@ -53,16 +52,6 @@ def _run(capsys, num, body):
     dt = time.perf_counter() - t0
     with capsys.disabled():
         print(f"[acceptance {num:02d}] PASS: {detail} [{dt:.2f}s]")
-
-
-@pytest.fixture(scope="module")
-def pool(u34, fivept, k4m, w3m, random_matroids):
-    """The verification pool: four catalog, two uniform, 50+ random."""
-    matroids = [u34, fivept, k4m, w3m, uniform(2, 4), uniform(3, 5)]
-    matroids.extend(random_matroids)
-    assert len(matroids) >= 56
-    assert all(m.ground.size <= 7 for m in matroids)
-    return matroids
 
 
 @pytest.fixture(scope="module")

@@ -215,6 +215,15 @@ def test_loads_matroid_from_json_file(capsys, tmp_path):
     assert (code2, out2) == (code, out)
 
 
+def test_repeated_label_in_a_basis_exits_2(capsys, tmp_path):
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"ground": ["1", "2"], "bases": [["1", "1"]]}))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "repeated label" in err
+
+
 def test_non_simple_input_is_simplified_with_a_warning(capsys, tmp_path):
     path = tmp_path / "parallel.json"
     path.write_text(matroid_to_json(uniform(1, 2)))

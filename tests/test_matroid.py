@@ -28,7 +28,15 @@ from boolrep import (
 )
 
 from conftest import random_bool_matrix, random_matrix
-from oracles import circuits_scan, closure_by_circuits, flats_scan
+from oracles import (
+    basis_exchange_holds,
+    circuits_scan,
+    closure_by_circuits,
+    exchange_fails,
+    flats_scan,
+    indep_from_bases,
+    rank_from_bases,
+)
 
 
 def hc(labels, subsets):
@@ -161,6 +169,33 @@ def test_exchange_counterexample_is_reported():
     assert len(err.basis1) == 2
 
 
+def test_exchange_check_matches_pairwise_definition():
+    """Every nonempty family of k-subsets of n elements, for (n, k) in
+    (4, 2), (5, 2), (5, 3): construction accepts exactly the families the
+    pairwise oracle accepts, and every reported triple is a real failure."""
+    accepted = rejected = 0
+    for n, k in ((4, 2), (5, 2), (5, 3)):
+        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+        subsets = [sum(1 << i for i in c) for c in combinations(range(n), k)]
+        for choice in range(1, 1 << len(subsets)):
+            bases = frozenset(s for j, s in enumerate(subsets) if choice >> j & 1)
+            try:
+                Matroid(ground, bases)
+            except ExchangeFails as err:
+                rejected += 1
+                assert not basis_exchange_holds(bases)
+                b1 = ground.mask_of(err.basis1)
+                b2 = ground.mask_of(err.basis2)
+                x = ground.index(err.element)
+                assert b1 in bases and b2 in bases
+                assert b1 >> x & 1 and not b2 >> x & 1
+                assert exchange_fails(bases, b1, b2, x)
+            else:
+                accepted += 1
+                assert basis_exchange_holds(bases)
+    assert accepted and rejected
+
+
 def test_basis_sets_canonical():
     u = uniform(2, 3)
     assert u.basis_sets() == (("1", "2"), ("1", "3"), ("2", "3"))
@@ -217,12 +252,23 @@ def test_closure_exchange_property(fivept):
                     assert m.closure_mask(mask | (1 << y)) >> x & 1
 
 
-def test_closure_agrees_with_circuit_definition(u34, fivept, k4m, w3m):
-    for m in (u34, fivept, k4m, w3m):
+def test_rank_closure_and_independence_agree_with_oracles(pool):
+    """Every subset of every pool matroid, plus a non-simple matroid with a
+    loop and a parallel pair."""
+    g = GroundSet.of("abcdl")
+    non_simple = Matroid.from_bases(
+        g, [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    assert non_simple.loops() == ("l",) and non_simple.rank_of(("a", "b")) == 1
+    for m in list(pool) + [non_simple]:
         bases = sorted(m.bases)
         n = m.ground.size
+        circuits = circuits_scan(bases, n)
+        is_indep = indep_from_bases(bases)
         for mask in range(1 << n):
-            assert m.closure_mask(mask) == closure_by_circuits(bases, n, mask)
+            assert m.rank_of_mask(mask) == rank_from_bases(bases, mask)
+            assert m.is_independent_mask(mask) == is_indep(mask)
+            assert m.closure_mask(mask) == closure_by_circuits(circuits, n, mask)
 
 
 def test_every_circuit_element_is_in_closure_of_the_rest(u34, fivept, k4m, w3m):
@@ -424,6 +470,8 @@ def test_json_rejects_malformed_input():
         '{"ground": "a", "bases": [["a"]]}',
         '{"ground": ["a"], "bases": [["z"]]}',
         '{"ground": ["a"], "bases": "a"}',
+        '{"ground": ["a"], "bases": [[["a"]]]}',
+        '{"ground": ["a"], "independent": [[], [1]]}',
     ]
     for text in cases:
         with pytest.raises(MatroidParseError):
@@ -437,3 +485,14 @@ def test_json_rejects_family_that_is_not_a_closure_of_its_tops():
     )
     with pytest.raises(MatroidParseError):
         matroid_from_json(text)
+
+
+def test_json_rejects_repeated_label_in_a_set():
+    cases = [
+        {"ground": ["1", "2"], "bases": [["1", "1"]]},
+        {"ground": ["1", "2"], "bases": [["1", "2"], ["2", "1", "2"]]},
+        {"ground": ["1", "2"], "independent": [[], ["1"], ["1", "1"]]},
+    ]
+    for data in cases:
+        with pytest.raises(MatroidParseError, match="repeated label"):
+            matroid_from_json(json.dumps(data))
