@@ -193,7 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rep = subs.add_parser("repr", help="extract a boolean representation")
     _add_source(rep)
     rep.add_argument(
-        "--reduce", choices=("none", "paper", "dedupe", "verified"), default="none"
+        "--reduce",
+        choices=("full", "none", "paper", "dedupe", "verified"),
+        default="full",
+        help="row reduction; none is an alias of full, one row per flat",
     )
     rep.add_argument("--format", choices=("csv", "pretty", "json"), default="pretty")
     rep.set_defaults(handler=_cmd_repr)

@@ -77,6 +77,14 @@ class InvalidWitness(BoolrepError):
     """The designated submatrix is not nonsingular."""
 
 
+class AmbiguousLabel(BoolrepError):
+    """A ground label that could make two flat names equal.
+
+    Flat names join labels with commas inside braces, so a label may be
+    neither empty nor contain a comma.
+    """
+
+
 class LabelMismatch(BoolrepError):
     """Matrix column labels do not match the matroid ground set."""
 

@@ -6,6 +6,15 @@ resulting boolean matrix, with one column per ground element, has exactly
 the matroid's independent sets as its independent column sets.  Reductions
 shrink the row set; every reduction is re-verified against the matroid
 rather than trusted.
+
+Two facts about superboolean column independence keep that checking cheap.
+It is hereditary, so a matrix represents a matroid exactly when every basis
+is matrix-independent and every circuit is matrix-dependent; the greedy
+reduction decides each row drop from those certificates.  And deleting a
+row can only turn an independent column set dependent, never the reverse,
+so a circuit that is dependent once stays dependent as rows go.
+Verification still answers every subset, reading the answers off the
+matrix's independent family grown from the empty set.
 """
 
 from __future__ import annotations
@@ -15,9 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .bitops import bits
 from .errors import GroundTooLarge, LabelMismatch, ReductionError
 from .lattice import FlatLattice
-from .matroid import GroundSet, Matroid, hereditary_from_matrix
+from .matroid import Matroid, hereditary_from_matrix
 from .sbool import ONE, ZERO, BoolMatrix, SbMatrix
 
 __all__ = [
@@ -149,25 +159,40 @@ def dedupe_reduce(rep: Representation) -> Representation:
 
 
 def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Representation:
-    """Greedy row minimization with the brute-force oracle in the loop.
+    """Greedy row minimization, each drop decided by basis and circuit
+    certificates.
 
     After stripping duplicates and zero rows, each remaining row is dropped
     whenever the matrix without it still induces exactly the matroid's
-    independent family.  The final result is re-verified.
+    independent family: every basis stays column-independent and every
+    circuit column-dependent.  A drop never makes a dependent column set
+    independent, so only the circuits the stripped matrix calls independent
+    are rechecked, and none after the first accepted drop.  The final
+    result is re-verified on every subset.
     """
     matroid = matroid if matroid is not None else rep.matroid
-    target = matroid.independent_family.family
+    ground = matroid.ground
+    if rep.matrix.col_labels != ground.labels:
+        raise LabelMismatch(
+            f"matrix columns {rep.matrix.col_labels} against ground {ground.labels}"
+        )
+    bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
     current = _strip_rows(rep, "verified")
     labels = list(current.provenance)
     matrix = current.matrix
+    circuits = [tuple(bits(c)) for c in matroid.independent_family.circuit_masks()]
+    loose = [c for c in circuits if matrix.columns_independent(c)]
     for label in list(labels):
         if len(labels) == 1:
             break
         trial = tuple(x for x in labels if x != label)
         candidate = matrix.submatrix(rows=trial)
-        if hereditary_from_matrix(candidate).family == target:
+        if all(map(candidate.columns_independent, bases)) and not any(
+            map(candidate.columns_independent, loose)
+        ):
             labels = list(trial)
             matrix = candidate
+            loose = []
     reduced = Representation(matrix, tuple(labels), "verified", matroid, rep.lattice)
     report = verify_representation(reduced, matroid)
     if not report.ok:
@@ -180,7 +205,10 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
 
     Accepts a Representation or a bare matrix.  Column labels must be
     exactly the ground elements (any order); subsets are checked in
-    canonical order and every disagreement is reported.
+    canonical order and every disagreement is reported.  The matrix's
+    answers come from its independent family, grown one column at a time:
+    dependence survives adding columns, so a set is tested only when all
+    its one-smaller subsets are independent.
     """
     matrix = rep.matrix if isinstance(rep, Representation) else rep
     ground = matroid.ground
@@ -193,11 +221,13 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
         raise GroundTooLarge(
             f"exhaustive verification is capped at {VERIFY_CAP} elements"
         )
-    mismatches = []
-    for mask in sorted(range(1 << n), key=ground.sort_key):
-        labels = ground.labels_of(mask)
-        if matrix.columns_independent(labels) != matroid.is_independent_mask(mask):
-            mismatches.append(labels)
+    found = hereditary_from_matrix(matrix)
+    independent = {ground.mask_of(found.ground.labels_of(m)) for m in found.family}
+    mismatches = [
+        ground.labels_of(mask)
+        for mask in sorted(range(1 << n), key=ground.sort_key)
+        if (mask in independent) != matroid.is_independent_mask(mask)
+    ]
     return VerificationReport(not mismatches, tuple(mismatches), 1 << n)
 
 

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 from .bitops import bits, mask_of
 from .errors import (
+    AmbiguousLabel,
     BoolrepError,
     DuplicateLabels,
     InvalidWitness,
@@ -98,6 +99,15 @@ class FlatLattice:
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "FlatLattice":
+        """The flats of a simple matroid, each named by its labels in
+        braces, e.g. "{1,4}".  A label must be nonempty and comma-free, or
+        two names could be equal; such a label raises AmbiguousLabel."""
+        for label in matroid.ground.labels:
+            if label == "" or "," in label:
+                reason = "is empty" if label == "" else "contains a comma"
+                raise AmbiguousLabel(
+                    f"ground label {label!r} {reason}, so two flat names could be equal"
+                )
         if not matroid.is_simple:
             raise NotSimple("the lattice of flats is built for simple matroids only")
         flats = matroid.flat_masks

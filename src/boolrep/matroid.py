@@ -424,7 +424,7 @@ def hereditary_from_matrix(matrix: SbMatrix) -> HereditaryCollection:
                     continue
                 if any(cand ^ (1 << i) not in family for i in bits(mask)):
                     continue
-                if matrix.columns_independent(ground.labels_of(cand)):
+                if matrix.columns_independent(bits(cand)):
                     family.add(cand)
                     grown.append(cand)
         level = grown

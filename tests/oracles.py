@@ -104,6 +104,26 @@ def brute_col_rank(grid):
     return brute_row_rank(tuple(zip(*grid)))
 
 
+def independent_column_sets(grid):
+    """Bitmasks of the column sets of an int grid whose columns are
+    independent vectors.
+
+    A set holding a dependent set is dependent (the same combination
+    works), so a set is tested from the definition only when every
+    one-smaller subset is independent.
+    """
+    n = len(grid[0]) if grid else 0
+    columns = [tuple(row[j] for row in grid) for j in range(n)]
+    found = set()
+    for mask in sorted(range(1 << n), key=int.bit_count):
+        positions = _positions(mask)
+        if all(mask & ~(1 << i) in found for i in positions) and vectors_independent(
+            [columns[j] for j in positions]
+        ):
+            found.add(mask)
+    return found
+
+
 def rank_by_submatrix(grid):
     """Largest k with some k x k submatrix of permanent exactly 1."""
     m = len(grid)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from boolrep import CATALOG, matroid_to_json, uniform
+from boolrep import CATALOG, extract_representation, matroid_to_json, uniform
 from boolrep.cli import main
 
 from conftest import read_golden
@@ -87,6 +87,15 @@ def test_repr_is_deterministic(capsys):
     second = run_cli(capsys, "repr", "example:w3", "--reduce", "verified", "--format", "csv")
     assert first == second
     assert first[0] == 0
+
+
+def test_repr_full_and_its_alias_none_print_the_same_csv(capsys):
+    full = run_cli(capsys, "repr", "example:k4", "--reduce", "full", "--format", "csv")
+    none = run_cli(capsys, "repr", "example:k4", "--reduce", "none", "--format", "csv")
+    default = run_cli(capsys, "repr", "example:k4", "--format", "csv")
+    assert full == none == default
+    assert full[0] == 0
+    assert len(full[1].splitlines()) == 1 + 15
 
 
 def test_repr_json(capsys):
@@ -222,6 +231,36 @@ def test_repeated_label_in_a_basis_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "repeated label" in err
+
+
+@pytest.mark.parametrize(
+    "ground, rank, reason",
+    [(["a", "b", "c", "a,b"], 3, "contains a comma"), (["", "b"], 2, "is empty")],
+)
+def test_labels_that_make_flat_names_equal_exit_2(capsys, tmp_path, ground, rank, reason):
+    matroid = uniform(rank, len(ground))
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps(
+            {
+                "ground": ground,
+                "bases": [
+                    [ground[int(x) - 1] for x in basis] for basis in matroid.basis_sets()
+                ],
+            }
+        )
+    )
+    for command in ("lattice", "repr", "verify", "partitions"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert reason in err and "repeated lattice element name" not in err
+    matrix = tmp_path / "rep.csv"
+    matrix.write_text(
+        extract_representation(matroid).matrix.relabeled(col_labels=ground).to_csv()
+    )
+    code, out, _ = run_cli(capsys, "verify", str(path), "--matrix", str(matrix))
+    assert code == 0
+    assert out == f"ok: {1 << len(ground)} subsets agree\n"
 
 
 def test_non_simple_input_is_simplified_with_a_warning(capsys, tmp_path):

@@ -3,11 +3,16 @@ and the max-plus embedding."""
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolrep import (
+    GHOST,
     BoolMatrix,
+    BoolrepError,
     FlatLattice,
     GroundTooLarge,
     LabelMismatch,
@@ -15,6 +20,7 @@ from boolrep import (
     ZERO,
     ReductionError,
     Representation,
+    SbMatrix,
     TropicalMatrix,
     VerificationReport,
     dedupe_reduce,
@@ -29,6 +35,13 @@ from boolrep import (
 )
 
 from conftest import read_golden
+from oracles import (
+    circuits_scan,
+    grid_of,
+    indep_from_bases,
+    independent_column_sets,
+    vectors_independent,
+)
 
 
 # -- extraction -------------------------------------------------------------------
@@ -152,7 +165,177 @@ def test_verified_reduce_never_empties_the_matrix():
     assert verify_representation(out, uniform(1, 1)).ok
 
 
+def test_verified_reduce_checks_labels_before_reducing(fivept, k4m, monkeypatch):
+    rep = extract_representation(fivept)
+
+    def refuse(*args):
+        raise AssertionError("the independence kernel ran before the label check")
+
+    monkeypatch.setattr(SbMatrix, "columns_independent", refuse)
+    with pytest.raises(LabelMismatch):
+        verified_reduce(rep, k4m)
+
+
+# -- reduction against the loop it replaced ---------------------------------------------
+
+
+def matroid_family(matroid):
+    """The independent sets as bitmasks, from the bases alone."""
+    is_indep = indep_from_bases(matroid.bases)
+    return {mask for mask in range(1 << matroid.ground.size) if is_indep(mask)}
+
+
+def reference_reduce(rep, matroid, verdicts):
+    """The greedy loop verified_reduce replaced: strip zero and repeated
+    rows, then drop each row whose removal keeps the oracle's independent
+    column sets equal to the matroid's family.  Returns the kept row
+    labels, or ReductionError when the result does not represent the
+    matroid.
+
+    Each candidate is also judged by certificates (every basis
+    independent, every circuit dependent); `verdicts` collects the pairs
+    (certificate verdict, family equality).
+    """
+    target = matroid_family(matroid)
+    circuits = circuits_scan(matroid.bases, matroid.ground.size)
+    rows, seen = [], set()
+    for label, row in zip(rep.matrix.row_labels, grid_of(rep.matrix)):
+        if any(row) and row not in seen:
+            seen.add(row)
+            rows.append((label, row))
+    for label, _ in list(rows):
+        if len(rows) == 1:
+            break
+        trial = [entry for entry in rows if entry[0] != label]
+        family = independent_column_sets([row for _, row in trial])
+        certified = all(b in family for b in matroid.bases) and not any(
+            c in family for c in circuits
+        )
+        verdicts.append((certified, family == target))
+        if family == target:
+            rows = trial
+    if independent_column_sets([row for _, row in rows]) != target:
+        return ReductionError
+    return tuple(label for label, _ in rows)
+
+
+def reduce_outcome(rep, matroid):
+    try:
+        return verified_reduce(rep, matroid).provenance
+    except BoolrepError as exc:
+        return type(exc)
+
+
+def flipped(rep, rng):
+    """The representation with one to three random entries flipped 0 <-> 1."""
+    grid = [list(row) for row in rep.matrix.entries]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(grid)), rng.randrange(len(grid[0]))
+        grid[i][j] = ZERO if grid[i][j] is ONE else ONE
+    matrix = BoolMatrix(
+        tuple(map(tuple, grid)), rep.matrix.row_labels, rep.matrix.col_labels
+    )
+    return Representation(matrix, rep.provenance, "full", rep.matroid, rep.lattice)
+
+
+def test_verified_reduce_matches_the_oracle_loop_on_the_pool(pool):
+    """Also: on every candidate, the basis and circuit certificates agree
+    with equality of the oracle's family and the matroid's."""
+    verdicts = []
+    for m in pool:
+        rep = extract_representation(m)
+        assert reduce_outcome(rep, m) == reference_reduce(rep, m, verdicts)
+    assert all(certified == equal for certified, equal in verdicts)
+    assert {equal for _, equal in verdicts} == {True, False}
+
+
+def test_verified_reduce_matches_the_oracle_loop_on_broken_starts(pool):
+    rng = random.Random(31)
+    verdicts = []
+    reduced = 0
+    for m in pool:
+        broken = flipped(extract_representation(m), rng)
+        expected = reference_reduce(broken, m, verdicts)
+        assert reduce_outcome(broken, m) == expected
+        reduced += expected is not ReductionError
+    assert all(certified == equal for certified, equal in verdicts)
+    assert reduced > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_deleting_a_row_never_makes_a_dependent_column_set_independent(grid):
+    family = independent_column_sets(grid)
+    for i in range(len(grid)):
+        assert independent_column_sets(grid[:i] + grid[i + 1:]) <= family
+
+
 # -- verification -----------------------------------------------------------------------
+
+
+def oracle_report(matrix, matroid):
+    """(ok, mismatches, checked count) from the definition, one subset at a
+    time in canonical order."""
+    ground = matroid.ground
+    n = ground.size
+    grid = grid_of(matrix)
+    column = {
+        label: tuple(row[j] for row in grid) for j, label in enumerate(matrix.col_labels)
+    }
+    order = sorted(
+        range(1 << n), key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1])
+    )
+    mismatches = []
+    for mask in order:
+        labels = ground.labels_of(mask)
+        if vectors_independent([column[x] for x in labels]) != matroid.is_independent_mask(mask):
+            mismatches.append(labels)
+    return not mismatches, tuple(mismatches), 1 << n
+
+
+def with_column(matrix, j, values):
+    grid = tuple(row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix.entries, values))
+    return SbMatrix(grid, matrix.row_labels, matrix.col_labels)
+
+
+def broken_copies(matrix, rng):
+    """One flipped entry, a column copied from another, a column of ghosts,
+    a column of zeros."""
+    n_rows, n_cols = matrix.shape
+    j = rng.randrange(n_cols)
+    column = [row[j] for row in matrix.entries]
+    i = rng.randrange(n_rows)
+    column[i] = ZERO if column[i] is ONE else ONE
+    yield with_column(matrix, j, column)
+    if n_cols > 1:
+        k = rng.choice([c for c in range(n_cols) if c != j])
+        yield with_column(matrix, j, [row[k] for row in matrix.entries])
+    yield with_column(matrix, j, [ZERO if row[j] is ZERO else GHOST for row in matrix.entries])
+    yield with_column(matrix, j, [ZERO] * n_rows)
+
+
+def test_verify_matches_the_per_subset_definition(pool):
+    rng = random.Random(17)
+    outcomes = set()
+    for m in pool:
+        full = extract_representation(m).matrix
+        cols = list(full.col_labels)
+        rng.shuffle(cols)
+        for matrix in (full, *broken_copies(full, rng), full.submatrix(cols=cols)):
+            report = verify_representation(matrix, m)
+            assert (report.ok, report.mismatches, report.checked_count) == oracle_report(
+                matrix, m
+            )
+            outcomes.add(report.ok)
+    assert outcomes == {True, False}
 
 
 def test_catalog_extractions_verify(u34, fivept, k4m, w3m):

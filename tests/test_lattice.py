@@ -3,6 +3,7 @@
 import pytest
 
 from boolrep import (
+    AmbiguousLabel,
     BoolrepError,
     FlatLattice,
     InvalidWitness,
@@ -11,6 +12,7 @@ from boolrep import (
     UnknownLabel,
     ZERO,
     ONE,
+    matroid_from_json,
     pentagon,
     uniform,
 )
@@ -79,6 +81,26 @@ def test_from_matroid_counts_and_heights(u34, k4m):
 def test_from_matroid_requires_simple():
     with pytest.raises(NotSimple):
         FlatLattice.from_matroid(uniform(1, 2))
+
+
+@pytest.mark.parametrize(
+    "text, label, reason",
+    [
+        (
+            '{"ground": ["a", "b", "c", "a,b"], "bases": [["a", "b", "c"], ["a", "b", "a,b"],'
+            ' ["a", "c", "a,b"], ["b", "c", "a,b"]]}',
+            "'a,b'",
+            "contains a comma",
+        ),
+        ('{"ground": ["", "b"], "bases": [["", "b"]]}', "''", "is empty"),
+    ],
+)
+def test_from_matroid_rejects_labels_that_make_flat_names_equal(text, label, reason):
+    # "{a,b}" names both the line through a and b and the atom of "a,b";
+    # "{}" names both the bottom and the atom of ""
+    with pytest.raises(AmbiguousLabel) as info:
+        FlatLattice.from_matroid(matroid_from_json(text))
+    assert label in str(info.value) and reason in str(info.value)
 
 
 def test_bottom_top_atoms(catalog_lattices):
