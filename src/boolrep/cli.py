@@ -17,6 +17,7 @@ from .errors import (
     BoolrepError,
     ChainLimitExceeded,
     GroundTooLarge,
+    MatrixParseError,
     MatroidParseError,
 )
 from .extraction import (
@@ -35,6 +36,14 @@ from .sbool import ONE, SbMatrix
 __all__ = ["main", "run"]
 
 
+def _read_text(path: str, error: type[BoolrepError]) -> str:
+    """A file's text; bytes that are not UTF-8 raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _load_matroid(source: str | None, file_opt: str | None) -> Matroid:
     if source is not None and file_opt is not None:
         raise MatroidParseError("give either a positional source or --file, not both")
@@ -51,7 +60,7 @@ def _load_matroid(source: str | None, file_opt: str | None) -> Matroid:
         path = file_opt
     else:
         raise MatroidParseError("no matroid given: use example:<name> or --file PATH")
-    return matroid_from_json(Path(path).read_text())
+    return matroid_from_json(_read_text(path, MatroidParseError))
 
 
 def _ensure_simple(matroid: Matroid) -> Matroid:
@@ -122,7 +131,7 @@ def _cmd_repr(args) -> int:
 def _cmd_verify(args) -> int:
     matroid = _ensure_simple(_load_matroid(args.source, args.file))
     if args.matrix is not None:
-        subject = SbMatrix.from_csv(Path(args.matrix).read_text())
+        subject = SbMatrix.from_csv(_read_text(args.matrix, MatrixParseError))
     else:
         subject = extract_representation(matroid)
     report = verify_representation(subject, matroid)
@@ -153,7 +162,7 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    matrix = SbMatrix.from_csv(Path(args.matrix_file).read_text())
+    matrix = SbMatrix.from_csv(_read_text(args.matrix_file, MatrixParseError))
     print(matrix.rank())
     return 0
 

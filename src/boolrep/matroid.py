@@ -486,7 +486,9 @@ def matroid_from_json(text: str) -> Matroid:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, nesting too deep to parse.
         raise MatroidParseError(f"bad JSON: {exc}") from None
     if not isinstance(data, Mapping):
         raise MatroidParseError("top level must be an object")

@@ -3,6 +3,15 @@
 Scalars are totally ordered 1v > 1 > 0, where 1v = 1 + 1 is the ghost
 element and {0, 1v} is the ghost ideal.  Matrices are dense, labeled and
 immutable; every operation returns a new value.
+
+Decisions rest on two facts: a set of columns is independent iff some
+square submatrix on it is nonsingular, and a matrix is nonsingular iff it
+has a triangular form with plain 1s on the diagonal.  One greedy peel
+(`_peel`) decides row and column independence and finds witness rows in
+polynomial time.  The permanent is 1 iff the matrix is nonsingular, and
+otherwise 1v or 0 as its nonzero pattern does or does not hold a perfect
+matching.  Rank is a depth-first search over independent sets, run over
+the shorter side of the matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, total_ordering
-from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .errors import DuplicateLabels, MatrixParseError, NonSquareError, UnknownLabel
@@ -28,11 +36,6 @@ __all__ = [
     "SbMatrix",
     "BoolMatrix",
 ]
-
-# Independence checks fall back from coefficient enumeration to witness
-# search above this subset size (2^k combinations otherwise).
-BRUTE_FORCE_LIMIT = 20
-
 
 @total_ordering
 class SBool(Enum):
@@ -128,49 +131,79 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-def _has_ghost_combination(nz_masks, gh_masks, idxs) -> bool:
-    """Does some nonzero 0/1-coefficient combination land in the ghost ideal?
+def _indices(keys: Iterable, lookup: dict, size: int, axis: str) -> list[int]:
+    """Positions of labels or integer indices along one axis, in order."""
+    out = []
+    for key in keys:
+        if isinstance(key, str):
+            try:
+                out.append(lookup[key])
+            except KeyError:
+                raise UnknownLabel(f"no {axis} labeled {key!r}") from None
+        else:
+            i = int(key)
+            if not 0 <= i < size:
+                raise UnknownLabel(f"{axis} index {i} out of range")
+            out.append(i)
+    return out
 
-    Vectors are given as (nonzero, ghost) coordinate bitmasks.  States track,
-    for every coefficient support seen so far, which coordinates are hit once,
-    more than once, and by a ghost; a combination is non-ghost exactly when
-    some coordinate is hit once, by a plain 1.
+
+def _peel(nz_masks, one_masks, idxs):
+    """Witness coordinates of the given vectors, or None when they are dependent.
+
+    Vectors are given as (nonzero, plain-1) coordinate bitmasks.  Each round
+    finds the coordinates hit by exactly one remaining vector; every vector
+    holding a plain 1 on such a coordinate peels, and that coordinate is its
+    witness.  The vectors are independent exactly when all of them peel:
+    the sum of an independent set has a coordinate hit once, by a plain 1,
+    and a subset of an independent set is independent, so a round on an
+    independent set always peels something.  Peeling only frees coordinates,
+    so the order does not matter, and the witnesses of one round differ.
+    Read in peel order, the witnesses and vectors form a triangular
+    nonsingular submatrix.  At most k rounds of O(k) mask operations.
     """
-    states = [(0, 0, 0)]
-    for i in idxs:
-        nz, gh = nz_masks[i], gh_masks[i]
-        grown = []
-        for once, multi, ghost in states:
-            multi2 = multi | (once & nz)
-            once2 = once | nz
-            ghost2 = ghost | gh
-            if once2 & ~multi2 & ~ghost2 == 0:
-                return True
-            grown.append((once2, multi2, ghost2))
-        states.extend(grown)
-    return False
+    left = list(idxs)
+    witnesses: list[int] = []
+    while left:
+        once = multi = 0
+        for i in left:
+            nz = nz_masks[i]
+            multi |= once & nz
+            once |= nz
+        free = once & ~multi
+        kept = []
+        for i in left:
+            lone = one_masks[i] & free
+            if lone:
+                witnesses.append((lone & -lone).bit_length() - 1)
+            else:
+                kept.append(i)
+        if len(kept) == len(left):
+            return None
+        left = kept
+    return witnesses
 
 
 def _max_independent(nz_masks, gh_masks, indices, cap: int) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
-    Depth-first over independent subsets only; an extension that produces a
-    ghost combination is pruned together with everything above it, because
-    dependence survives adding vectors.
+    Depth-first over independent subsets only.  A node keeps, for every
+    subset of its vectors, which coordinates the subset's sum hits once,
+    more than once, and with a ghost; a vector extends the node when no
+    extended sum lands in the ghost ideal.  The family is hereditary, so a
+    child tries only the vectors that extended its parent, and a branch
+    stops once those cannot beat the best size found.
     """
     if cap <= 0:
         return 0
-    pool = list(indices)
     best = 0
 
-    def extend(start: int, states, depth: int) -> bool:
+    def extend(states, candidates, depth: int) -> bool:
         nonlocal best
-        if depth > best:
-            best = depth
-            if best >= cap:
-                return True
-        for t in range(start, len(pool)):
-            i = pool[t]
+        if depth + len(candidates) <= best:
+            return False
+        viable = []
+        for i in candidates:
             nz, gh = nz_masks[i], gh_masks[i]
             grown = []
             for once, multi, ghost in states:
@@ -181,12 +214,56 @@ def _max_independent(nz_masks, gh_masks, indices, cap: int) -> int:
                     break
                 grown.append((once2, multi2, ghost2))
             else:
-                if extend(t + 1, states + grown, depth + 1):
-                    return True
+                viable.append((i, grown))
+        if viable and depth + 1 > best:
+            best = depth + 1
+            if best >= cap:
+                return True
+        for t, (_, grown) in enumerate(viable):
+            if depth + len(viable) - t <= best:
+                break
+            if extend(states + grown, [i for i, _ in viable[t + 1:]], depth + 1):
+                return True
         return False
 
-    extend(0, [(0, 0, 0)], 0)
+    extend([(0, 0, 0)], list(indices), 0)
     return best
+
+
+def _has_perfect_matching(row_nz, n: int) -> bool:
+    """Does the nonzero pattern hold a perfect matching?  Kuhn's algorithm:
+    each row in turn is matched along an augmenting path, found breadth
+    first over the row bitmasks."""
+    owner = [-1] * n  # column -> its matched row
+    col_of = [-1] * n  # row -> its matched column
+    for r in range(n):
+        came_from = {}  # column -> the row that reached it
+        seen = 0
+        frontier = [r]
+        end = -1
+        while frontier and end < 0:
+            reached = []
+            for row in frontier:
+                free = row_nz[row] & ~seen
+                seen |= free
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    j = bit.bit_length() - 1
+                    came_from[j] = row
+                    if owner[j] < 0:
+                        end = j
+                        break
+                    reached.append(owner[j])
+                if end >= 0:
+                    break
+            frontier = reached
+        if end < 0:
+            return False
+        while end >= 0:
+            row = came_from[end]
+            owner[end], col_of[row], end = row, end, col_of[row]
+    return True
 
 
 def _eliminate(row_nz, row_one, rows: Sequence[int], col_mask: int):
@@ -288,30 +365,14 @@ class SbMatrix:
     def _col_lookup(self) -> dict:
         return {label: j for j, label in enumerate(self.col_labels)}
 
-    def _row_idx(self, key) -> int:
-        if isinstance(key, str):
-            try:
-                return self._row_lookup[key]
-            except KeyError:
-                raise UnknownLabel(f"no row labeled {key!r}") from None
-        i = int(key)
-        if not 0 <= i < self.n_rows:
-            raise UnknownLabel(f"row index {i} out of range")
-        return i
+    def _row_idxs(self, keys: Iterable) -> list[int]:
+        return _indices(keys, self._row_lookup, len(self.entries), "row")
 
-    def _col_idx(self, key) -> int:
-        if isinstance(key, str):
-            try:
-                return self._col_lookup[key]
-            except KeyError:
-                raise UnknownLabel(f"no column labeled {key!r}") from None
-        j = int(key)
-        if not 0 <= j < self.n_cols:
-            raise UnknownLabel(f"column index {j} out of range")
-        return j
+    def _col_idxs(self, keys: Iterable) -> list[int]:
+        return _indices(keys, self._col_lookup, len(self.col_labels), "column")
 
     def entry(self, row, col) -> SBool:
-        return self.entries[self._row_idx(row)][self._col_idx(col)]
+        return self.entries[self._row_idxs((row,))[0]][self._col_idxs((col,))[0]]
 
     # -- cached bitmask views ---------------------------------------------
 
@@ -335,17 +396,20 @@ class SbMatrix:
 
     @cached_property
     def _col_masks(self):
-        """Per column: row bitmasks of (nonzero, ghost) entries."""
+        """Per column: row bitmasks of (nonzero, one, ghost) entries."""
         nz = [0] * self.n_cols
+        one = [0] * self.n_cols
         gh = [0] * self.n_cols
         for i, row in enumerate(self.entries):
             bit = 1 << i
             for j, v in enumerate(row):
                 if v is not ZERO:
                     nz[j] |= bit
-                    if v is not ONE:
+                    if v is ONE:
+                        one[j] |= bit
+                    else:
                         gh[j] |= bit
-        return tuple(nz), tuple(gh)
+        return tuple(nz), tuple(one), tuple(gh)
 
     # -- rearrangement ----------------------------------------------------
 
@@ -362,8 +426,8 @@ class SbMatrix:
 
     def submatrix(self, rows=None, cols=None):
         """Restriction to the given rows/columns (labels or indices), in order."""
-        ri = range(self.n_rows) if rows is None else [self._row_idx(r) for r in rows]
-        ci = range(self.n_cols) if cols is None else [self._col_idx(c) for c in cols]
+        ri = range(self.n_rows) if rows is None else self._row_idxs(rows)
+        ci = range(self.n_cols) if cols is None else self._col_idxs(cols)
         grid = tuple(tuple(self.entries[i][j] for j in ci) for i in ri)
         return type(self)(
             grid,
@@ -389,17 +453,16 @@ class SbMatrix:
         return self.n_rows
 
     def permanent(self) -> SBool:
-        """Sum over all permutations of the entry products (the 0x0 sum is 1)."""
+        """Sum over all permutations of the entry products (the 0x0 sum is 1).
+
+        It is 1 exactly when the matrix is nonsingular.  Otherwise it lies in
+        the ghost ideal: 1v when some permutation avoids every zero (a perfect
+        matching of the nonzero pattern), else 0.
+        """
         n = self._square()
-        total = ZERO
-        for perm in permutations(range(n)):
-            term = ONE
-            for j, i in enumerate(perm):
-                term = term * self.entries[i][j]
-                if term is ZERO:
-                    break
-            total = total + term
-        return total
+        if self.is_nonsingular():
+            return ONE
+        return GHOST if _has_perfect_matching(self._row_masks[0], n) else ZERO
 
     def is_nonsingular(self) -> bool:
         """True when the permanent is exactly 1."""
@@ -421,52 +484,46 @@ class SbMatrix:
         return tuple(orders[0]), tuple(orders[1])
 
     def columns_independent(self, cols: Iterable) -> bool:
-        """No nonzero 0/1 combination of these columns lies in the ghost ideal."""
-        idxs = list(dict.fromkeys(self._col_idx(c) for c in cols))
-        if len(idxs) > BRUTE_FORCE_LIMIT:
-            return self._witness_rows(tuple(idxs)) is not None
-        nz, gh = self._col_masks
-        return not _has_ghost_combination(nz, gh, idxs)
+        """No nonzero 0/1 combination of these columns lies in the ghost ideal.
+
+        Decided by the peel: the columns are independent exactly when they
+        carry a triangular nonsingular square submatrix.
+        """
+        idxs = dict.fromkeys(self._col_idxs(cols))
+        nz, one, _ = self._col_masks
+        return _peel(nz, one, idxs) is not None
 
     def rows_independent(self, rows: Iterable) -> bool:
-        idxs = list(dict.fromkeys(self._row_idx(r) for r in rows))
-        if len(idxs) > BRUTE_FORCE_LIMIT:
-            return self.transpose()._witness_rows(tuple(idxs)) is not None
-        nz, _, gh = self._row_masks
-        return not _has_ghost_combination(nz, gh, idxs)
+        idxs = dict.fromkeys(self._row_idxs(rows))
+        nz, one, _ = self._row_masks
+        return _peel(nz, one, idxs) is not None
 
     def rank(self) -> int:
         """Maximal number of independent rows.
 
         Equals the maximal number of independent columns and the size of the
-        largest nonsingular square submatrix.
+        largest nonsingular square submatrix, so the search runs over the
+        shorter side.
         """
-        nz, _, gh = self._row_masks
-        return _max_independent(nz, gh, range(self.n_rows), min(self.n_rows, self.n_cols))
+        if self.n_cols < self.n_rows:
+            nz, _, gh = self._col_masks
+        else:
+            nz, _, gh = self._row_masks
+        return _max_independent(nz, gh, range(len(nz)), min(self.n_rows, self.n_cols))
 
     def witness(self, cols: Iterable):
         """Row labels carrying a nonsingular square submatrix on these columns.
 
-        Returns None when the columns are dependent.
+        The rows are the ones the peel picks, in row order; they are some
+        valid witness, not necessarily the lexicographically first.  Returns
+        None when the columns are dependent.
         """
-        idxs = list(dict.fromkeys(self._col_idx(c) for c in cols))
-        rows = self._witness_rows(tuple(idxs))
+        idxs = dict.fromkeys(self._col_idxs(cols))
+        nz, one, _ = self._col_masks
+        rows = _peel(nz, one, idxs)
         if rows is None:
             return None
-        return tuple(self.row_labels[i] for i in rows)
-
-    def _witness_rows(self, col_idxs: tuple[int, ...]):
-        k = len(col_idxs)
-        if k > self.n_rows:
-            return None
-        col_mask = 0
-        for j in col_idxs:
-            col_mask |= 1 << j
-        row_nz, row_one, _ = self._row_masks
-        for rows in combinations(range(self.n_rows), k):
-            if _eliminate(row_nz, row_one, rows, col_mask) is not None:
-                return rows
-        return None
+        return tuple(self.row_labels[i] for i in sorted(rows))
 
     # -- text forms ---------------------------------------------------------
 
@@ -482,7 +539,10 @@ class SbMatrix:
 
     @classmethod
     def from_csv(cls, text: str):
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        try:
+            rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            raise MatrixParseError(f"bad CSV: {exc}") from None
         if not rows:
             raise MatrixParseError("empty matrix text")
         header = rows[0]

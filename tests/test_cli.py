@@ -312,3 +312,35 @@ def test_help_and_bad_subcommand(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "lattice", "example:u34", "--format", "yaml")[0] == 2
+
+
+# Malformed input files, each of which once ended in a traceback.
+NOT_UTF8 = b"\xff\xfe,\x80\n"
+BAD_FILES = {
+    "huge-field": (",x\na," + "1" * 131_073 + "\n").encode(),
+    "not-utf8": NOT_UTF8,
+    "deep-json": ("[" * 100_000 + "]" * 100_000).encode(),
+    "huge-int": ('{"ground": ' + "9" * 5000 + "}").encode(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["rank", "{f}"], "huge-field"),
+        (["rank", "{f}"], "not-utf8"),
+        (["verify", "example:u34", "--matrix", "{f}"], "huge-field"),
+        (["verify", "example:u34", "--matrix", "{f}"], "not-utf8"),
+        (["verify", "{f}"], "not-utf8"),
+        (["repr", "{f}"], "not-utf8"),
+        (["verify", "{f}"], "deep-json"),
+        (["verify", "{f}"], "huge-int"),
+    ],
+)
+def test_malformed_input_files_exit_2(capsys, tmp_path, argv, bad):
+    path = tmp_path / "input"
+    path.write_bytes(BAD_FILES[bad])
+    code, out, err = run_cli(capsys, *[a.format(f=path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

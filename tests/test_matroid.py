@@ -472,6 +472,8 @@ def test_json_rejects_malformed_input():
         '{"ground": ["a"], "bases": "a"}',
         '{"ground": ["a"], "bases": [[["a"]]]}',
         '{"ground": ["a"], "independent": [[], [1]]}',
+        "[" * 100_000 + "]" * 100_000,
+        '{"ground": ' + "9" * 5000 + "}",
     ]
     for text in cases:
         with pytest.raises(MatroidParseError):

@@ -26,9 +26,12 @@ from conftest import random_matrix, read_golden
 from oracles import (
     ADD,
     MUL,
+    brute_col_rank,
+    brute_row_rank,
     grid_of,
     permanent_dp,
     permanent_perms,
+    rank_by_submatrix,
     vectors_independent,
 )
 
@@ -248,12 +251,27 @@ def test_permanent_agrees_with_oracles_4x4(rows):
     assert CODE[m.permanent()] == permanent_perms(g) == permanent_dp(g)
 
 
-def test_permanent_oracle_pair_agrees_on_larger_sizes():
+def test_permanent_agrees_with_oracles_exhaustive_3x3():
+    for cells in product(SCALARS, repeat=9):
+        m = SbMatrix.of([cells[:3], cells[3:6], cells[6:]])
+        g = grid_of(m)
+        assert CODE[m.permanent()] == permanent_perms(g) == permanent_dp(g)
+
+
+def test_permanent_agrees_with_oracles_on_larger_sizes():
     rng = random.Random(7)
-    for n in (5, 6, 7):
-        for _ in range(12):
-            g = grid_of(random_matrix(rng, n, n))
-            assert permanent_perms(g) == permanent_dp(g)
+    for n in (4, 5, 6, 7):
+        for density in (0.3, 0.6, 0.9):
+            for _ in range(4):
+                m = SbMatrix.of(
+                    [[rng.choice(("1", "1", "1v")) if rng.random() < density else "0"
+                      for _ in range(n)] for _ in range(n)]
+                )
+                g = grid_of(m)
+                assert CODE[m.permanent()] == permanent_perms(g) == permanent_dp(g)
+    ones = SbMatrix.of([[1] * 8] * 8)
+    assert ones.permanent() is GHOST
+    assert permanent_perms(grid_of(ones)) == permanent_dp(grid_of(ones)) == CODE[GHOST]
 
 
 def test_is_nonsingular_examples():
@@ -391,6 +409,76 @@ def test_independence_matches_coefficient_oracle():
                 assert m.columns_independent(picked) == expected
 
 
+grid_6x6 = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_6x6)
+def test_peel_matches_coefficient_oracle_on_every_subset(grid):
+    m = SbMatrix.of(grid)
+    g = grid_of(m)
+    cols = list(zip(*g))
+    for k in range(1, m.n_cols + 1):
+        for picked in combinations(range(m.n_cols), k):
+            expected = vectors_independent([cols[j] for j in picked])
+            assert m.columns_independent(picked) == expected
+            w = m.witness(picked)
+            assert (w is not None) == expected
+            if w is not None:
+                rows = [m.row_labels.index(r) for r in w]
+                assert rows == sorted(rows)
+                sub = tuple(tuple(g[i][j] for j in picked) for i in rows)
+                assert permanent_perms(sub) == 1
+    for k in range(1, m.n_rows + 1):
+        for picked in combinations(range(m.n_rows), k):
+            expected = vectors_independent([g[i] for i in picked])
+            assert m.rows_independent(picked) == expected
+
+
+def test_rank_on_tall_and_wide_matrices_matches_oracles():
+    rng = random.Random(23)
+    for shape in ((12, 4), (4, 12)):
+        for _ in range(8):
+            m = random_matrix(rng, *shape)
+            g = grid_of(m)
+            r = m.rank()
+            assert r == brute_row_rank(g) == brute_col_rank(g) == rank_by_submatrix(g)
+            assert r == m.transpose().rank()
+
+
+def _planted_triangular(rng, n):
+    """An n x n matrix with plain 1s on the diagonal, zeros above it and
+    random entries below, its rows and columns shuffled."""
+    grid = [
+        [1 if j == i else 0 if j > i else rng.choice((0, 1, 2)) for j in range(n)]
+        for i in range(n)
+    ]
+    rows = rng.sample(range(n), n)
+    cols = rng.sample(range(n), n)
+    return [[grid[i][j] for j in cols] for i in rows]
+
+
+def test_independence_past_twenty_columns():
+    rng = random.Random(29)
+    grid = _planted_triangular(rng, 24)
+    m = SbMatrix.of(grid)
+    assert m.columns_independent(range(24))
+    w = m.witness(range(24))
+    assert w is not None and len(w) == 24
+    assert m.submatrix(rows=w).is_nonsingular()
+    doubled = SbMatrix.of([row + [row[5]] for row in grid])
+    assert not doubled.columns_independent(range(25))
+    assert doubled.witness(range(25)) is None
+    assert doubled.columns_independent(range(24))
+
+
 # -- text forms -------------------------------------------------------------------
 
 
@@ -414,6 +502,8 @@ def test_from_csv_rejects_malformed_text():
         SbMatrix.from_csv(",x,y\na,1,7\n")
     with pytest.raises(MatrixParseError):
         SbMatrix.from_csv(",x,x\na,1,0\n")
+    with pytest.raises(MatrixParseError):  # past the csv module's field size limit
+        SbMatrix.from_csv(",x\na," + "1" * 131_073 + "\n")
 
 
 def test_text_rendering():
