@@ -251,6 +251,14 @@ def test_permanent_agrees_with_oracles_4x4(rows):
     assert CODE[m.permanent()] == permanent_perms(g) == permanent_dp(g)
 
 
+def test_permanent_oracle_pair_agrees_on_larger_sizes():
+    rng = random.Random(7)
+    for n in (5, 6, 7):
+        for _ in range(12):
+            g = grid_of(random_matrix(rng, n, n))
+            assert permanent_perms(g) == permanent_dp(g)
+
+
 def test_permanent_agrees_with_oracles_exhaustive_3x3():
     for cells in product(SCALARS, repeat=9):
         m = SbMatrix.of([cells[:3], cells[3:6], cells[6:]])
