@@ -92,15 +92,20 @@ class VerificationReport:
 
 
 def extract_representation(matroid: Matroid) -> Representation:
-    """The full representation: one row per flat, one column per element."""
+    """The full representation: one row per flat, one column per element.
+
+    Entry (F, x) is 1 iff x is not in F.  This is the lattice
+    representation cut down to the atom rows and transposed, since the
+    atom of x lies below F exactly when x is in F; it is read straight off
+    the flat masks, so no F x F matrix is built.
+    """
     lattice = FlatLattice.from_matroid(matroid)
     ground = matroid.ground
-    atom_rows = tuple(lattice.atom_of(x) for x in ground.labels)
-    matrix = (
-        lattice.representation.submatrix(rows=atom_rows)
-        .transpose()
-        .relabeled(col_labels=ground.labels)
+    grid = tuple(
+        tuple(ZERO if flat >> e & 1 else ONE for e in range(ground.size))
+        for flat in lattice.flat_masks
     )
+    matrix = BoolMatrix(grid, lattice.names, ground.labels)
     return Representation(matrix, lattice.names, "full", matroid, lattice)
 
 
@@ -204,11 +209,13 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     """Compare column independence against the matroid on every subset.
 
     Accepts a Representation or a bare matrix.  Column labels must be
-    exactly the ground elements (any order); subsets are checked in
-    canonical order and every disagreement is reported.  The matrix's
-    answers come from its independent family, grown one column at a time:
-    dependence survives adding columns, so a set is tested only when all
-    its one-smaller subsets are independent.
+    exactly the ground elements (any order); every disagreement is
+    reported, in canonical subset order.  The matrix's answers come from
+    its independent family, grown one column at a time: dependence
+    survives adding columns, so a set is tested only when all its
+    one-smaller subsets are independent.  Both families are sets of masks,
+    so the disagreements are their symmetric difference, and only those
+    are sorted.
     """
     matrix = rep.matrix if isinstance(rep, Representation) else rep
     ground = matroid.ground
@@ -223,12 +230,9 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
         )
     found = hereditary_from_matrix(matrix)
     independent = {ground.mask_of(found.ground.labels_of(m)) for m in found.family}
-    mismatches = [
-        ground.labels_of(mask)
-        for mask in sorted(range(1 << n), key=ground.sort_key)
-        if (mask in independent) != matroid.is_independent_mask(mask)
-    ]
-    return VerificationReport(not mismatches, tuple(mismatches), 1 << n)
+    wrong = independent.symmetric_difference(matroid.independent_family.family)
+    mismatches = tuple(ground.labels_of(m) for m in sorted(wrong, key=ground.sort_key))
+    return VerificationReport(not mismatches, mismatches, 1 << n)
 
 
 def size_bound(matroid: Matroid) -> int:

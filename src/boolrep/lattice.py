@@ -4,11 +4,20 @@ Elements are kept in canonical flat order.  The structure matrix records
 containment; its entrywise complement is the representation whose row rank
 realizes lattice heights.  Chains, witnesses, and the maps between them
 live here; partition machinery builds on top in a sibling module.
+
+Each element is held as two bitsets over the element list: its up-set
+(the elements above it) and its down-set (the elements below it).  In a
+partial order the common lower bounds of two elements form a down-set,
+and that set has a greatest element m exactly when it equals down[m];
+dually, the common upper bounds have a least element m exactly when they
+equal up[m].  So one map from down-sets to elements and one from up-sets
+decide the lattice axioms with one set lookup per pair, O(F^2) lookups
+for F elements, and then answer every meet and join in O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -49,15 +58,22 @@ class LatticeWitness:
 class FlatLattice:
     """A finite lattice, element i below element j iff bit j of up[i] is set.
 
-    Construction validates the full partial-order and lattice axioms.  When
-    built from a matroid, flat_masks and ground record what the elements
-    are; order-only instances leave both None.
+    Construction validates the full partial-order and lattice axioms on
+    every path, in O(F^2) for F elements: the order axioms by walking each
+    up-set once, then one lookup per pair for its meet and one for its
+    join (exact, as the module docstring shows).  The lookup maps stay
+    with the lattice and answer meets and joins.  When built from a
+    matroid, flat_masks and ground record what the elements are;
+    order-only instances leave both None.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
     flat_masks: tuple[int, ...] | None = None
     ground: GroundSet | None = None
+    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _down_index: dict = field(init=False, repr=False, compare=False)
+    _up_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -82,18 +98,23 @@ class FlatLattice:
                     raise BoolrepError(
                         f"order not transitive through {self.names[i]!r} <= {self.names[j]!r}"
                     )
+        down_index = {mask: i for i, mask in enumerate(down)}
+        up_index = {mask: i for i, mask in enumerate(self.up)}
         for i in range(n):
             for j in range(i + 1, n):
-                if _unique_extreme(down[i] & down[j], down) < 0:
+                if down[i] & down[j] not in down_index:
                     raise BoolrepError(
                         f"no meet for {self.names[i]!r}, {self.names[j]!r}"
                     )
-                if _unique_extreme(self.up[i] & self.up[j], self.up) < 0:
+                if self.up[i] & self.up[j] not in up_index:
                     raise BoolrepError(
                         f"no join for {self.names[i]!r}, {self.names[j]!r}"
                     )
-        if n and not any(self.up[i] == full for i in range(n)):
+        if full not in up_index:
             raise BoolrepError("lattice has no bottom element")
+        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "_down_index", down_index)
+        object.__setattr__(self, "_up_index", up_index)
 
     # -- construction -------------------------------------------------------
 
@@ -111,12 +132,19 @@ class FlatLattice:
         if not matroid.is_simple:
             raise NotSimple("the lattice of flats is built for simple matroids only")
         flats = matroid.flat_masks
-        n = len(flats)
-        up = [0] * n
-        for i, small in enumerate(flats):
-            for j, big in enumerate(flats):
-                if small & ~big == 0:
-                    up[i] |= 1 << j
+        # holds[e]: the flats containing element e; a flat's up-set is the
+        # AND of holds[e] over its elements, O(total flat size) in all
+        holds = [0] * matroid.ground.size
+        for j, flat in enumerate(flats):
+            for e in bits(flat):
+                holds[e] |= 1 << j
+        full = (1 << len(flats)) - 1
+        up = []
+        for flat in flats:
+            mask = full
+            for e in bits(flat):
+                mask &= holds[e]
+            up.append(mask)
         names = tuple(matroid.ground.subset_name(f) for f in flats)
         lattice = cls(names, tuple(up), flats, matroid.ground)
         if len(lattice.atom_indices) != matroid.ground.size:
@@ -169,22 +197,12 @@ class FlatLattice:
             raise UnknownLabel(f"no lattice element named {name!r}") from None
 
     @cached_property
-    def down(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for i, mask in enumerate(self.up):
-            for j in bits(mask):
-                out[j] |= 1 << i
-        return tuple(out)
-
-    @cached_property
     def bottom_index(self) -> int:
-        full = (1 << self.size) - 1
-        return next(i for i in range(self.size) if self.up[i] == full)
+        return self._up_index[(1 << self.size) - 1]
 
     @cached_property
     def top_index(self) -> int:
-        full = (1 << self.size) - 1
-        return next(i for i in range(self.size) if self.down[i] == full)
+        return self._down_index[(1 << self.size) - 1]
 
     @property
     def bottom(self) -> str:
@@ -265,10 +283,10 @@ class FlatLattice:
     # -- meets and joins --------------------------------------------------------
 
     def _meet_index(self, i: int, j: int) -> int:
-        return _unique_extreme(self.down[i] & self.down[j], self.down)
+        return self._down_index[self.down[i] & self.down[j]]
 
     def _join_index(self, i: int, j: int) -> int:
-        return _unique_extreme(self.up[i] & self.up[j], self.up)
+        return self._up_index[self.up[i] & self.up[j]]
 
     def meet(self, first: str, second: str) -> str:
         return self.names[self._meet_index(self.index(first), self.index(second))]
@@ -280,7 +298,7 @@ class FlatLattice:
         common = (1 << self.size) - 1
         for i in idxs:
             common &= self.up[i]
-        return _unique_extreme(common, self.up)
+        return self._up_index[common]
 
     # -- matrices and rank --------------------------------------------------------
 
@@ -297,7 +315,11 @@ class FlatLattice:
     def representation(self) -> BoolMatrix:
         """Complement of the structure matrix; entry (i, j) is 1 iff i is
         not below j.  Row independence in this matrix drives everything."""
-        return self.structure_matrix.complement()
+        grid = tuple(
+            tuple(ZERO if mask >> j & 1 else ONE for j in range(self.size))
+            for mask in self.up
+        )
+        return BoolMatrix(grid, self.names, self.names)
 
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:
         """Rank of the representation rows for these elements (all by default)."""
@@ -407,15 +429,6 @@ class FlatLattice:
 
     def __repr__(self):
         return f"<FlatLattice of {self.size} elements, height {self.height}>"
-
-
-def _unique_extreme(candidates: int, cones: Sequence[int]) -> int:
-    """Index of the member of candidates whose cone covers all candidates,
-    or -1.  With down-sets this is a maximum, with up-sets a minimum."""
-    for i in bits(candidates):
-        if candidates & ~cones[i] == 0:
-            return i
-    return -1
 
 
 def pentagon() -> FlatLattice:

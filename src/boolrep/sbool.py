@@ -587,8 +587,9 @@ class BoolMatrix(SbMatrix):
     """Superboolean matrix whose entries are restricted to {0, 1}."""
 
     def _check_entries(self):
-        super()._check_entries()
         for row in self.entries:
             for v in row:
-                if v is GHOST:
+                if v is not ZERO and v is not ONE:
+                    # a non-SBool anywhere outranks a ghost: TypeError first
+                    super()._check_entries()
                     raise ValueError("boolean matrix cannot hold the ghost 1v")

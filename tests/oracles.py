@@ -242,3 +242,67 @@ def count_maximal_chains(lattice):
         return memo[a]
 
     return paths(lattice.bottom)
+
+
+# -- lattice axioms, from the definition ------------------------------------
+
+
+def order_meet(up, i, j):
+    """Greatest common lower bound of i and j in the order whose element k
+    lies below exactly the elements set in up[k]; None when there is none."""
+    lows = [k for k in range(len(up)) if up[k] >> i & 1 and up[k] >> j & 1]
+    return next((m for m in lows if all(up[k] >> m & 1 for k in lows)), None)
+
+
+def order_join(up, i, j):
+    """Least common upper bound of i and j, as order_meet; None when none."""
+    highs = [k for k in range(len(up)) if up[i] >> k & 1 and up[j] >> k & 1]
+    return next((m for m in highs if all(up[m] >> k & 1 for k in highs)), None)
+
+
+def lattice_axiom_failure(names, up):
+    """The first failed lattice axiom of the order up, in FlatLattice's
+    wording and check order, or None when up is a lattice.
+
+    Meets and joins are decided pair by pair from the definition, scanning
+    the common bounds for one that all the others lie below (above), so a
+    full check costs O(n^3).
+    """
+    n = len(names)
+    if len(set(names)) != n:
+        return "repeated lattice element name"
+    if len(up) != n:
+        return "order relation size does not match element count"
+    for i, mask in enumerate(up):
+        if mask >> n:
+            return "order relation points outside the element list"
+        if not mask >> i & 1:
+            return f"order not reflexive at {names[i]!r}"
+        for j in _positions(mask):
+            if i != j and up[j] >> i & 1:
+                return f"order not antisymmetric on {names[i]!r}, {names[j]!r}"
+            if up[j] & ~mask:
+                return f"order not transitive through {names[i]!r} <= {names[j]!r}"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if order_meet(up, i, j) is None:
+                return f"no meet for {names[i]!r}, {names[j]!r}"
+            if order_join(up, i, j) is None:
+                return f"no join for {names[i]!r}, {names[j]!r}"
+    if (1 << n) - 1 not in up:
+        return "lattice has no bottom element"
+    return None
+
+
+def order_closure(n, pairs):
+    """Up-set masks of the reflexive transitive closure of (low, high)
+    index pairs on n elements, by Warshall's algorithm."""
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for low, high in pairs:
+        rel[low][high] = True
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                for j in range(n):
+                    rel[i][j] = rel[i][j] or rel[k][j]
+    return [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]

@@ -1,6 +1,8 @@
 """Order validation, heights, the two lattice matrices, chains and witnesses."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boolrep import (
     AmbiguousLabel,
@@ -12,12 +14,22 @@ from boolrep import (
     UnknownLabel,
     ZERO,
     ONE,
+    extract_representation,
     matroid_from_json,
     pentagon,
     uniform,
 )
 
-from oracles import grid_of, permanent_perms
+from oracles import (
+    circuits_scan,
+    closure_by_circuits,
+    grid_of,
+    lattice_axiom_failure,
+    order_closure,
+    order_join,
+    order_meet,
+    permanent_perms,
+)
 
 
 def two_chain():
@@ -134,6 +146,113 @@ def test_from_order_rejects_broken_posets():
     with pytest.raises(BoolrepError):
         # diamond with two incomparable middles but no top
         FlatLattice.from_order(("B", "x", "y"), [("B", "x"), ("B", "y")])
+
+
+def test_the_empty_order_has_no_bottom():
+    # at n = 0 the bottom check used to be skipped, and repr() then raised
+    # a bare StopIteration
+    with pytest.raises(BoolrepError, match="^lattice has no bottom element$"):
+        FlatLattice.from_order((), [])
+    with pytest.raises(BoolrepError, match="^lattice has no bottom element$"):
+        FlatLattice((), ())
+
+
+NAMES = tuple("abcdefg")
+
+
+def _agrees_with_the_axiom_oracle(names, up, build):
+    """build() raises exactly when the oracle names a failure, with the
+    oracle's message; an accepted lattice has the oracle's meets and joins."""
+    expected = lattice_axiom_failure(names, up)
+    try:
+        lat = build()
+    except BoolrepError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert lat.up == tuple(up)
+    for i in range(len(names)):
+        for j in range(len(names)):
+            assert lat._meet_index(i, j) == order_meet(up, i, j)
+            assert lat._join_index(i, j) == order_join(up, i, j)
+
+
+@st.composite
+def raw_orders(draw):
+    """Up-set masks on up to 7 elements, reflexive or not, sometimes with a
+    bit past the last element."""
+    n = draw(st.integers(0, 7))
+    width = n + draw(st.sampled_from((0, 0, 0, 1)))
+    reflexive = draw(st.booleans())
+    up = [
+        draw(st.integers(0, (1 << width) - 1)) | (reflexive << i) for i in range(n)
+    ]
+    return NAMES[:n], up
+
+
+@st.composite
+def generated_orders(draw):
+    """Generating pairs on up to 7 elements; acyclic ones (low index below
+    high) close to partial orders, and often to lattices."""
+    n = draw(st.integers(0, 7))
+    if n == 0:
+        return NAMES[:0], []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair, max_size=2 * n))
+    if draw(st.booleans()):
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    return NAMES[:n], pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_orders())
+@example((NAMES[:3], [0b111, 0b011, 0b110]))  # transitivity fails
+@example((NAMES[:2], [0b11, 0b11]))  # antisymmetry fails
+@example((NAMES[:2], [0b01, 0b110]))  # points outside the list
+def test_validation_agrees_with_the_axiom_oracle_on_raw_relations(order):
+    names, up = order
+    _agrees_with_the_axiom_oracle(names, up, lambda: FlatLattice(names, tuple(up)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_orders())
+@example((NAMES[:5], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))  # pentagon
+@example((NAMES[:5], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))  # diamond
+@example((NAMES[:4], [(0, 2), (0, 3), (1, 2), (1, 3)]))  # no meet, no join
+@example((NAMES[:3], [(0, 1), (0, 2)]))  # no join
+@example((NAMES[:3], [(0, 2), (1, 2)]))  # no meet
+def test_validation_agrees_with_the_axiom_oracle_after_closure(order):
+    names, pairs = order
+    up = order_closure(len(names), pairs)
+    named = [(names[a], names[b]) for a, b in pairs]
+    _agrees_with_the_axiom_oracle(
+        names, up, lambda: FlatLattice.from_order(names, named)
+    )
+
+
+def test_flat_lattice_agrees_with_the_flats_on_the_pool(pool):
+    for m in pool:
+        lat = FlatLattice.from_matroid(m)
+        assert lattice_axiom_failure(lat.names, lat.up) is None
+        flats = lat.flat_masks
+        where = {flat: i for i, flat in enumerate(flats)}
+        n = m.ground.size
+        circuits = circuits_scan(m.bases, n)
+        for i, a in enumerate(flats):
+            assert lat.up[i] == sum(1 << j for j, b in enumerate(flats) if a & ~b == 0)
+            for j, b in enumerate(flats):
+                meet = lat.meet(lat.names[i], lat.names[j])
+                join = lat.join(lat.names[i], lat.names[j])
+                assert meet == lat.names[where[a & b]]
+                assert join == lat.names[where[closure_by_circuits(circuits, n, a | b)]]
+        assert lat.representation == lat.structure_matrix.complement()
+        atom_rows = tuple(lat.atom_of(x) for x in m.ground.labels)
+        by_atoms = (
+            lat.representation.submatrix(rows=atom_rows)
+            .transpose()
+            .relabeled(col_labels=m.ground.labels)
+        )
+        assert extract_representation(m).matrix == by_atoms
 
 
 def test_leq_and_index(catalog_lattices):

@@ -171,6 +171,17 @@ def test_bool_matrix_rejects_ghost():
     assert BoolMatrix.of([[1, 0]]).complement().entries == ((ZERO, ONE),)
 
 
+def test_bool_matrix_entry_errors():
+    labels = ("r",), ("a", "b")
+    with pytest.raises(ValueError, match="ghost"):
+        BoolMatrix(((ONE, GHOST),), *labels)
+    with pytest.raises(TypeError):
+        BoolMatrix(((ONE, 1),), *labels)
+    # a non-SBool entry is a TypeError even after a ghost
+    with pytest.raises(TypeError):
+        BoolMatrix(((GHOST, None),), *labels)
+
+
 def test_complement_examples():
     m = SbMatrix.of([[1, 1], [0, 1]])
     assert m.complement().entries == ((ZERO, ZERO), (ONE, ZERO))
