@@ -8,6 +8,7 @@ errors go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -181,7 +182,9 @@ def _add_source(sub) -> None:
     sub.add_argument("--file", help="matroid JSON path")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="boolrep",
         description="Boolean representations of matroids via their lattice of flats.",

@@ -149,8 +149,8 @@ class FlatLattice:
         lattice = cls(names, tuple(up), flats, matroid.ground)
         if len(lattice.atom_indices) != matroid.ground.size:
             raise BoolrepError("atoms do not biject with the ground elements")
-        lo, hi = lattice._bottom_path_extremes()
-        if lo != hi:
+        longest, shortest = lattice._path_extremes(lattice.bottom_index)
+        if longest != shortest:
             raise BoolrepError("chain lengths from the bottom are not uniform")
         return lattice
 
@@ -253,25 +253,30 @@ class FlatLattice:
                 return self.names[i]
         raise UnknownLabel(f"no atom for ground element {element!r}")
 
-    def _topological(self) -> list[int]:
-        order = sorted(range(self.size), key=lambda i: self.down[i].bit_count())
-        return order
+    @cached_property
+    def _topological(self) -> tuple[int, ...]:
+        """Elements by down-set size, so each follows everything below it."""
+        return tuple(sorted(range(self.size), key=lambda i: self.down[i].bit_count()))
 
-    def _bottom_path_extremes(self):
-        """Longest and shortest cover-path length from the bottom, per element."""
-        longest = [0] * self.size
-        shortest = [0] * self.size
-        for j in self._topological():
-            lows = self.lower_covers[j]
-            if lows:
-                longest[j] = 1 + max(longest[i] for i in lows)
-                shortest[j] = 1 + min(shortest[i] for i in lows)
-        return tuple(longest), tuple(shortest)
+    def _path_extremes(self, source: int):
+        """Longest and shortest cover-path length from the source, per
+        element above it, as two dicts keyed by element index."""
+        above = self.up[source]
+        longest = {source: 0}
+        shortest = {source: 0}
+        for j in self._topological:
+            if j == source or not above >> j & 1:
+                continue
+            lows = [i for i in self.lower_covers[j] if above >> i & 1]
+            longest[j] = 1 + max(longest[i] for i in lows)
+            shortest[j] = 1 + min(shortest[i] for i in lows)
+        return longest, shortest
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain from the bottom, per element."""
-        return self._bottom_path_extremes()[0]
+        longest, _ = self._path_extremes(self.bottom_index)
+        return tuple(longest[j] for j in range(self.size))
 
     @property
     def height(self) -> int:
@@ -391,18 +396,10 @@ class FlatLattice:
         """Uniform chain lengths between comparable pairs, the semimodular
         height inequality, and every element a join of atoms."""
         n = self.size
-        topo = self._topological()
         for s in range(n):
-            longest = {s: 0}
-            shortest = {s: 0}
-            for j in topo:
-                if j == s or not self.up[s] >> j & 1:
-                    continue
-                lows = [i for i in self.lower_covers[j] if self.up[s] >> i & 1]
-                longest[j] = 1 + max(longest[i] for i in lows)
-                shortest[j] = 1 + min(shortest[i] for i in lows)
-                if longest[j] != shortest[j]:
-                    return False
+            longest, shortest = self._path_extremes(s)
+            if longest != shortest:
+                return False
         h = self.heights
         for i in range(n):
             for j in range(i + 1, n):
@@ -419,11 +416,15 @@ class FlatLattice:
     def to_dot(self) -> str:
         """Hasse diagram in DOT form, bottom-up, deterministic order."""
         lines = ["digraph flats {", "  rankdir=BT;"]
-        for name in self.names:
-            lines.append(f'  "{name}";')
+        ids = [
+            '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            for name in self.names
+        ]
+        for node in ids:
+            lines.append(f"  {node};")
         for i in range(self.size):
             for j in self.upper_covers[i]:
-                lines.append(f'  "{self.names[i]}" -> "{self.names[j]}";')
+                lines.append(f"  {ids[i]} -> {ids[j]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -83,8 +83,11 @@ def maximal_chains(
     """All bottom-to-top cover chains, lexicographic in element index.
 
     Yields up to `limit` chains; asking for one more raises, so a truncated
-    enumeration is never silently mistaken for a complete one.
+    enumeration is never silently mistaken for a complete one.  A negative
+    limit is a bad argument and raises at once.
     """
+    if limit < 0:
+        raise BoolrepError(f"chain limit must be nonnegative, got {limit}")
     count = 0
 
     def walk(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[str, ...]]:

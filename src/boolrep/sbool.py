@@ -7,11 +7,12 @@ immutable; every operation returns a new value.
 Decisions rest on two facts: a set of columns is independent iff some
 square submatrix on it is nonsingular, and a matrix is nonsingular iff it
 has a triangular form with plain 1s on the diagonal.  One greedy peel
-(`_peel`) decides row and column independence and finds witness rows in
-polynomial time.  The permanent is 1 iff the matrix is nonsingular, and
-otherwise 1v or 0 as its nonzero pattern does or does not hold a perfect
-matching.  Rank is a depth-first search over independent sets, run over
-the shorter side of the matrix.
+(`_peel`) answers all of these in polynomial time: row and column
+independence, nonsingularity (a square matrix whose rows all peel),
+triangular forms and witness rows.  The permanent is 1 iff the matrix is
+nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
+hold a perfect matching.  Rank is a depth-first search over independent
+sets, run over the shorter side of the matrix.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _indices(keys: Iterable, lookup: dict, size: int, axis: str) -> list[int]:
 
 
 def _peel(nz_masks, one_masks, idxs):
-    """Witness coordinates of the given vectors, or None when they are dependent.
+    """Peel rounds of the given vectors, or None when they are dependent.
 
     Vectors are given as (nonzero, plain-1) coordinate bitmasks.  Each round
     finds the coordinates hit by exactly one remaining vector; every vector
@@ -159,11 +160,17 @@ def _peel(nz_masks, one_masks, idxs):
     and a subset of an independent set is independent, so a round on an
     independent set always peels something.  Peeling only frees coordinates,
     so the order does not matter, and the witnesses of one round differ.
-    Read in peel order, the witnesses and vectors form a triangular
-    nonsingular submatrix.  At most k rounds of O(k) mask operations.
+    At most k rounds of O(k) mask operations.
+
+    Returns one list per round of (vector, witness) pairs, in visiting
+    order.  Read from the last round to the first, the vectors and their
+    witnesses form a triangular nonsingular submatrix: a witness freed in
+    round t is hit by no other vector still present at round t, so every
+    vector placed before its own is 0 there, and the diagonal holds the
+    plain 1s.
     """
     left = list(idxs)
-    witnesses: list[int] = []
+    rounds = []
     while left:
         once = multi = 0
         for i in left:
@@ -172,16 +179,36 @@ def _peel(nz_masks, one_masks, idxs):
             once |= nz
         free = once & ~multi
         kept = []
+        peeled = []
         for i in left:
             lone = one_masks[i] & free
             if lone:
-                witnesses.append((lone & -lone).bit_length() - 1)
+                peeled.append((i, (lone & -lone).bit_length() - 1))
             else:
                 kept.append(i)
-        if len(kept) == len(left):
+        if not peeled:
             return None
+        rounds.append(peeled)
         left = kept
-    return witnesses
+    return rounds
+
+
+def _masks(vectors):
+    """Per vector: coordinate bitmasks of its (nonzero, one, ghost) entries."""
+    nz, one, gh = [], [], []
+    for vector in vectors:
+        a = b = c = 0
+        for j, v in enumerate(vector):
+            if v is not ZERO:
+                a |= 1 << j
+                if v is ONE:
+                    b |= 1 << j
+                else:
+                    c |= 1 << j
+        nz.append(a)
+        one.append(b)
+        gh.append(c)
+    return tuple(nz), tuple(one), tuple(gh)
 
 
 def _max_independent(nz_masks, gh_masks, indices, cap: int) -> int:
@@ -266,39 +293,6 @@ def _has_perfect_matching(row_nz, n: int) -> bool:
     return True
 
 
-def _eliminate(row_nz, row_one, rows: Sequence[int], col_mask: int):
-    """Nonsingularity by peeling rows whose active part is a single 1.
-
-    Each peel is exact: the permanent of the matrix equals the permanent of
-    the minor.  A lone ghost, an empty row, or no single-entry row at all
-    each force the permanent into the ghost ideal.  Returns the elimination
-    order as (row indices, column indices), or None when singular.
-    """
-    active = list(rows)
-    mask = col_mask
-    row_order: list[int] = []
-    col_order: list[int] = []
-    while active:
-        pick = -1
-        pick_col = 0
-        for r in active:
-            nz = row_nz[r] & mask
-            if nz == 0:
-                return None
-            if nz & (nz - 1) == 0:
-                if not (row_one[r] & nz):
-                    return None  # the lone entry is the ghost
-                pick, pick_col = r, nz
-                break
-        if pick < 0:
-            return None  # two zero-free permutations exist, so the sum ghosts
-        active.remove(pick)
-        mask &= ~pick_col
-        row_order.append(pick)
-        col_order.append(pick_col.bit_length() - 1)
-    return row_order, col_order
-
-
 @dataclass(frozen=True)
 class SbMatrix:
     """Immutable labeled matrix over the superboolean semiring."""
@@ -379,37 +373,12 @@ class SbMatrix:
     @cached_property
     def _row_masks(self):
         """Per row: column bitmasks of (nonzero, one, ghost) entries."""
-        nz, one, gh = [], [], []
-        for row in self.entries:
-            a = b = c = 0
-            for j, v in enumerate(row):
-                if v is not ZERO:
-                    a |= 1 << j
-                    if v is ONE:
-                        b |= 1 << j
-                    else:
-                        c |= 1 << j
-            nz.append(a)
-            one.append(b)
-            gh.append(c)
-        return tuple(nz), tuple(one), tuple(gh)
+        return _masks(self.entries)
 
     @cached_property
     def _col_masks(self):
         """Per column: row bitmasks of (nonzero, one, ghost) entries."""
-        nz = [0] * self.n_cols
-        one = [0] * self.n_cols
-        gh = [0] * self.n_cols
-        for i, row in enumerate(self.entries):
-            bit = 1 << i
-            for j, v in enumerate(row):
-                if v is not ZERO:
-                    nz[j] |= bit
-                    if v is ONE:
-                        one[j] |= bit
-                    else:
-                        gh[j] |= bit
-        return tuple(nz), tuple(one), tuple(gh)
+        return _masks(zip(*self.entries) if self.entries else [()] * self.n_cols)
 
     # -- rearrangement ----------------------------------------------------
 
@@ -465,23 +434,25 @@ class SbMatrix:
         return GHOST if _has_perfect_matching(self._row_masks[0], n) else ZERO
 
     def is_nonsingular(self) -> bool:
-        """True when the permanent is exactly 1."""
+        """True when the permanent is exactly 1: all rows peel."""
         n = self._square()
-        row_nz, row_one, _ = self._row_masks
-        return _eliminate(row_nz, row_one, range(n), (1 << n) - 1) is not None
+        nz, one, _ = self._row_masks
+        return _peel(nz, one, range(n)) is not None
 
     def triangular_form(self):
         """Permutations putting 1s on the diagonal and 0s strictly above.
 
         Returns (row order, column order) as index tuples, or None when the
-        matrix is singular.
+        matrix is singular.  The rows are the peel's, last round first; each
+        column is its row's witness.
         """
         n = self._square()
-        row_nz, row_one, _ = self._row_masks
-        orders = _eliminate(row_nz, row_one, range(n), (1 << n) - 1)
-        if orders is None:
+        nz, one, _ = self._row_masks
+        rounds = _peel(nz, one, range(n))
+        if rounds is None:
             return None
-        return tuple(orders[0]), tuple(orders[1])
+        pairs = [pair for peeled in reversed(rounds) for pair in peeled]
+        return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
 
     def columns_independent(self, cols: Iterable) -> bool:
         """No nonzero 0/1 combination of these columns lies in the ghost ideal.
@@ -520,10 +491,11 @@ class SbMatrix:
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
         nz, one, _ = self._col_masks
-        rows = _peel(nz, one, idxs)
-        if rows is None:
+        rounds = _peel(nz, one, idxs)
+        if rounds is None:
             return None
-        return tuple(self.row_labels[i] for i in sorted(rows))
+        rows = sorted(j for peeled in rounds for _, j in peeled)
+        return tuple(self.row_labels[i] for i in rows)
 
     # -- text forms ---------------------------------------------------------
 

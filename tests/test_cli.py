@@ -177,6 +177,16 @@ def test_partitions_limit_exceeded(capsys):
     assert err.startswith("error:")
 
 
+def test_partitions_negative_limit_is_a_bad_argument(capsys):
+    code, out, err = run_cli(capsys, "partitions", "example:u34", "--limit", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: chain limit must be nonnegative, got -5\n"
+    code, _, err = run_cli(capsys, "partitions", "example:u34", "--limit", "0")
+    assert code == 3
+    assert err == "error: more than 0 maximal chains\n"
+
+
 # -- rank and example --------------------------------------------------------------
 
 

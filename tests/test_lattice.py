@@ -1,5 +1,8 @@
 """Order validation, heights, the two lattice matrices, chains and witnesses."""
 
+import json
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -483,3 +486,16 @@ def test_to_dot_lists_every_cover_once(catalog_lattices):
     assert dot.count("->") == sum(len(c) for c in lat.upper_covers)
     assert '"{}" -> "{1}";' in dot
     assert '"{1,2}" -> "{1,2,3,4}";' in dot
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    text = json.dumps({"ground": ['a"b', "c\\d"], "bases": [['a"b', "c\\d"]]})
+    dot = FlatLattice.from_matroid(matroid_from_json(text)).to_dot()
+    assert '  "{a\\"b}";\n' in dot
+    assert '  "{c\\\\d}";\n' in dot
+    assert '  "{a\\"b}" -> "{a\\"b,c\\\\d}";\n' in dot
+    # every quoted ID is a DOT string: read back, it gives the flat name
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', dot)
+    names = {re.sub(r"\\(.)", r"\1", x) for x in ids}
+    assert names == {"{}", '{a"b}', "{c\\d}", '{a"b,c\\d}'}
+

@@ -65,6 +65,21 @@ def test_chain_limit_message_names_the_cap(catalog_lattices):
     assert "3" in str(err.value)
 
 
+def test_negative_chain_limit_is_a_bad_argument(catalog_lattices):
+    lat = catalog_lattices["u34"]
+    for call in (
+        lambda: maximal_chains(lat, limit=-5),
+        lambda: exists_transversal_partition(lat, ("1", "2"), limit=-1),
+    ):
+        with pytest.raises(BoolrepError) as err:
+            call()
+        assert not isinstance(err.value, ChainLimitExceeded)
+        assert "nonnegative" in str(err.value)
+    # zero still means no chain is allowed
+    with pytest.raises(ChainLimitExceeded):
+        list(maximal_chains(lat, limit=0))
+
+
 # -- partitions ------------------------------------------------------------------
 
 

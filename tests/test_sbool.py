@@ -472,16 +472,22 @@ def test_rank_on_tall_and_wide_matrices_matches_oracles():
             assert r == m.transpose().rank()
 
 
-def _planted_triangular(rng, n):
+def _planted(rng, n):
     """An n x n matrix with plain 1s on the diagonal, zeros above it and
-    random entries below, its rows and columns shuffled."""
+    random entries below, its rows and columns shuffled; also where each
+    diagonal entry landed, as (row, column) positions."""
     grid = [
         [1 if j == i else 0 if j > i else rng.choice((0, 1, 2)) for j in range(n)]
         for i in range(n)
     ]
     rows = rng.sample(range(n), n)
     cols = rng.sample(range(n), n)
-    return [[grid[i][j] for j in cols] for i in rows]
+    diagonal = [(rows.index(k), cols.index(k)) for k in range(n)]
+    return [[grid[i][j] for j in cols] for i in rows], diagonal
+
+
+def _planted_triangular(rng, n):
+    return _planted(rng, n)[0]
 
 
 def test_independence_past_twenty_columns():
@@ -496,6 +502,50 @@ def test_independence_past_twenty_columns():
     assert not doubled.columns_independent(range(25))
     assert doubled.witness(range(25)) is None
     assert doubled.columns_independent(range(24))
+
+
+def test_nonsingularity_past_six_by_six():
+    rng = random.Random(31)
+    squares = []
+    for n in (7, 8):
+        for density in (0.2, 0.35, 0.5):
+            for _ in range(12):
+                squares.append(
+                    [[rng.choice((1, 1, 2)) if rng.random() < density else 0
+                      for _ in range(n)] for _ in range(n)]
+                )
+        # random squares are almost never nonsingular: also overwrite a few
+        # entries of planted nonsingular ones
+        for _ in range(24):
+            grid, _ = _planted(rng, n)
+            for _ in range(rng.randint(1, 3)):
+                grid[rng.randrange(n)][rng.randrange(n)] = rng.choice((0, 1, 2))
+            squares.append(grid)
+    seen = set()
+    for grid in squares:
+        m = SbMatrix.of(grid)
+        expected = permanent_dp(grid_of(m))
+        form = m.triangular_form()
+        assert CODE[m.permanent()] == expected
+        assert m.is_nonsingular() == (expected == 1) == (form is not None)
+        if form is not None:
+            assert _in_triangular_form(m.permuted(*form))
+        seen.add(expected)
+    assert seen == {0, 1, 2}
+    for n in range(10, 21):
+        grid, diagonal = _planted(rng, n)
+        m = SbMatrix.of(grid)
+        form = m.triangular_form()
+        assert m.is_nonsingular() and m.permanent() is ONE
+        assert form is not None and _in_triangular_form(m.permuted(*form))
+        # only the planted diagonal avoids the zeros, so a ghost on it
+        # puts the whole permanent in the ghost ideal
+        i, j = rng.choice(diagonal)
+        grid[i][j] = 2
+        m = SbMatrix.of(grid)
+        assert not m.is_nonsingular()
+        assert m.triangular_form() is None
+        assert m.permanent() is GHOST
 
 
 # -- text forms -------------------------------------------------------------------
