@@ -112,9 +112,21 @@ def extract_representation(matroid: Matroid) -> Representation:
 def paper_reduce(rep: Representation) -> Representation:
     """Keep the bottom row and the rows of proper flats above the atoms.
 
-    Atom rows and the top row carry no extra information in the worked
-    examples; dropping them is not assumed safe in general, so the result
-    is re-verified and a failure is a hard error.
+    For a simple matroid of rank at least 3 the result always represents
+    the matroid.  Dropping rows never makes a column set independent, so
+    dependent sets stay dependent.  An independent set x1..xk keeps a
+    triangular nonsingular submatrix on rows Z1..Zk with x_i not in Z_i
+    and x_{i+1..k} in Z_i:
+
+    - Z_k is the bottom;
+    - Z_i = cl(x_{i+1..k}) when k - i >= 2, a proper flat of height k - i;
+    - Z_{k-1} = cl(x_k, y), where y extends {x_{k-1}, x_k} to an
+      independent triple, which rank at least 3 provides.
+
+    Each Z_i is the bottom or a proper flat of height at least 2, so each
+    is kept.  Rank 2 can fail: only the bottom row is left, and it cannot
+    separate an independent pair.  The result is still re-verified, as the
+    runtime guard of this proof, and a failure is a hard error.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")

@@ -7,12 +7,13 @@ immutable; every operation returns a new value.
 Decisions rest on two facts: a set of columns is independent iff some
 square submatrix on it is nonsingular, and a matrix is nonsingular iff it
 has a triangular form with plain 1s on the diagonal.  One greedy peel
-(`_peel`) answers all of these in polynomial time: row and column
+(`_peel`) is the only test of independence.  It answers row and column
 independence, nonsingularity (a square matrix whose rows all peel),
-triangular forms and witness rows.  The permanent is 1 iff the matrix is
-nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
-hold a perfect matching.  Rank is a depth-first search over independent
-sets, run over the shorter side of the matrix.
+triangular forms and witness rows in polynomial time, and it decides each
+step of rank, a depth-first search over independent sets of the shorter
+side.  The permanent is 1 iff the matrix is nonsingular, and otherwise 1v
+or 0 as its nonzero pattern does or does not hold a perfect matching
+(Kuhn's algorithm).
 """
 
 from __future__ import annotations
@@ -133,7 +134,11 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 def _indices(keys: Iterable, lookup: dict, size: int, axis: str) -> list[int]:
-    """Positions of labels or integer indices along one axis, in order."""
+    """Positions of labels or integer indices along one axis, in order.
+
+    A key is a `str` label or an `int` index; anything else, `bool`
+    included, raises rather than being truncated to an index.
+    """
     out = []
     for key in keys:
         if isinstance(key, str):
@@ -141,11 +146,12 @@ def _indices(keys: Iterable, lookup: dict, size: int, axis: str) -> list[int]:
                 out.append(lookup[key])
             except KeyError:
                 raise UnknownLabel(f"no {axis} labeled {key!r}") from None
+        elif isinstance(key, int) and not isinstance(key, bool):
+            if not 0 <= key < size:
+                raise UnknownLabel(f"{axis} index {key} out of range")
+            out.append(key)
         else:
-            i = int(key)
-            if not 0 <= i < size:
-                raise UnknownLabel(f"{axis} index {i} out of range")
-            out.append(i)
+            raise UnknownLabel(f"{axis} key {key!r} is neither a label nor an index")
     return out
 
 
@@ -194,66 +200,50 @@ def _peel(nz_masks, one_masks, idxs):
 
 
 def _masks(vectors):
-    """Per vector: coordinate bitmasks of its (nonzero, one, ghost) entries."""
-    nz, one, gh = [], [], []
+    """Per vector: coordinate bitmasks of its (nonzero, one) entries."""
+    nz, one = [], []
     for vector in vectors:
-        a = b = c = 0
+        a = b = 0
         for j, v in enumerate(vector):
             if v is not ZERO:
                 a |= 1 << j
                 if v is ONE:
                     b |= 1 << j
-                else:
-                    c |= 1 << j
         nz.append(a)
         one.append(b)
-        gh.append(c)
-    return tuple(nz), tuple(one), tuple(gh)
+    return tuple(nz), tuple(one)
 
 
-def _max_independent(nz_masks, gh_masks, indices, cap: int) -> int:
+def _max_independent(nz_masks, one_masks, indices, cap: int) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
-    Depth-first over independent subsets only.  A node keeps, for every
-    subset of its vectors, which coordinates the subset's sum hits once,
-    more than once, and with a ghost; a vector extends the node when no
-    extended sum lands in the ghost ideal.  The family is hereditary, so a
-    child tries only the vectors that extended its parent, and a branch
-    stops once those cannot beat the best size found.
+    Depth-first over independent sets only, each extension decided by the
+    peel.  Independence is hereditary, so a child tries only the vectors
+    that extended its parent, and a branch stops once those cannot beat
+    the best size found.
     """
     if cap <= 0:
         return 0
     best = 0
 
-    def extend(states, candidates, depth: int) -> bool:
+    def extend(chosen, candidates) -> bool:
         nonlocal best
+        depth = len(chosen)
         if depth + len(candidates) <= best:
             return False
-        viable = []
-        for i in candidates:
-            nz, gh = nz_masks[i], gh_masks[i]
-            grown = []
-            for once, multi, ghost in states:
-                multi2 = multi | (once & nz)
-                once2 = once | nz
-                ghost2 = ghost | gh
-                if once2 & ~multi2 & ~ghost2 == 0:
-                    break
-                grown.append((once2, multi2, ghost2))
-            else:
-                viable.append((i, grown))
+        viable = [i for i in candidates if _peel(nz_masks, one_masks, chosen + [i]) is not None]
         if viable and depth + 1 > best:
             best = depth + 1
             if best >= cap:
                 return True
-        for t, (_, grown) in enumerate(viable):
+        for t, i in enumerate(viable):
             if depth + len(viable) - t <= best:
                 break
-            if extend(states + grown, [i for i, _ in viable[t + 1:]], depth + 1):
+            if extend(chosen + [i], viable[t + 1:]):
                 return True
         return False
 
-    extend([(0, 0, 0)], list(indices), 0)
+    extend([], list(indices))
     return best
 
 
@@ -372,12 +362,12 @@ class SbMatrix:
 
     @cached_property
     def _row_masks(self):
-        """Per row: column bitmasks of (nonzero, one, ghost) entries."""
+        """Per row: column bitmasks of its (nonzero, one) entries, the peel's input."""
         return _masks(self.entries)
 
     @cached_property
     def _col_masks(self):
-        """Per column: row bitmasks of (nonzero, one, ghost) entries."""
+        """Per column: row bitmasks of its (nonzero, one) entries, the peel's input."""
         return _masks(zip(*self.entries) if self.entries else [()] * self.n_cols)
 
     # -- rearrangement ----------------------------------------------------
@@ -436,7 +426,7 @@ class SbMatrix:
     def is_nonsingular(self) -> bool:
         """True when the permanent is exactly 1: all rows peel."""
         n = self._square()
-        nz, one, _ = self._row_masks
+        nz, one = self._row_masks
         return _peel(nz, one, range(n)) is not None
 
     def triangular_form(self):
@@ -447,7 +437,7 @@ class SbMatrix:
         column is its row's witness.
         """
         n = self._square()
-        nz, one, _ = self._row_masks
+        nz, one = self._row_masks
         rounds = _peel(nz, one, range(n))
         if rounds is None:
             return None
@@ -461,12 +451,12 @@ class SbMatrix:
         carry a triangular nonsingular square submatrix.
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
-        nz, one, _ = self._col_masks
+        nz, one = self._col_masks
         return _peel(nz, one, idxs) is not None
 
     def rows_independent(self, rows: Iterable) -> bool:
         idxs = dict.fromkeys(self._row_idxs(rows))
-        nz, one, _ = self._row_masks
+        nz, one = self._row_masks
         return _peel(nz, one, idxs) is not None
 
     def rank(self) -> int:
@@ -474,13 +464,11 @@ class SbMatrix:
 
         Equals the maximal number of independent columns and the size of the
         largest nonsingular square submatrix, so the search runs over the
-        shorter side.
+        shorter side: depth first over independent sets, each extension
+        decided by the peel.
         """
-        if self.n_cols < self.n_rows:
-            nz, _, gh = self._col_masks
-        else:
-            nz, _, gh = self._row_masks
-        return _max_independent(nz, gh, range(len(nz)), min(self.n_rows, self.n_cols))
+        nz, one = self._col_masks if self.n_cols < self.n_rows else self._row_masks
+        return _max_independent(nz, one, range(len(nz)), min(self.n_rows, self.n_cols))
 
     def witness(self, cols: Iterable):
         """Row labels carrying a nonsingular square submatrix on these columns.
@@ -490,7 +478,7 @@ class SbMatrix:
         None when the columns are dependent.
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
-        nz, one, _ = self._col_masks
+        nz, one = self._col_masks
         rounds = _peel(nz, one, idxs)
         if rounds is None:
             return None

@@ -128,6 +128,23 @@ def test_reduce_fails_loudly_when_atom_rows_carry_information():
         paper_reduce(extract_representation(uniform(2, 2)))
 
 
+def test_paper_reduction_holds_from_rank_three_and_fails_at_rank_two(pool):
+    """The theorem in `paper_reduce`: every simple matroid of rank at least
+    3 paper-reduces; at rank 2 only the bottom row is kept, and it cannot
+    separate an independent pair."""
+    reduced = refused = 0
+    for m in pool:
+        full = extract_representation(m)
+        if m.rank >= 3:
+            assert verify_representation(paper_reduce(full), m).ok
+            reduced += 1
+        elif m.rank == 2 and m.ground.size >= 2:
+            with pytest.raises(ReductionError):
+                paper_reduce(full)
+            refused += 1
+    assert (reduced, refused) == (51, 7)
+
+
 def test_dedupe_drops_zero_and_duplicate_rows():
     matrix = BoolMatrix(
         ((ONE, ONE), (ONE, ONE), (ZERO, ZERO), (ONE, ZERO)),

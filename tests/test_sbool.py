@@ -1,6 +1,7 @@
 """Scalar tables, semiring laws, and matrix operations, against oracles."""
 
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -219,6 +220,32 @@ def test_submatrix_by_labels_and_indices():
     assert s.col_labels == ("z", "x")
     assert m.submatrix(rows=[1], cols=[2, 0]) == s
     assert m.submatrix() == m
+
+
+def test_keys_are_labels_or_integer_indices_only():
+    m = SbMatrix.of([[1, 0, 1], [0, 1, 1]], row_labels=("a", "b"), col_labels=("x", "y", "z"))
+    for key in (1.7, 0.9, 2.0, True, False, None, b"x", ("x",)):
+        calls = [
+            lambda: m.entry(key, 0),
+            lambda: m.entry(0, key),
+            lambda: m.submatrix(rows=[key]),
+            lambda: m.submatrix(cols=[0, key]),
+            lambda: m.columns_independent([key]),
+            lambda: m.rows_independent([key]),
+            lambda: m.witness([key]),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownLabel, match=re.escape(repr(key))):
+                call()
+    # labels and integer indices keep their meaning
+    assert m.entry("b", "z") is m.entry(1, 2) is ONE
+    assert m.submatrix(rows=["b", 0], cols=[2, "x"]).entries == ((ONE, ZERO), (ONE, ONE))
+    assert m.columns_independent([0, "y"]) and not m.columns_independent(["x", 1, 2])
+    assert m.witness(["y", 0]) == m.witness([1, "x"]) == ("a", "b")
+    with pytest.raises(UnknownLabel, match="out of range"):
+        m.entry(0, 3)
+    with pytest.raises(UnknownLabel, match="labeled 'w'"):
+        m.witness(["w"])
 
 
 def test_relabeled_and_permuted():
@@ -470,6 +497,35 @@ def test_rank_on_tall_and_wide_matrices_matches_oracles():
             r = m.rank()
             assert r == brute_row_rank(g) == brute_col_rank(g) == rank_by_submatrix(g)
             assert r == m.transpose().rank()
+
+
+def test_rank_of_block_diagonal_sums_past_the_oracles():
+    """Blocks on disjoint rows and columns add their ranks, which reaches
+    sizes the brute-force oracles cannot; rows and columns are shuffled so
+    the blocks are not contiguous."""
+    rng = random.Random(37)
+    sizes = []
+    for _ in range(12):
+        blocks = [
+            grid_of(random_matrix(rng, rng.randint(3, 5), rng.randint(3, 5)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        n_rows = sum(len(b) for b in blocks)
+        n_cols = sum(len(b[0]) for b in blocks)
+        grid = [[0] * n_cols for _ in range(n_rows)]
+        top = left = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                grid[top + i][left:left + len(row)] = row
+            top, left = top + len(b), left + len(b[0])
+        rows = rng.sample(range(n_rows), n_rows)
+        cols = rng.sample(range(n_cols), n_cols)
+        m = SbMatrix.of([[grid[i][j] for j in cols] for i in rows])
+        expected = sum(brute_col_rank(b) for b in blocks)
+        assert m.rank() == m.transpose().rank() == expected
+        sizes.append((n_rows, n_cols, expected))
+    assert max(max(r, c) for r, c, _ in sizes) >= 14
+    assert max(k for _, _, k in sizes) >= 8
 
 
 def _planted(rng, n):
