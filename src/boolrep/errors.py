@@ -90,4 +90,4 @@ class LabelMismatch(BoolrepError):
 
 
 class ReductionError(BoolrepError):
-    """A reduced representation failed re-verification."""
+    """A reduced representation failed its basis and circuit certificate check."""

@@ -4,17 +4,18 @@ The pipeline: build the flat lattice of a simple matroid, take the
 complement of its containment table, keep the atom rows, transpose.  The
 resulting boolean matrix, with one column per ground element, has exactly
 the matroid's independent sets as its independent column sets.  Reductions
-shrink the row set; every reduction is re-verified against the matroid
-rather than trusted.
+shrink the row set; every reduction is checked against the matroid rather
+than trusted.
 
 Two facts about superboolean column independence keep that checking cheap.
 It is hereditary, so a matrix represents a matroid exactly when every basis
-is matrix-independent and every circuit is matrix-dependent; the greedy
-reduction decides each row drop from those certificates.  And deleting a
-row can only turn an independent column set dependent, never the reverse,
-so a circuit that is dependent once stays dependent as rows go.
-Verification still answers every subset, reading the answers off the
-matrix's independent family grown from the empty set.
+is matrix-independent and every circuit is matrix-dependent; those
+certificates are the reducers' only check, for each row drop and for the
+result.  And deleting a row can only turn an independent column set
+dependent, never the reverse, so a circuit that is dependent once stays
+dependent as rows go.  `verify_representation` still answers every subset,
+reading the answers off the matrix's independent family grown from the
+empty set, to report every disagreement.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bitops import bits
+from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError
 from .lattice import FlatLattice
-from .matroid import Matroid, hereditary_from_matrix
+from .matroid import GroundSet, Matroid, hereditary_from_matrix
 from .sbool import ONE, ZERO, BoolMatrix, SbMatrix
 
 __all__ = [
@@ -109,6 +110,50 @@ def extract_representation(matroid: Matroid) -> Representation:
     return Representation(matrix, lattice.names, "full", matroid, lattice)
 
 
+def _check_cap(ground: GroundSet) -> None:
+    if ground.size > VERIFY_CAP:
+        raise GroundTooLarge(
+            f"exhaustive verification is capped at {VERIFY_CAP} elements"
+        )
+
+
+def _certificates(matroid: Matroid):
+    """The bases and the circuits as column-index tuples, canonically ordered."""
+    ground = matroid.ground
+    bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
+    circuits = [tuple(bits(c)) for c in matroid.independent_family.circuit_masks()]
+    return bases, circuits
+
+
+def _false_certificate(matrix: SbMatrix, bases, circuits):
+    """The first basis the matrix calls column-dependent; failing that, the
+    first circuit it calls column-independent; otherwise None.
+
+    Columns are the ground elements in order, and certificates are
+    column-index tuples.  With all bases and circuits given, None means
+    exactly that the matrix represents the matroid, since column
+    independence is hereditary:
+    - an independent set lies in a basis, whose subsets are all independent;
+    - a dependent set holds a circuit, whose supersets are all dependent;
+    - and each certificate is itself a subset the two must agree on.
+    """
+    for basis in bases:
+        if not matrix.columns_independent(basis):
+            return basis
+    for circuit in circuits:
+        if matrix.columns_independent(circuit):
+            return circuit
+    return None
+
+
+def _broken(matroid: Matroid, certificate) -> str:
+    mask = mask_of(certificate)
+    name = matroid.ground.subset_name(mask)
+    if mask in matroid.bases:
+        return f"basis {name} is column-dependent"
+    return f"circuit {name} is column-independent"
+
+
 def paper_reduce(rep: Representation) -> Representation:
     """Keep the bottom row and the rows of proper flats above the atoms.
 
@@ -125,11 +170,14 @@ def paper_reduce(rep: Representation) -> Representation:
 
     Each Z_i is the bottom or a proper flat of height at least 2, so each
     is kept.  Rank 2 can fail: only the bottom row is left, and it cannot
-    separate an independent pair.  The result is still re-verified, as the
-    runtime guard of this proof, and a failure is a hard error.
+    separate an independent pair.  The result is checked on every basis
+    and circuit, as the runtime guard of this proof, and a certificate it
+    breaks is a hard error.  Ground sets past `VERIFY_CAP` are refused.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")
+    matroid = rep.matroid
+    _check_cap(matroid.ground)
     lattice = rep.lattice
     keep = tuple(
         name
@@ -137,15 +185,13 @@ def paper_reduce(rep: Representation) -> Representation:
         if name == lattice.bottom
         or (name != lattice.top and lattice.element_height(name) >= 2)
     )
-    reduced = Representation(
-        rep.matrix.submatrix(rows=keep), keep, "paper", rep.matroid, rep.lattice
-    )
-    report = verify_representation(reduced, rep.matroid)
-    if not report.ok:
+    matrix = rep.matrix.submatrix(rows=keep)
+    bad = _false_certificate(matrix, *_certificates(matroid))
+    if bad is not None:
         raise ReductionError(
-            f"dropping atom and top rows broke {len(report.mismatches)} subsets"
+            f"dropping atom and top rows broke a certificate: {_broken(matroid, bad)}"
         )
-    return reduced
+    return Representation(matrix, keep, "paper", matroid, lattice)
 
 
 def _strip_rows(rep: Representation, mode: str) -> Representation:
@@ -184,8 +230,10 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
     independent family: every basis stays column-independent and every
     circuit column-dependent.  A drop never makes a dependent column set
     independent, so only the circuits the stripped matrix calls independent
-    are rechecked, and none after the first accepted drop.  The final
-    result is re-verified on every subset.
+    are rechecked, and none after the first accepted drop.  The result
+    gets the same certificate check, which fails only when no drop was
+    accepted and the starting matrix is no representation.  Ground sets
+    past `VERIFY_CAP` are refused.
     """
     matroid = matroid if matroid is not None else rep.matroid
     ground = matroid.ground
@@ -193,41 +241,40 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
         raise LabelMismatch(
             f"matrix columns {rep.matrix.col_labels} against ground {ground.labels}"
         )
-    bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
+    _check_cap(ground)
+    bases, circuits = _certificates(matroid)
     current = _strip_rows(rep, "verified")
     labels = list(current.provenance)
     matrix = current.matrix
-    circuits = [tuple(bits(c)) for c in matroid.independent_family.circuit_masks()]
     loose = [c for c in circuits if matrix.columns_independent(c)]
     for label in list(labels):
         if len(labels) == 1:
             break
         trial = tuple(x for x in labels if x != label)
         candidate = matrix.submatrix(rows=trial)
-        if all(map(candidate.columns_independent, bases)) and not any(
-            map(candidate.columns_independent, loose)
-        ):
+        if _false_certificate(candidate, bases, loose) is None:
             labels = list(trial)
             matrix = candidate
             loose = []
-    reduced = Representation(matrix, tuple(labels), "verified", matroid, rep.lattice)
-    report = verify_representation(reduced, matroid)
-    if not report.ok:
-        raise ReductionError("greedy reduction produced a non-representation")
-    return reduced
+    bad = _false_certificate(matrix, bases, loose)
+    if bad is not None:
+        raise ReductionError(
+            f"greedy reduction produced a non-representation: {_broken(matroid, bad)}"
+        )
+    return Representation(matrix, tuple(labels), "verified", matroid, rep.lattice)
 
 
 def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     """Compare column independence against the matroid on every subset.
 
     Accepts a Representation or a bare matrix.  Column labels must be
-    exactly the ground elements (any order); every disagreement is
-    reported, in canonical subset order.  The matrix's answers come from
-    its independent family, grown one column at a time: dependence
-    survives adding columns, so a set is tested only when all its
-    one-smaller subsets are independent.  Both families are sets of masks,
-    so the disagreements are their symmetric difference, and only those
-    are sorted.
+    exactly the ground elements (any order); the columns are put in ground
+    order once, and every disagreement is reported, in canonical subset
+    order.  The matrix's answers come from its independent family, grown
+    one column at a time: dependence survives adding columns, so a set is
+    tested only when all its one-smaller subsets are independent.  Both
+    families are sets of ground masks, so the disagreements are their
+    symmetric difference, and only those are sorted.
     """
     matrix = rep.matrix if isinstance(rep, Representation) else rep
     ground = matroid.ground
@@ -235,16 +282,13 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
         raise LabelMismatch(
             f"matrix columns {matrix.col_labels} against ground {ground.labels}"
         )
-    n = ground.size
-    if n > VERIFY_CAP:
-        raise GroundTooLarge(
-            f"exhaustive verification is capped at {VERIFY_CAP} elements"
-        )
-    found = hereditary_from_matrix(matrix)
-    independent = {ground.mask_of(found.ground.labels_of(m)) for m in found.family}
-    wrong = independent.symmetric_difference(matroid.independent_family.family)
+    _check_cap(ground)
+    if matrix.col_labels != ground.labels:
+        matrix = matrix.submatrix(cols=ground.labels)
+    found = hereditary_from_matrix(matrix).family
+    wrong = found.symmetric_difference(matroid.independent_family.family)
     mismatches = tuple(ground.labels_of(m) for m in sorted(wrong, key=ground.sort_key))
-    return VerificationReport(not mismatches, mismatches, 1 << n)
+    return VerificationReport(not mismatches, mismatches, 1 << ground.size)
 
 
 def size_bound(matroid: Matroid) -> int:

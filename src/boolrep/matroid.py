@@ -6,7 +6,8 @@ Validation happens once, at construction, as a per-basis exchange check
 that raises a counterexample-carrying error, never a bare bool.  Rank,
 independence and closure are all answered by membership in the independent
 family: rank by the greedy algorithm (Edmonds 1971), closure from one greedy
-basis of the subset.
+basis of the subset, loops and parallel pairs by looking up singletons and
+pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Mapping
 
 from .bitops import bits, mask_of
@@ -94,6 +95,16 @@ class GroundSet:
         return (len(positions), positions)
 
 
+def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
+    """Mask of one set given by its labels; a label listed twice raises
+    rather than being dropped, which would silently change the set."""
+    labels = tuple(labels)
+    mask = ground.mask_of(labels)
+    if mask.bit_count() != len(labels):
+        raise DuplicateLabels(f"set {labels!r} lists a label twice")
+    return mask
+
+
 def _validate_downward_closed(ground: GroundSet, family: frozenset) -> None:
     if not family:
         raise EmptyFamily("the family must contain at least one subset")
@@ -119,7 +130,7 @@ class HereditaryCollection:
 
     @classmethod
     def of(cls, ground: GroundSet, subsets: Iterable[Iterable[str]]) -> "HereditaryCollection":
-        return cls(ground, frozenset(ground.mask_of(s) for s in subsets))
+        return cls(ground, frozenset(_set_mask(ground, s) for s in subsets))
 
     @property
     def rank(self) -> int:
@@ -260,7 +271,7 @@ class Matroid:
 
     @classmethod
     def from_bases(cls, ground: GroundSet, bases: Iterable[Iterable[str]]) -> "Matroid":
-        return cls(ground, frozenset(ground.mask_of(b) for b in bases))
+        return cls(ground, frozenset(_set_mask(ground, b) for b in bases))
 
     # -- rank and independence ----------------------------------------------
 
@@ -328,20 +339,19 @@ class Matroid:
         return self.ground.labels_of(self.closure_mask(self.ground.mask_of(labels)))
 
     def loops(self) -> tuple[str, ...]:
-        return tuple(
-            x for i, x in enumerate(self.ground.labels) if self.rank_of_mask(1 << i) == 0
-        )
+        family = self.independent_family.family
+        return tuple(x for i, x in enumerate(self.ground.labels) if 1 << i not in family)
 
     @property
     def is_simple(self) -> bool:
-        """No loops and no two-element circuits."""
+        """No loops and no two-element circuits: every singleton and every
+        pair is independent."""
+        family = self.independent_family.family
         n = self.ground.size
-        if any(self.rank_of_mask(1 << i) == 0 for i in range(n)):
+        if any(1 << i not in family for i in range(n)):
             return False
         return all(
-            self.rank_of_mask((1 << i) | (1 << j)) == 2
-            for i in range(n)
-            for j in range(i + 1, n)
+            (1 << i) | (1 << j) in family for i in range(n) for j in range(i + 1, n)
         )
 
     @cached_property
@@ -371,32 +381,29 @@ class Matroid:
         """Strip loops and merge parallel classes onto representatives.
 
         Returns (simple matroid, map non-loop label -> representative label).
+        The bases of the simple matroid are the images of the bases: a basis
+        holds no loop and no parallel pair, and swapping an element for a
+        parallel one keeps a basis.
         """
-        n = self.ground.size
-        non_loops = [i for i in range(n) if self.rank_of_mask(1 << i) == 1]
+        family = self.independent_family.family
+        non_loops = [i for i in range(self.ground.size) if 1 << i in family]
         if not non_loops:
             raise AllLoops("every element is a loop")
         reps: list[int] = []
         assignment: dict = {}
         for i in non_loops:
-            home = next(
-                (r for r in reps if self.rank_of_mask((1 << r) | (1 << i)) == 1), None
-            )
+            home = next((r for r in reps if (1 << r) | (1 << i) not in family), None)
             if home is None:
                 reps.append(i)
                 assignment[i] = i
             else:
                 assignment[i] = home
         ground = GroundSet(tuple(self.ground.labels[r] for r in reps))
-        rep_masks = [1 << r for r in reps]
-        bases = set()
-        for combo in combinations(range(len(reps)), self.rank):
-            mask = 0
-            for c in combo:
-                mask |= rep_masks[c]
-            if self.is_independent_mask(mask):
-                bases.add(mask_of(combo))
-        simple = Matroid(ground, frozenset(bases))
+        position = {r: k for k, r in enumerate(reps)}
+        bases = frozenset(
+            mask_of(position[assignment[i]] for i in bits(b)) for b in self.bases
+        )
+        simple = Matroid(ground, bases)
         mapping = {
             self.ground.labels[i]: self.ground.labels[assignment[i]] for i in non_loops
         }

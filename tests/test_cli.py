@@ -1,6 +1,8 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,15 @@ def test_verify_rejects_oversized_ground(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", ["paper", "verified"])
+def test_reductions_past_the_verify_cap_exit_3(capsys, tmp_path, mode):
+    path = tmp_path / "u3_13.json"
+    path.write_text(matroid_to_json(uniform(3, 13)))
+    code, out, err = run_cli(capsys, "repr", str(path), "--reduce", mode, "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == "error: exhaustive verification is capped at 12 elements\n"
+
+
 def test_source_argument_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "example:nope")
     assert code == 2 and "available:" in err
@@ -354,3 +365,38 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, argv, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# -- the README ---------------------------------------------------------------
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argument lists of the `boolrep` lines in README's command block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["boolrep"]:
+            yield argv[1:]
+
+
+def test_readme_commands_exit_0(capsys, tmp_path, monkeypatch):
+    """Every self-contained command README shows runs and exits 0; the one
+    piped to `dot` and the ones reading `my_matrix.csv` are left out."""
+    monkeypatch.chdir(tmp_path)
+    ran = set()
+    for argv in readme_commands():
+        if "|" in argv or "my_matrix.csv" in argv:
+            continue
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if target is not None:
+            (tmp_path / target).write_text(out)
+        ran.add(argv[0])
+    assert ran == {"lattice", "repr", "verify", "partitions", "example"}

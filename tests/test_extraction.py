@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolrep.extraction as extraction
 from boolrep import (
     GHOST,
     BoolMatrix,
@@ -126,6 +127,47 @@ def test_reduce_fails_loudly_when_atom_rows_carry_information():
     # a single repeated-ones row, which can no longer separate {1,2}
     with pytest.raises(ReductionError):
         paper_reduce(extract_representation(uniform(2, 2)))
+
+
+def test_reduction_errors_name_the_broken_certificate():
+    full = extract_representation(uniform(2, 2))
+    with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
+        paper_reduce(full)
+    ones = BoolMatrix.of([[1, 1]] * 4, row_labels=full.provenance, col_labels=("1", "2"))
+    start = Representation(ones, full.provenance, "full", full.matroid, full.lattice)
+    with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
+        verified_reduce(start)
+
+
+def test_reducers_refuse_past_the_cap_before_any_kernel_call(monkeypatch):
+    full = extract_representation(uniform(3, 13))
+
+    def refuse(*args):
+        raise AssertionError("the independence kernel ran before the cap check")
+
+    monkeypatch.setattr(SbMatrix, "columns_independent", refuse)
+    for reduce in (paper_reduce, verified_reduce):
+        with pytest.raises(GroundTooLarge, match="capped at 12 elements"):
+            reduce(full)
+
+
+def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
+    """Neither reducer walks every subset: with the exhaustive path made to
+    fail, both still reduce the whole pool, and their results verify."""
+
+    def refuse(*args):
+        raise AssertionError("a reducer ran the exhaustive check")
+
+    monkeypatch.setattr(extraction, "hereditary_from_matrix", refuse)
+    monkeypatch.setattr(extraction, "verify_representation", refuse)
+    reduced = []
+    for m in pool:
+        full = extract_representation(m)
+        if m.rank >= 3:
+            reduced.append(paper_reduce(full))
+        reduced.append(verified_reduce(full))
+    monkeypatch.undo()
+    assert all(verify_representation(rep, rep.matroid).ok for rep in reduced)
 
 
 def test_paper_reduction_holds_from_rank_three_and_fails_at_rank_two(pool):
@@ -352,6 +394,44 @@ def test_verify_matches_the_per_subset_definition(pool):
                 matrix, m
             )
             outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
+def paper_rows(rep):
+    lattice = rep.lattice
+    return tuple(
+        name
+        for name in rep.provenance
+        if name == lattice.bottom
+        or (name != lattice.top and lattice.element_height(name) >= 2)
+    )
+
+
+def test_certificates_agree_with_exhaustive_verification(pool):
+    """The reducers' certificate check finds a broken certificate exactly
+    when exhaustive verification finds a mismatch, and the one it finds is
+    the first mismatched basis, or with none, the first mismatched circuit."""
+    rng = random.Random(23)
+    outcomes = set()
+    for m in pool:
+        full = extract_representation(m)
+        starts = (
+            full.matrix,
+            full.matrix.submatrix(rows=paper_rows(full)),
+            *broken_copies(full.matrix, rng),
+            flipped(full, rng).matrix,
+        )
+        bases, circuits = extraction._certificates(m)
+        for matrix in starts:
+            report = verify_representation(matrix, m)
+            found = extraction._false_certificate(matrix, bases, circuits)
+            outcomes.add(report.ok)
+            if found is None:
+                assert report.ok
+                continue
+            bad_bases = [s for s in report.mismatches if m.ground.mask_of(s) in m.bases]
+            expected = bad_bases[0] if bad_bases else report.mismatches[0]
+            assert m.ground.labels_of(sum(1 << i for i in found)) == expected
     assert outcomes == {True, False}
 
 

@@ -2,12 +2,13 @@
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from boolrep import (
     AllLoops,
+    DuplicateLabels,
     EmptyFamily,
     ExchangeFails,
     GroundSet,
@@ -68,6 +69,15 @@ def test_canonical_subset_order_is_cardinality_then_positions():
 
 
 # -- hereditary collections ------------------------------------------------------
+
+
+def test_a_set_listing_a_label_twice_is_rejected():
+    g = GroundSet.of("123")
+    with pytest.raises(DuplicateLabels, match=r"\('1', '1', '2'\)"):
+        Matroid.from_bases(g, [["1", "1", "2"], ["1", "3", "3"], ["2", "3"]])
+    with pytest.raises(DuplicateLabels, match=r"\('2', '2'\)"):
+        HereditaryCollection.of(g, [[], ["1"], ["2"], ["2", "2"]])
+    assert Matroid.from_bases(g, [["1", "2"], ["1", "3"], ["2", "3"]]) == uniform(2, 3)
 
 
 def test_hereditary_accepts_valid_family():
@@ -373,6 +383,32 @@ def test_simplify_drops_loops():
 def test_simplify_all_loops_raises():
     with pytest.raises(AllLoops):
         uniform(0, 3).simplify()
+
+
+def planted(matroid):
+    """The matroid with a loop put first and parallel copies appended: one
+    of every element, and a second of the first.  Returns it with the
+    mapping its simplification should give."""
+    labels = matroid.ground.labels
+    twins = [(x + "'", x) for x in labels] + [(labels[0] + "''", labels[0])]
+    ground = GroundSet(("loop",) + labels + tuple(twin for twin, _ in twins))
+    parallel_class = {x: [x] for x in labels}
+    for twin, x in twins:
+        parallel_class[x].append(twin)
+    bases = [
+        choice
+        for basis in matroid.basis_sets()
+        for choice in product(*(parallel_class[x] for x in basis))
+    ]
+    return Matroid.from_bases(ground, bases), {x: x for x in labels} | dict(twins)
+
+
+def test_simplify_undoes_a_planted_loop_and_parallel_copies(pool):
+    for m in pool:
+        extended, mapping = planted(m)
+        assert extended.loops() == ("loop",)
+        assert not extended.is_simple
+        assert extended.simplify() == (m, mapping)
 
 
 # -- hereditary collections from matrices ----------------------------------------------
