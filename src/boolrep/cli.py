@@ -45,17 +45,20 @@ def _read_text(path: str, error: type[BoolrepError]) -> str:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _example(name: str) -> Matroid:
+    entry = CATALOG.get(name)
+    if entry is None:
+        known = ", ".join(sorted(CATALOG))
+        raise MatroidParseError(f"unknown example {name!r}; available: {known}")
+    return entry.matroid
+
+
 def _load_matroid(source: str | None, file_opt: str | None) -> Matroid:
     if source is not None and file_opt is not None:
         raise MatroidParseError("give either a positional source or --file, not both")
     if source is not None:
         if source.startswith("example:"):
-            name = source[len("example:"):]
-            entry = CATALOG.get(name)
-            if entry is None:
-                known = ", ".join(sorted(CATALOG))
-                raise MatroidParseError(f"unknown example {name!r}; available: {known}")
-            return entry.matroid
+            return _example(source[len("example:"):])
         path = source
     elif file_opt is not None:
         path = file_opt
@@ -169,11 +172,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    entry = CATALOG.get(args.name)
-    if entry is None:
-        known = ", ".join(sorted(CATALOG))
-        raise MatroidParseError(f"unknown example {args.name!r}; available: {known}")
-    print(matroid_to_json(entry.matroid))
+    print(matroid_to_json(_example(args.name)))
     return 0
 
 
@@ -246,10 +245,7 @@ def main(argv=None) -> int:
     except (ChainLimitExceeded, GroundTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BoolrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BoolrepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

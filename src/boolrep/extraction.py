@@ -244,16 +244,14 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
     _check_cap(ground)
     bases, circuits = _certificates(matroid)
     current = _strip_rows(rep, "verified")
-    labels = list(current.provenance)
     matrix = current.matrix
     loose = [c for c in circuits if matrix.columns_independent(c)]
-    for label in list(labels):
-        if len(labels) == 1:
+    for label in current.provenance:
+        if matrix.n_rows == 1:
             break
-        trial = tuple(x for x in labels if x != label)
+        trial = tuple(x for x in matrix.row_labels if x != label)
         candidate = matrix.submatrix(rows=trial)
         if _false_certificate(candidate, bases, loose) is None:
-            labels = list(trial)
             matrix = candidate
             loose = []
     bad = _false_certificate(matrix, bases, loose)
@@ -261,7 +259,7 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
         raise ReductionError(
             f"greedy reduction produced a non-representation: {_broken(matroid, bad)}"
         )
-    return Representation(matrix, tuple(labels), "verified", matroid, rep.lattice)
+    return Representation(matrix, matrix.row_labels, "verified", matroid, rep.lattice)
 
 
 def verify_representation(rep, matroid: Matroid) -> VerificationReport:

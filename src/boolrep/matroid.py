@@ -1,13 +1,13 @@
 """Hereditary collections and matroids over a finite labeled ground set.
 
 Subsets of the ground set are bitmasks over label positions.  A matroid is
-stored by its bases; the independent family is their downward closure.
-Validation happens once, at construction, as a per-basis exchange check
-that raises a counterexample-carrying error, never a bare bool.  Rank,
-independence and closure are all answered by membership in the independent
-family: rank by the greedy algorithm (Edmonds 1971), closure from one greedy
-basis of the subset, loops and parallel pairs by looking up singletons and
-pairs.
+stored by its bases; their downward closure, the independent family, is
+built at construction.  Rank and independence are membership in it, rank
+by the greedy algorithm (Edmonds 1971).  Closure has one rule, the span of
+an independent set: the set plus every element that makes it dependent.
+Closure, flats, loops, simplicity and the construction-time basis exchange
+check (once per (r-1)-subset of a basis, raising a counterexample-carrying
+error, never returning a bare bool) are all read off spans.
 """
 
 from __future__ import annotations
@@ -218,9 +218,11 @@ class HereditaryCollection:
 class Matroid:
     """A matroid stored by its bases (equicardinal, exchange-closed).
 
-    Construction checks basis exchange once, per basis.  Every rank,
-    independence and closure query is then answered from one oracle:
-    membership in the downward closure of the bases (`independent_family`).
+    Construction builds the downward closure of the bases
+    (`independent_family`) and checks basis exchange once per (r-1)-subset
+    of a basis.  Rank and independence are membership in that family;
+    closure, flats, loops and simplicity all come from spans of its
+    members (`_span`).
     """
 
     ground: GroundSet
@@ -238,12 +240,15 @@ class Matroid:
         self._check_exchange()
 
     def _check_exchange(self):
-        """Basis exchange, one basis at a time.
+        """Basis exchange, once per (r-1)-subset of a basis.
 
-        For a basis b1 and x in b1, let S hold every y outside b1 with
-        b1 - x + y a basis.  A basis b2 fails the exchange for (b1, x)
-        exactly when it avoids x and all of S.  Bit k of hits[e] marks that
-        the k-th basis contains e, so the bases meeting {x} + S are one OR.
+        For a basis b1 and x in b1, the bases b1 - x + y are I + y for
+        I = b1 - x and y outside the span of I, x among them.  A basis b2
+        fails the exchange for (b1, x) exactly when it lies inside that
+        span, so the verdict depends on I alone and each I is checked once,
+        in canonical basis order.  Bit k of hits[e] marks that the k-th
+        basis contains e, so the bases meeting the span's complement are
+        one OR.
         """
         order = sorted(self.bases, key=self.ground.sort_key)
         hits = [0] * self.ground.size
@@ -252,14 +257,16 @@ class Matroid:
                 hits[e] |= 1 << k
         every = (1 << len(order)) - 1
         full = self.ground.full_mask
+        checked = set()
         for b1 in order:
-            rest = full & ~b1
             for x in bits(b1):
-                stripped = b1 ^ (1 << x)
-                met = hits[x]
-                for y in bits(rest):
-                    if stripped | (1 << y) in self.bases:
-                        met |= hits[y]
+                rest = b1 ^ (1 << x)
+                if rest in checked:
+                    continue
+                checked.add(rest)
+                met = 0
+                for y in bits(full & ~self._span(rest)):
+                    met |= hits[y]
                 free = every & ~met
                 if free:
                     b2 = order[(free & -free).bit_length() - 1]
@@ -324,53 +331,47 @@ class Matroid:
 
     # -- closure and flats ----------------------------------------------------
 
-    def closure_mask(self, mask: int) -> int:
-        """Smallest flat containing the subset: adjoin every outside element
-        e for which I + e is dependent, I a greedy basis of the subset."""
+    def _span(self, independent: int) -> int:
+        """Closure of an independent set: the set plus every element whose
+        addition makes it dependent."""
         family = self.independent_family.family
-        basis = self._greedy_basis(mask)
-        out = mask
-        for i in bits(self.ground.full_mask & ~mask):
-            if basis | (1 << i) not in family:
-                out |= 1 << i
-        return out
+        span = independent
+        for i in bits(self.ground.full_mask & ~independent):
+            if independent | (1 << i) not in family:
+                span |= 1 << i
+        return span
+
+    def closure_mask(self, mask: int) -> int:
+        """Smallest flat containing the subset: the span of its greedy basis."""
+        return self._span(self._greedy_basis(mask))
 
     def closure(self, labels: Iterable[str]) -> tuple[str, ...]:
         return self.ground.labels_of(self.closure_mask(self.ground.mask_of(labels)))
 
     def loops(self) -> tuple[str, ...]:
-        family = self.independent_family.family
-        return tuple(x for i, x in enumerate(self.ground.labels) if 1 << i not in family)
+        return self.ground.labels_of(self._span(0))
 
     @property
     def is_simple(self) -> bool:
-        """No loops and no two-element circuits: every singleton and every
-        pair is independent."""
-        family = self.independent_family.family
-        n = self.ground.size
-        if any(1 << i not in family for i in range(n)):
-            return False
-        return all(
-            (1 << i) | (1 << j) in family for i in range(n) for j in range(i + 1, n)
+        """No loops and no parallel pairs: the empty set and every single
+        element are closed."""
+        return self._span(0) == 0 and all(
+            self._span(1 << i) == 1 << i for i in range(self.ground.size)
         )
 
     @cached_property
     def flat_masks(self) -> tuple[int, ...]:
-        """All closed subsets, canonically ordered; grown breadth-first from
-        the closure of the empty set instead of closing all 2^n subsets."""
+        """All closed subsets, canonically ordered.  A flat of rank below r
+        is the span of any basis of it, so the flats are the spans of the
+        members smaller than a basis, plus the ground set."""
         if not self.is_simple:
             raise NotSimple("flats are enumerated for simple matroids only")
-        bottom = self.closure_mask(0)
-        seen = {bottom}
-        frontier = [bottom]
-        while frontier:
-            flat = frontier.pop()
-            for i in bits(self.ground.full_mask & ~flat):
-                grown = self.closure_mask(flat | (1 << i))
-                if grown not in seen:
-                    seen.add(grown)
-                    frontier.append(grown)
-        return tuple(sorted(seen, key=self.ground.sort_key))
+        rank = self.rank
+        flats = {self.ground.full_mask}
+        flats.update(
+            self._span(m) for m in self.independent_family.family if m.bit_count() < rank
+        )
+        return tuple(sorted(flats, key=self.ground.sort_key))
 
     def flats(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.ground.labels_of(m) for m in self.flat_masks)
@@ -385,19 +386,17 @@ class Matroid:
         holds no loop and no parallel pair, and swapping an element for a
         parallel one keeps a basis.
         """
-        family = self.independent_family.family
-        non_loops = [i for i in range(self.ground.size) if 1 << i in family]
+        loops = self._span(0)
+        non_loops = list(bits(self.ground.full_mask & ~loops))
         if not non_loops:
             raise AllLoops("every element is a loop")
         reps: list[int] = []
         assignment: dict = {}
         for i in non_loops:
-            home = next((r for r in reps if (1 << r) | (1 << i) not in family), None)
-            if home is None:
+            if i not in assignment:
                 reps.append(i)
-                assignment[i] = i
-            else:
-                assignment[i] = home
+                for j in bits(self._span(1 << i) & ~loops):
+                    assignment[j] = i
         ground = GroundSet(tuple(self.ground.labels[r] for r in reps))
         position = {r: k for k, r in enumerate(reps)}
         bases = frozenset(

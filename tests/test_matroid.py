@@ -11,6 +11,7 @@ from boolrep import (
     DuplicateLabels,
     EmptyFamily,
     ExchangeFails,
+    FlatLattice,
     GroundSet,
     GroundTooLarge,
     HereditaryCollection,
@@ -21,10 +22,12 @@ from boolrep import (
     SbMatrix,
     UnequalBasisSizes,
     UnknownLabel,
+    extract_representation,
     find_isomorphism,
     hereditary_from_matrix,
     matroid_from_json,
     matroid_to_json,
+    paper_reduce,
     uniform,
 )
 
@@ -182,7 +185,8 @@ def test_exchange_counterexample_is_reported():
 def test_exchange_check_matches_pairwise_definition():
     """Every nonempty family of k-subsets of n elements, for (n, k) in
     (4, 2), (5, 2), (5, 3): construction accepts exactly the families the
-    pairwise oracle accepts, and every reported triple is a real failure."""
+    pairwise oracle accepts, and the reported triple is the first real
+    failure in canonical order: b1, then x ascending, then b2."""
     accepted = rejected = 0
     for n, k in ((4, 2), (5, 2), (5, 3)):
         ground = GroundSet(tuple(str(i + 1) for i in range(n)))
@@ -200,6 +204,16 @@ def test_exchange_check_matches_pairwise_definition():
                 assert b1 in bases and b2 in bases
                 assert b1 >> x & 1 and not b2 >> x & 1
                 assert exchange_fails(bases, b1, b2, x)
+                order = sorted(bases, key=ground.sort_key)
+                first = next(
+                    (c1, y, c2)
+                    for c1 in order
+                    for y in range(n)
+                    if c1 >> y & 1
+                    for c2 in order
+                    if not c2 >> y & 1 and exchange_fails(bases, c1, c2, y)
+                )
+                assert (b1, x, b2) == first
             else:
                 accepted += 1
                 assert basis_exchange_holds(bases)
@@ -327,9 +341,8 @@ def test_flats_contain_bottom_singletons_and_top(fivept):
     assert fivept.ground.labels in flats
 
 
-def test_flats_match_power_set_scan(u34, fivept, k4m, w3m, random_matroids):
-    sample = [u34, fivept, k4m, w3m] + list(random_matroids[:12])
-    for m in sample:
+def test_flats_match_power_set_scan(pool):
+    for m in pool:
         expected = flats_scan(sorted(m.bases), m.ground.size)
         assert list(m.flat_masks) == expected
 
@@ -348,6 +361,77 @@ def test_loops_and_is_simple():
     assert not m.is_simple
     assert uniform(2, 4).is_simple
     assert not uniform(1, 2).is_simple  # two parallel points
+    lone_loop = Matroid(GroundSet.of("a"), frozenset({0}))
+    assert lone_loop.rank == 0
+    assert not lone_loop.is_simple
+    assert lone_loop.loops() == ("a",)
+    empty = Matroid(GroundSet(()), frozenset({0}))
+    assert empty.is_simple
+    assert empty.loops() == ()
+    assert empty.flats() == ((),)
+
+
+def test_spans_alone_answer_simplicity_flats_and_the_lattice(pool, monkeypatch):
+    """Simplicity, loops, flats, the lattice and the paper reduction never
+    go through `closure_mask`: each reads spans of independent sets."""
+
+    def refuse(self, mask):
+        raise AssertionError("closure_mask called")
+
+    monkeypatch.setattr(Matroid, "closure_mask", refuse)
+    non_simple = Matroid.from_bases(
+        GroundSet.of("abcdl"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    assert not non_simple.is_simple
+    assert non_simple.loops() == ("l",)
+    simple, mapping = non_simple.simplify()
+    assert simple.ground.labels == ("a", "c", "d") and mapping["b"] == "a"
+    for m in pool:
+        rebuilt = Matroid(m.ground, m.bases)
+        assert rebuilt.is_simple
+        assert rebuilt.loops() == ()
+        assert rebuilt.flat_masks == m.flat_masks
+        assert FlatLattice.from_matroid(rebuilt).size == len(rebuilt.flat_masks)
+        if rebuilt.rank >= 3:  # below rank 3 the paper's rows cannot suffice
+            paper_reduce(extract_representation(rebuilt))
+
+
+def pg25():
+    """PG(2,5): the 31 points of GF(5)^3 up to scalars, each scaled so its
+    first nonzero coordinate is 1; bases are the triples of nonzero
+    determinant mod 5."""
+    points = [
+        v for v in product(range(5), repeat=3)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
+    ]
+
+    def det(a, b, c):
+        return (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        ) % 5
+
+    ground = GroundSet(tuple(str(i + 1) for i in range(len(points))))
+    bases = frozenset(
+        (1 << i) | (1 << j) | (1 << k)
+        for i, j, k in combinations(range(len(points)), 3)
+        if det(points[i], points[j], points[k])
+    )
+    return Matroid(ground, bases)
+
+
+def test_projective_plane_of_order_5():
+    m = pg25()
+    assert m.ground.size == 31
+    assert m.is_simple
+    sizes = [f.bit_count() for f in m.flat_masks]
+    assert sizes == [0] + [1] * 31 + [6] * 31 + [31]
+    lines = set(m.flat_masks[32:63])
+    for i, j in combinations(range(31), 2):
+        closed = m.closure_mask((1 << i) | (1 << j))
+        assert closed in lines
+    assert FlatLattice.from_matroid(m).height == 3
 
 
 # -- simplification -----------------------------------------------------------------
