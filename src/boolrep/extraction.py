@@ -7,15 +7,18 @@ the matroid's independent sets as its independent column sets.  Reductions
 shrink the row set; every reduction is checked against the matroid rather
 than trusted.
 
-Two facts about superboolean column independence keep that checking cheap.
-It is hereditary, so a matrix represents a matroid exactly when every basis
-is matrix-independent and every circuit is matrix-dependent; those
-certificates are the reducers' only check, for each row drop and for the
-result.  And deleting a row can only turn an independent column set
+Three facts about superboolean column independence keep that checking
+cheap.  It is hereditary, so a matrix represents a matroid exactly when
+every basis is matrix-independent and every circuit is matrix-dependent;
+those certificates are the reducers' only check, for each row drop and for
+the result.  Deleting a row can only turn an independent column set
 dependent, never the reverse, so a circuit that is dependent once stays
-dependent as rows go.  `verify_representation` still answers every subset,
-reading the answers off the matrix's independent family grown from the
-empty set, to report every disagreement.
+dependent as rows go.  And the witness rows the peel finds for an
+independent set carry a triangular nonsingular submatrix, which survives
+the deletion of any row outside it, so a drop rechecks only the bases whose
+witness used the dropped row.  `verify_representation` still answers
+every subset, reading the answers off the matrix's independent family
+grown from the empty set, to report every disagreement.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError
 from .lattice import FlatLattice
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import ONE, ZERO, BoolMatrix, SbMatrix
+from .sbool import ONE, ZERO, BoolMatrix, SbMatrix, _peel
 
 __all__ = [
     "VERIFY_CAP",
@@ -130,18 +133,19 @@ def _false_certificate(matrix: SbMatrix, bases, circuits):
     first circuit it calls column-independent; otherwise None.
 
     Columns are the ground elements in order, and certificates are
-    column-index tuples.  With all bases and circuits given, None means
-    exactly that the matrix represents the matroid, since column
-    independence is hereditary:
+    column-index tuples, peeled straight on the matrix's column masks.
+    With all bases and circuits given, None means exactly that the matrix
+    represents the matroid, since column independence is hereditary:
     - an independent set lies in a basis, whose subsets are all independent;
     - a dependent set holds a circuit, whose supersets are all dependent;
     - and each certificate is itself a subset the two must agree on.
     """
+    nz, one = matrix._col_masks
     for basis in bases:
-        if not matrix.columns_independent(basis):
+        if _peel(nz, one, basis) is None:
             return basis
     for circuit in circuits:
-        if matrix.columns_independent(circuit):
+        if _peel(nz, one, circuit) is not None:
             return circuit
     return None
 
@@ -221,6 +225,50 @@ def dedupe_reduce(rep: Representation) -> Representation:
     return _strip_rows(rep, "dedupe")
 
 
+def _witness_rows(rounds) -> int:
+    """Bitmask of the rows a peel used as witnesses."""
+    return mask_of(j for peeled in rounds for _, j in peeled)
+
+
+def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
+    """Bitmask of the rows the greedy pass drops, trying rows in order.
+
+    Works on column masks alone: dropping row r clears bit r.  Each basis
+    keeps the witness rows of its last peel, and a drop rechecks only the
+    bases whose witness holds r, since the others keep their triangular
+    nonsingular submatrix.  The loose circuits are rechecked until the
+    first accepted drop; after it every circuit is dependent for good.
+    """
+    witnesses = []
+    for basis in bases:
+        rounds = _peel(nz, one, basis)
+        if rounds is None:
+            return 0  # a dependent basis stays dependent, so no drop is accepted
+        witnesses.append(_witness_rows(rounds))
+    gone = 0
+    for r in range(n_rows):
+        if n_rows - gone.bit_count() == 1:
+            break
+        bit = 1 << r
+        keep = ~(gone | bit)
+        trial_nz = [m & keep for m in nz]
+        trial_one = [m & keep for m in one]
+        renewed = {}
+        for i, basis in enumerate(bases):
+            if witnesses[i] & bit:
+                rounds = _peel(trial_nz, trial_one, basis)
+                if rounds is None:
+                    break
+                renewed[i] = _witness_rows(rounds)
+        else:  # every rechecked basis still peels
+            if all(_peel(trial_nz, trial_one, c) is None for c in loose):
+                gone |= bit
+                for i, rows in renewed.items():
+                    witnesses[i] = rows
+                loose = ()
+    return gone
+
+
 def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Representation:
     """Greedy row minimization, each drop decided by basis and circuit
     certificates.
@@ -230,10 +278,12 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
     independent family: every basis stays column-independent and every
     circuit column-dependent.  A drop never makes a dependent column set
     independent, so only the circuits the stripped matrix calls independent
-    are rechecked, and none after the first accepted drop.  The result
-    gets the same certificate check, which fails only when no drop was
-    accepted and the starting matrix is no representation.  Ground sets
-    past `VERIFY_CAP` are refused.
+    are rechecked, and none after the first accepted drop.  A drop clears
+    one bit of the stripped matrix's cached column masks, and only the
+    bases whose last witness used that row are peeled again.  The result
+    is built once and gets the same certificate check, which fails only
+    when no drop was accepted and the starting matrix is no
+    representation.  Ground sets past `VERIFY_CAP` are refused.
     """
     matroid = matroid if matroid is not None else rep.matroid
     ground = matroid.ground
@@ -243,17 +293,11 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
         )
     _check_cap(ground)
     bases, circuits = _certificates(matroid)
-    current = _strip_rows(rep, "verified")
-    matrix = current.matrix
-    loose = [c for c in circuits if matrix.columns_independent(c)]
-    for label in current.provenance:
-        if matrix.n_rows == 1:
-            break
-        trial = tuple(x for x in matrix.row_labels if x != label)
-        candidate = matrix.submatrix(rows=trial)
-        if _false_certificate(candidate, bases, loose) is None:
-            matrix = candidate
-            loose = []
+    start = _strip_rows(rep, "verified").matrix
+    nz, one = start._col_masks
+    loose = [c for c in circuits if _peel(nz, one, c) is not None]
+    gone = _greedy_drops(nz, one, start.n_rows, bases, loose)
+    matrix = start.submatrix(rows=[i for i in range(start.n_rows) if not gone >> i & 1])
     bad = _false_certificate(matrix, bases, loose)
     if bad is not None:
         raise ReductionError(

@@ -146,6 +146,7 @@ def test_reducers_refuse_past_the_cap_before_any_kernel_call(monkeypatch):
         raise AssertionError("the independence kernel ran before the cap check")
 
     monkeypatch.setattr(SbMatrix, "columns_independent", refuse)
+    monkeypatch.setattr(extraction, "_peel", refuse)
     for reduce in (paper_reduce, verified_reduce):
         with pytest.raises(GroundTooLarge, match="capped at 12 elements"):
             reduce(full)
@@ -231,8 +232,26 @@ def test_verified_reduce_checks_labels_before_reducing(fivept, k4m, monkeypatch)
         raise AssertionError("the independence kernel ran before the label check")
 
     monkeypatch.setattr(SbMatrix, "columns_independent", refuse)
+    monkeypatch.setattr(extraction, "_peel", refuse)
     with pytest.raises(LabelMismatch):
         verified_reduce(rep, k4m)
+
+
+def test_verified_reduce_builds_no_matrix_per_candidate(monkeypatch):
+    """One submatrix strips the start and one builds the result; the drops
+    in between work on column masks."""
+    calls = []
+    submatrix = SbMatrix.submatrix
+
+    def counted(self, rows=None, cols=None):
+        calls.append(rows)
+        return submatrix(self, rows, cols)
+
+    full = extract_representation(uniform(4, 8))
+    monkeypatch.setattr(SbMatrix, "submatrix", counted)
+    out = verified_reduce(full)
+    assert len(calls) == 2
+    assert out.row_count < full.row_count - 1
 
 
 # -- reduction against the loop it replaced ---------------------------------------------
@@ -321,6 +340,52 @@ def test_verified_reduce_matches_the_oracle_loop_on_broken_starts(pool):
     assert reduced > 0
 
 
+def candidate_loop_reduce(rep, matroid):
+    """The loop before the column-mask one: build each candidate matrix and
+    check every basis and loose circuit on it.  Returns the kept row
+    labels, or the error type and message."""
+    bases, circuits = extraction._certificates(matroid)
+    matrix = extraction._strip_rows(rep, "verified").matrix
+    loose = [c for c in circuits if matrix.columns_independent(c)]
+    for label in matrix.row_labels:
+        if matrix.n_rows == 1:
+            break
+        candidate = matrix.submatrix(rows=tuple(x for x in matrix.row_labels if x != label))
+        if extraction._false_certificate(candidate, bases, loose) is None:
+            matrix = candidate
+            loose = []
+    bad = extraction._false_certificate(matrix, bases, loose)
+    if bad is not None:
+        return ReductionError, (
+            "greedy reduction produced a non-representation: "
+            + extraction._broken(matroid, bad)
+        )
+    return matrix.row_labels
+
+
+def test_verified_reduce_matches_the_candidate_loop(pool):
+    """Kept rows, or error type and message, agree with the per-candidate
+    loop on every full representation, its broken copies and three seeded
+    flipped starts."""
+    rng = random.Random(37)
+    outcomes = set()
+    for m in pool:
+        full = extract_representation(m)
+        starts = [full, *(flipped(full, rng) for _ in range(3))]
+        starts.extend(
+            Representation(matrix, full.provenance, "full", m, full.lattice)
+            for matrix in broken_copies(full.matrix, rng)
+        )
+        for rep in starts:
+            try:
+                got = verified_reduce(rep, m).provenance
+            except BoolrepError as exc:
+                got = type(exc), str(exc)
+            assert got == candidate_loop_reduce(rep, m)
+            outcomes.add(got[0] is ReductionError)
+    assert outcomes == {True, False}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
@@ -335,6 +400,34 @@ def test_deleting_a_row_never_makes_a_dependent_column_set_independent(grid):
     family = independent_column_sets(grid)
     for i in range(len(grid)):
         assert independent_column_sets(grid[:i] + grid[i + 1:]) <= family
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_a_witness_survives_deleting_a_row_outside_it(grid):
+    """The fact `verified_reduce` caches witnesses on: the witness rows of
+    an independent column set carry a triangular nonsingular submatrix, so
+    deleting any other row leaves the set independent."""
+    matrix = SbMatrix.of(grid)
+    for mask in independent_column_sets(grid):
+        cols = [j for j in range(len(grid[0])) if mask >> j & 1]
+        rows = matrix.witness(cols)
+        assert rows is not None
+        for i, label in enumerate(matrix.row_labels):
+            if label in rows:
+                continue
+            kept = grid[:i] + grid[i + 1:]
+            assert vectors_independent([tuple(row[j] for row in kept) for j in cols])
+            others = [x for x in matrix.row_labels if x != label]
+            assert matrix.submatrix(rows=others).columns_independent(cols)
 
 
 # -- verification -----------------------------------------------------------------------
