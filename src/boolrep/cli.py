@@ -31,7 +31,7 @@ from .extraction import (
 )
 from .lattice import FlatLattice
 from .matroid import Matroid, matroid_from_json, matroid_to_json
-from .partitions import DEFAULT_CHAIN_LIMIT, maximal_chains, partition_of_chain
+from .partitions import DEFAULT_CHAIN_LIMIT, chain_indices
 from .sbool import ONE, SbMatrix
 
 __all__ = ["main", "run"]
@@ -149,17 +149,40 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
+    """One line per maximal chain.  Each flat and each cover edge is
+    formatted once; a line joins the pieces along its chain, and equals
+    the rendering of `partition_of_chain` for that chain."""
     matroid = _ensure_simple(_load_matroid(args.source, args.file))
     lattice = FlatLattice.from_matroid(matroid)
+    chains = chain_indices(lattice, args.limit)
+    edges = lattice.cover_blocks
+    if args.format == "json":
+        flats = [json.dumps(list(labels)) for labels in lattice.flat_labels]
+        blocks = [
+            {j: json.dumps(list(labels)) for j, (_, labels) in row.items()}
+            for row in edges
+        ]
+        head, flat_sep, middle, block_sep, tail = (
+            '{"chain": [', ", ", '], "blocks": [', ", ", "]}\n"
+        )
+    else:
+        flats = lattice.names
+        blocks = [
+            {j: "{" + ",".join(labels) + "}" for j, (_, labels) in row.items()}
+            for row in edges
+        ]
+        head, flat_sep, middle, block_sep, tail = "", " < ", "  |  ", " / ", "\n"
+    write = sys.stdout.write
     count = 0
-    for chain in maximal_chains(lattice, args.limit):
-        partition = partition_of_chain(lattice, chain)
+    for chain in chains:
         count += 1
-        if args.format == "json":
-            print(json.dumps(partition.to_json_dict()))
-        else:
-            blocks = " / ".join("{" + ",".join(b) + "}" for b in partition.blocks)
-            print(" < ".join(chain) + "  |  " + blocks)
+        write(
+            head
+            + flat_sep.join([flats[i] for i in chain])
+            + middle
+            + block_sep.join([blocks[a][b] for a, b in zip(chain, chain[1:])])
+            + tail
+        )
     if args.format != "json":
         print(f"chains: {count}")
     return 0

@@ -145,8 +145,11 @@ class FlatLattice:
             for e in bits(flat):
                 mask &= holds[e]
             up.append(mask)
-        names = tuple(matroid.ground.subset_name(f) for f in flats)
+        labels = tuple(matroid.ground.labels_of(f) for f in flats)
+        names = tuple("{" + ",".join(flat) + "}" for flat in labels)
         lattice = cls(names, tuple(up), flats, matroid.ground)
+        # the labels that named the flats are the flat_labels cache
+        lattice.__dict__["flat_labels"] = labels
         if len(lattice.atom_indices) != matroid.ground.size:
             raise BoolrepError("atoms do not biject with the ground elements")
         longest, shortest = lattice._path_extremes(lattice.bottom_index)
@@ -235,6 +238,44 @@ class FlatLattice:
                 out[j].append(i)
         return tuple(tuple(row) for row in out)
 
+    def _require_flats(self) -> None:
+        if self.ground is None or self.flat_masks is None:
+            raise BoolrepError("this lattice does not come from a matroid")
+
+    @cached_property
+    def flat_labels(self) -> tuple[tuple[str, ...], ...]:
+        """Per element, the ground labels of its flat."""
+        self._require_flats()
+        return tuple(self.ground.labels_of(mask) for mask in self.flat_masks)
+
+    @cached_property
+    def cover_blocks(self) -> tuple[dict[int, tuple[int, tuple[str, ...]]], ...]:
+        """Per element i, each upper cover j mapped to the block F_j minus
+        F_i, as its mask and its labels.
+
+        Each cover's flats must be strictly nested, the bottom flat empty
+        and the top flat the whole ground set.  Then along any bottom-to-top
+        cover chain the blocks are nonempty, disjoint and telescope to the
+        ground set: every such chain cuts a partition, with no check per
+        chain.
+        """
+        self._require_flats()
+        masks = self.flat_masks
+        if masks[self.bottom_index] != 0 or masks[self.top_index] != self.ground.full_mask:
+            raise BoolrepError("the bottom flat must be empty and the top flat the ground set")
+        out = []
+        for i, ups in enumerate(self.upper_covers):
+            edges = {}
+            for j in ups:
+                if masks[i] & ~masks[j] or masks[i] == masks[j]:
+                    raise BoolrepError(
+                        f"flat {self.names[i]!r} is not strictly inside {self.names[j]!r}"
+                    )
+                block = masks[j] & ~masks[i]
+                edges[j] = (block, self.ground.labels_of(block))
+            out.append(edges)
+        return tuple(out)
+
     @cached_property
     def atom_indices(self) -> tuple[int, ...]:
         return self.upper_covers[self.bottom_index]
@@ -245,8 +286,7 @@ class FlatLattice:
 
     def atom_of(self, element: str) -> str:
         """Name of the atom that is this ground element's singleton flat."""
-        if self.ground is None or self.flat_masks is None:
-            raise BoolrepError("this lattice does not come from a matroid")
+        self._require_flats()
         mask = 1 << self.ground.index(element)
         for i in self.atom_indices:
             if self.flat_masks[i] == mask:

@@ -4,6 +4,17 @@ Each maximal chain F_0 < ... < F_k from bottom to top cuts the ground set
 into blocks Q_i = F_i minus F_{i-1}.  Partial transversals of these blocks
 are exactly the subsets whose atoms are independent in the lattice
 representation; the witness construction makes one direction explicit.
+
+Cost model.  Chains are walked once, depth first, as tuples of element
+indices (`chain_indices`); `maximal_chains` only maps them to names.
+Labels are made once per flat (`FlatLattice.flat_labels`) and once per
+cover edge (`FlatLattice.cover_blocks`), never per chain, so a chain costs
+O(rank) lookups, and the CLI writes each line with O(rank) string joins of
+text made once per flat and per edge.  A cover chain's blocks need no
+check of their own: each cover is strict, so every block is nonempty, and
+the blocks telescope to top minus bottom, which `cover_blocks` checks once
+per lattice is the whole ground set.  `ChainPartition` still checks the
+partitions users build.
 """
 
 from __future__ import annotations
@@ -12,13 +23,14 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BoolrepError, ChainLimitExceeded, UnknownLabel
+from .errors import BoolrepError, ChainLimitExceeded, DuplicateLabels, UnknownLabel
 from .lattice import FlatLattice, LatticeWitness
 from .matroid import GroundSet
 
 __all__ = [
     "DEFAULT_CHAIN_LIMIT",
     "ChainPartition",
+    "chain_indices",
     "maximal_chains",
     "partition_of_chain",
     "is_partial_transversal",
@@ -59,6 +71,18 @@ class ChainPartition:
         if union != self.ground.full_mask or total != self.ground.size:
             raise BoolrepError("blocks do not partition the ground set")
 
+    @classmethod
+    def _of_cover_chain(cls, ground, chain, chain_flats, blocks) -> "ChainPartition":
+        """A partition cut by a bottom-to-top cover chain, which
+        `FlatLattice.cover_blocks` proves valid; skips the re-check."""
+        partition = object.__new__(cls)
+        for name, value in zip(
+            ("ground", "chain", "chain_flats", "blocks"),
+            (ground, chain, chain_flats, blocks),
+        ):
+            object.__setattr__(partition, name, value)
+        return partition
+
     @property
     def block_count(self) -> int:
         return len(self.blocks)
@@ -77,6 +101,38 @@ class ChainPartition:
         }
 
 
+def chain_indices(
+    lattice: FlatLattice, limit: int = DEFAULT_CHAIN_LIMIT
+) -> Iterator[tuple[int, ...]]:
+    """All bottom-to-top cover chains as element-index tuples, in
+    lexicographic order, with the limit rules of `maximal_chains`."""
+    if limit < 0:
+        raise BoolrepError(f"chain limit must be nonnegative, got {limit}")
+    return _walk(lattice.upper_covers, lattice.bottom_index, lattice.top_index, limit)
+
+
+def _walk(covers, bottom: int, top: int, limit: int) -> Iterator[tuple[int, ...]]:
+    # path holds the chain below the element being tried; pending holds,
+    # per path length, the covers still to try, so len(pending) == len(path) + 1
+    count = 0
+    path: list[int] = []
+    pending = [iter((bottom,))]
+    while pending:
+        j = next(pending[-1], None)
+        if j is None:
+            pending.pop()
+            if path:
+                path.pop()
+        elif j == top:
+            count += 1
+            if count > limit:
+                raise ChainLimitExceeded(f"more than {limit} maximal chains")
+            yield (*path, j)
+        else:
+            path.append(j)
+            pending.append(iter(covers[j]))
+
+
 def maximal_chains(
     lattice: FlatLattice, limit: int = DEFAULT_CHAIN_LIMIT
 ) -> Iterator[tuple[str, ...]]:
@@ -86,29 +142,33 @@ def maximal_chains(
     enumeration is never silently mistaken for a complete one.  A negative
     limit is a bad argument and raises at once.
     """
-    if limit < 0:
-        raise BoolrepError(f"chain limit must be nonnegative, got {limit}")
-    count = 0
+    names = lattice.names
+    return (
+        tuple(names[i] for i in chain) for chain in chain_indices(lattice, limit)
+    )
 
-    def walk(i: int, prefix: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
-        nonlocal count
-        prefix = prefix + (i,)
-        if i == lattice.top_index:
-            count += 1
-            if count > limit:
-                raise ChainLimitExceeded(f"more than {limit} maximal chains")
-            yield tuple(lattice.names[k] for k in prefix)
-            return
-        for j in lattice.upper_covers[i]:
-            yield from walk(j, prefix)
 
-    return walk(lattice.bottom_index, ())
+def _require_flats(lattice: FlatLattice) -> None:
+    if lattice.ground is None or lattice.flat_masks is None:
+        raise BoolrepError("partitions need a lattice built from a matroid")
+
+
+def _partition(lattice: FlatLattice, chain: Sequence[int]) -> ChainPartition:
+    """The partition a cover chain cuts, from the lattice's per-flat and
+    per-edge caches; `FlatLattice.cover_blocks` proves it is one."""
+    labels = lattice.flat_labels
+    edges = lattice.cover_blocks
+    return ChainPartition._of_cover_chain(
+        lattice.ground,
+        tuple(lattice.names[i] for i in chain),
+        tuple(labels[i] for i in chain),
+        tuple(edges[a][b][1] for a, b in zip(chain, chain[1:])),
+    )
 
 
 def partition_of_chain(lattice: FlatLattice, chain: Sequence[str]) -> ChainPartition:
     """Blocks Q_i = F_i minus F_(i-1) for a maximal chain of flats."""
-    if lattice.ground is None or lattice.flat_masks is None:
-        raise BoolrepError("partitions need a lattice built from a matroid")
+    _require_flats(lattice)
     idxs = [lattice.index(name) for name in chain]
     if not idxs or idxs[0] != lattice.bottom_index or idxs[-1] != lattice.top_index:
         raise BoolrepError("a maximal chain runs from the bottom to the top")
@@ -117,13 +177,7 @@ def partition_of_chain(lattice: FlatLattice, chain: Sequence[str]) -> ChainParti
             raise BoolrepError(
                 f"{lattice.names[b]!r} does not cover {lattice.names[a]!r}"
             )
-    ground = lattice.ground
-    masks = [lattice.flat_masks[i] for i in idxs]
-    blocks = tuple(
-        ground.labels_of(hi & ~lo) for lo, hi in zip(masks, masks[1:])
-    )
-    flats = tuple(ground.labels_of(m) for m in masks)
-    return ChainPartition(ground, tuple(chain), flats, blocks)
+    return _partition(lattice, idxs)
 
 
 def is_partial_transversal(partition: ChainPartition, labels: Iterable[str]) -> bool:
@@ -150,12 +204,21 @@ def exists_transversal_partition(
 ):
     """Some chain partition having the subset as a partial transversal, or
     None after exhausting every chain.  A tripped chain cap propagates, so
-    the caller never confuses "searched everything" with "gave up"."""
-    wanted = tuple(labels)
-    for chain in maximal_chains(lattice, limit):
-        partition = partition_of_chain(lattice, chain)
-        if is_partial_transversal(partition, wanted):
-            return partition
+    the caller never confuses "searched everything" with "gave up".
+
+    Each chain is tested on the cached block masks; only the chain
+    returned becomes a `ChainPartition`.
+    """
+    chains = chain_indices(lattice, limit)
+    _require_flats(lattice)
+    wanted = lattice.ground.mask_of(labels)
+    edges = lattice.cover_blocks
+    for chain in chains:
+        if all(
+            (edges[a][b][0] & wanted).bit_count() <= 1
+            for a, b in zip(chain, chain[1:])
+        ):
+            return _partition(lattice, chain)
     return None
 
 
@@ -169,6 +232,12 @@ def transversal_witness(
     escapes its own column and is inside all later ones, so the submatrix
     is triangular with a unit diagonal.
     """
+    labels = tuple(labels)
+    seen = set()
+    for x in labels:
+        if x in seen:
+            raise DuplicateLabels(f"set {labels!r} lists {x!r} twice")
+        seen.add(x)
     placed = sorted(
         ((partition.block_index_of(x), x) for x in labels), key=lambda p: p[0]
     )

@@ -143,3 +143,9 @@ def pool(u34, fivept, k4m, w3m, random_matroids):
     assert len(matroids) >= 56
     assert all(m.ground.size <= 7 for m in matroids)
     return matroids
+
+
+@pytest.fixture(scope="session")
+def pool_lattices(pool):
+    """The lattice of flats of every pool matroid."""
+    return [FlatLattice.from_matroid(m) for m in pool]

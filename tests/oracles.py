@@ -244,6 +244,38 @@ def count_maximal_chains(lattice):
     return paths(lattice.bottom)
 
 
+def maximal_chains_by_order(lattice):
+    """Every bottom-to-top cover chain, by element name, lexicographic in
+    element index.
+
+    Uses the `up` bitsets alone: j covers i when i < j and no k lies
+    strictly between them, found by trying every k.  The library's cover
+    lists and chain walk are not used.
+    """
+    n = lattice.size
+    up = lattice.up
+
+    def below(i, j):
+        return i != j and up[i] >> j & 1
+
+    covers = [
+        [j for j in range(n) if below(i, j)
+         and not any(below(i, k) and below(k, j) for k in range(n))]
+        for i in range(n)
+    ]
+    bottom = next(i for i in range(n) if all(up[i] >> j & 1 for j in range(n)))
+    chains = []
+
+    def extend(path):
+        if not covers[path[-1]]:
+            chains.append(tuple(lattice.names[i] for i in path))
+        for j in covers[path[-1]]:
+            extend(path + [j])
+
+    extend([bottom])
+    return chains
+
+
 # -- lattice axioms, from the definition ------------------------------------
 
 

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from boolrep import CATALOG, extract_representation, matroid_to_json, uniform
+from boolrep import (
+    CATALOG,
+    GroundSet,
+    extract_representation,
+    matroid_to_json,
+    maximal_chains,
+    partition_of_chain,
+    uniform,
+)
 from boolrep.cli import main
 
 from conftest import read_golden
@@ -171,6 +179,57 @@ def test_partitions_json(capsys):
     first = json.loads(lines[0])
     assert first["blocks"] == [["1"], ["2"], ["3", "4"]]
     assert all("chain" in json.loads(line) for line in lines)
+
+
+def _partition_lines(lat, fmt):
+    """Each chain's line rendered from `partition_of_chain`, in
+    `maximal_chains` order, plus the pretty count line."""
+    parts = [partition_of_chain(lat, c) for c in maximal_chains(lat)]
+    if fmt == "json":
+        return [json.dumps(p.to_json_dict()) for p in parts]
+    lines = [
+        " < ".join(p.chain) + "  |  " + " / ".join("{" + ",".join(b) + "}" for b in p.blocks)
+        for p in parts
+    ]
+    return lines + [f"chains: {len(parts)}"]
+
+
+def test_partitions_lines_match_partition_of_chain(capsys, tmp_path, pool, pool_lattices):
+    for i, (matroid, lat) in enumerate(zip(pool, pool_lattices)):
+        path = tmp_path / f"pool{i}.json"
+        path.write_text(matroid_to_json(matroid))
+        for fmt in ("json", "pretty"):
+            code, out, err = run_cli(capsys, "partitions", str(path), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == "".join(line + "\n" for line in _partition_lines(lat, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_partitions_write_the_chains_found_before_the_cap(capsys, catalog_lattices, fmt):
+    code, out, err = run_cli(capsys, "partitions", "example:k4", "--limit", "3", "--format", fmt)
+    assert code == 3
+    assert err == "error: more than 3 maximal chains\n"
+    assert out.splitlines() == _partition_lines(catalog_lattices["k4"], fmt)[:3]
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_partitions_label_each_flat_and_cover_edge_once(capsys, monkeypatch, catalog_lattices, fmt):
+    """Labels are made once per flat and once per cover edge, not once
+    per chain step."""
+    calls = []
+    labels_of = GroundSet.labels_of
+
+    def counted(self, mask):
+        calls.append(mask)
+        return labels_of(self, mask)
+
+    monkeypatch.setattr(GroundSet, "labels_of", counted)
+    code, out, _ = run_cli(capsys, "partitions", "example:k4", "--format", fmt)
+    assert code == 0
+    lat = catalog_lattices["k4"]
+    edges = sum(len(covers) for covers in lat.upper_covers)
+    chain_steps = (2 * lat.height + 1) * len(list(maximal_chains(lat)))
+    assert len(calls) <= lat.size + edges < chain_steps
 
 
 def test_partitions_limit_exceeded(capsys):

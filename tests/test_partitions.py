@@ -6,6 +6,7 @@ from boolrep import (
     BoolrepError,
     ChainLimitExceeded,
     ChainPartition,
+    DuplicateLabels,
     FlatLattice,
     GroundSet,
     exists_transversal_partition,
@@ -16,7 +17,8 @@ from boolrep import (
     is_partial_transversal,
 )
 
-from oracles import count_maximal_chains
+from boolrep.partitions import chain_indices
+from oracles import count_maximal_chains, maximal_chains_by_order
 
 
 # -- chain enumeration ---------------------------------------------------------
@@ -32,6 +34,24 @@ def test_u34_has_twelve_maximal_chains(catalog_lattices):
 def test_chain_counts_match_path_counting_oracle(catalog_lattices):
     for name, lat in catalog_lattices.items():
         assert len(list(maximal_chains(lat))) == count_maximal_chains(lat)
+
+
+def test_chains_match_the_order_oracle(pool_lattices):
+    for lat in pool_lattices:
+        assert list(maximal_chains(lat)) == maximal_chains_by_order(lat)
+
+
+def test_chain_indices_name_the_same_chains(pool_lattices):
+    for lat in pool_lattices:
+        named = [tuple(lat.names[i] for i in c) for c in chain_indices(lat)]
+        assert named == list(maximal_chains(lat))
+
+
+def test_one_element_lattice_has_one_chain():
+    lat = FlatLattice.from_order(("B",), [])
+    assert list(maximal_chains(lat)) == [("B",)]
+    with pytest.raises(ChainLimitExceeded):
+        list(maximal_chains(lat, limit=0))
 
 
 def test_chains_are_sorted_and_saturated(catalog_lattices):
@@ -104,14 +124,48 @@ def test_partition_blocks_cover_the_ground(catalog_lattices):
             assert part.block_count == lat.height
 
 
-def test_blocks_follow_the_chain_differences(catalog_lattices):
-    lat = catalog_lattices["k4"]
-    for chain in maximal_chains(lat):
-        part = partition_of_chain(lat, chain)
-        for i, block in enumerate(part.blocks):
-            lower = lat.flat_masks[lat.index(chain[i])]
-            upper = lat.flat_masks[lat.index(chain[i + 1])]
-            assert lat.ground.mask_of(block) == upper & ~lower
+def test_blocks_follow_the_chain_differences(pool_lattices):
+    for lat in pool_lattices:
+        for chain in maximal_chains(lat):
+            part = partition_of_chain(lat, chain)
+            assert part.chain == chain
+            assert part.chain_flats == tuple(
+                lat.ground.labels_of(lat.flat_masks[lat.index(x)]) for x in chain
+            )
+            for i, block in enumerate(part.blocks):
+                lower = lat.flat_masks[lat.index(chain[i])]
+                upper = lat.flat_masks[lat.index(chain[i + 1])]
+                assert lat.ground.mask_of(block) == upper & ~lower
+                assert block == lat.ground.labels_of(upper & ~lower)
+            # the partition passes the check a hand-built one gets
+            assert ChainPartition(lat.ground, chain, part.chain_flats, part.blocks) == part
+
+
+def test_cover_blocks_refuse_flats_that_break_the_partition_proof():
+    ground = GroundSet.of(("1",))
+    three = (0b111, 0b110, 0b100)  # B < M < T
+    for masks in ((1, 1, 1), (0, 0, 0), (0, 1, 1), (0, 0, 1)):
+        lat = FlatLattice(("B", "M", "T"), three, masks, ground)
+        with pytest.raises(BoolrepError):
+            partition_of_chain(lat, ("B", "M", "T"))
+        with pytest.raises(BoolrepError):
+            exists_transversal_partition(lat, ())
+    # strictly nested, but the bottom is not empty or the top is not the ground
+    for masks in ((0b001, 0b011, 0b111), (0b000, 0b001, 0b011)):
+        lat = FlatLattice(("B", "M", "T"), three, masks, GroundSet.of(("1", "2", "3")))
+        with pytest.raises(BoolrepError):
+            partition_of_chain(lat, ("B", "M", "T"))
+
+
+def test_partitions_need_flats():
+    lat = FlatLattice.from_order(("B", "T"), [("B", "T")])
+    for call in (
+        lambda: partition_of_chain(lat, ("B", "T")),
+        lambda: exists_transversal_partition(lat, ()),
+    ):
+        with pytest.raises(BoolrepError) as err:
+            call()
+        assert str(err.value) == "partitions need a lattice built from a matroid"
 
 
 def test_partitions_keyed_by_chain_are_not_deduplicated(catalog_lattices):
@@ -237,6 +291,38 @@ def test_exists_transversal_matches_matroid_independence(catalog_lattices):
                 assert is_partial_transversal(found, subset)
 
 
+def _first_transversal_by_partitions(lat, labels, limit):
+    """The search as a loop over whole partitions: one `ChainPartition`
+    and one `is_partial_transversal` per chain."""
+    for chain in maximal_chains(lat, limit):
+        part = partition_of_chain(lat, chain)
+        if is_partial_transversal(part, labels):
+            return part
+    return None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ChainLimitExceeded as exc:
+        return ("cap", str(exc))
+
+
+def test_exists_transversal_matches_the_partition_loop(pool_lattices):
+    """Same first hit, and the same cap trips, as a search that builds
+    every chain's partition; labels listed twice act as a set."""
+    for lat in pool_lattices:
+        ground = lat.ground.labels
+        chain_count = len(list(maximal_chains(lat)))
+        for mask in range(1 << len(ground)):
+            subset = tuple(ground[i] for i in range(len(ground)) if mask >> i & 1)
+            for labels in (subset, subset + subset[:1]):
+                for limit in (chain_count, chain_count // 2):
+                    got = _outcome(lambda: exists_transversal_partition(lat, labels, limit))
+                    want = _outcome(lambda: _first_transversal_by_partitions(lat, labels, limit))
+                    assert got == want
+
+
 def test_exists_transversal_propagates_chain_cap(catalog_lattices):
     fv = catalog_lattices["fivept"]
     # the first chain runs through {1,4}, so {1,2,4} is settled within one pull
@@ -270,6 +356,17 @@ def test_transversal_witness_validates_every_partial_transversal(catalog_lattice
         part = partition_of_chain(lat, chain)
         for picks in transversal_bases(part):
             assert lat.is_valid_witness(transversal_witness(lat, part, picks))
+
+
+def test_transversal_witness_names_a_repeated_label(catalog_lattices):
+    lat = catalog_lattices["u34"]
+    part = partition_of_chain(lat, ("{}", "{1}", "{1,2}", "{1,2,3,4}"))
+    assert is_partial_transversal(part, ("1", "1"))
+    assert exists_transversal_partition(lat, ("1", "1")) is not None
+    for labels in (("1", "1"), ("2", "1", "3", "1")):
+        with pytest.raises(DuplicateLabels) as err:
+            transversal_witness(lat, part, labels)
+        assert "'1' twice" in str(err.value)
 
 
 def test_transversal_witness_rejects_shared_blocks(catalog_lattices):
