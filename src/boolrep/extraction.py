@@ -7,7 +7,7 @@ the matroid's independent sets as its independent column sets.  Reductions
 shrink the row set; every reduction is checked against the matroid rather
 than trusted.
 
-Three facts about superboolean column independence keep that checking
+Four facts about superboolean column independence keep that checking
 cheap.  It is hereditary, so a matrix represents a matroid exactly when
 every basis is matrix-independent and every circuit is matrix-dependent;
 those certificates are the reducers' only check, for each row drop and for
@@ -16,9 +16,18 @@ dependent, never the reverse, so a circuit that is dependent once stays
 dependent as rows go.  And the witness rows the peel finds for an
 independent set carry a triangular nonsingular submatrix, which survives
 the deletion of any row outside it, so a drop rechecks only the bases whose
-witness used the dropped row.  `verify_representation` still answers
-every subset, reading the answers off the matrix's independent family
-grown from the empty set, to report every disagreement.
+witness used the dropped row.  Last, a matrix of flat rows alone calls no
+circuit independent, so its circuits need no listing.  A flat row holds no
+ghost and its zero set is closed, as is each row of the extraction (zero
+exactly on its flat), and so each row a reduction of it keeps.  Proof:
+were a circuit C independent, the first column c its peel removes would
+have a witness row, 1 at c and 0 on C - c.  That row's zero set Z then
+holds C - c but not c; yet Z is closed, so it holds cl(C - c), which
+contains c.
+
+`verify_representation` still answers every subset, reading the answers
+off the matrix's independent family grown from the empty set, to report
+every disagreement.
 """
 
 from __future__ import annotations
@@ -120,10 +129,30 @@ def _check_cap(ground: GroundSet) -> None:
         )
 
 
-def _certificates(matroid: Matroid):
-    """The bases and the circuits as column-index tuples, canonically ordered."""
+def _flat_rows(matrix: SbMatrix, matroid: Matroid) -> bool:
+    """Is every row a flat row: free of ghosts, with a closed zero set?
+
+    Columns are the ground elements in order.  A zero set is closed when it
+    is the span of its own greedy basis.
+    """
+    full = matroid.ground.full_mask
+    for nz, one in zip(*matrix._row_masks):
+        zeros = full & ~nz
+        if nz != one or matroid._span(matroid._greedy_basis(zeros)) != zeros:
+            return False
+    return True
+
+
+def _certificates(matroid: Matroid, matrix: SbMatrix | None = None):
+    """The bases and the circuits as column-index tuples, canonically ordered.
+
+    The circuits are left out when every row of the given matrix is a flat
+    row, since such a matrix calls none of them independent.
+    """
     ground = matroid.ground
     bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
+    if matrix is not None and _flat_rows(matrix, matroid):
+        return bases, []
     circuits = [tuple(bits(c)) for c in matroid.independent_family.circuit_masks()]
     return bases, circuits
 
@@ -174,9 +203,10 @@ def paper_reduce(rep: Representation) -> Representation:
 
     Each Z_i is the bottom or a proper flat of height at least 2, so each
     is kept.  Rank 2 can fail: only the bottom row is left, and it cannot
-    separate an independent pair.  The result is checked on every basis
-    and circuit, as the runtime guard of this proof, and a certificate it
-    breaks is a hard error.  Ground sets past `VERIFY_CAP` are refused.
+    separate an independent pair.  The result is checked on every basis,
+    as the runtime guard of this proof, and on every circuit only when some
+    kept row is not a flat row; a certificate it breaks is a hard error.
+    Ground sets past `VERIFY_CAP` are refused.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")
@@ -190,7 +220,7 @@ def paper_reduce(rep: Representation) -> Representation:
         or (name != lattice.top and lattice.element_height(name) >= 2)
     )
     matrix = rep.matrix.submatrix(rows=keep)
-    bad = _false_certificate(matrix, *_certificates(matroid))
+    bad = _false_certificate(matrix, *_certificates(matroid, matrix))
     if bad is not None:
         raise ReductionError(
             f"dropping atom and top rows broke a certificate: {_broken(matroid, bad)}"
@@ -278,12 +308,14 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
     independent family: every basis stays column-independent and every
     circuit column-dependent.  A drop never makes a dependent column set
     independent, so only the circuits the stripped matrix calls independent
-    are rechecked, and none after the first accepted drop.  A drop clears
-    one bit of the stripped matrix's cached column masks, and only the
-    bases whose last witness used that row are peeled again.  The result
-    is built once and gets the same certificate check, which fails only
-    when no drop was accepted and the starting matrix is no
-    representation.  Ground sets past `VERIFY_CAP` are refused.
+    are rechecked, and none after the first accepted drop.  When every
+    stripped row is a flat row, none is independent, and the circuits are
+    never listed.  A drop clears one bit of the stripped matrix's cached
+    column masks, and only the bases whose last witness used that row are
+    peeled again.  The result is built once and gets the same certificate
+    check, which fails only when no drop was accepted and the starting
+    matrix is no representation.  Ground sets past `VERIFY_CAP` are
+    refused.
     """
     matroid = matroid if matroid is not None else rep.matroid
     ground = matroid.ground
@@ -292,8 +324,8 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
             f"matrix columns {rep.matrix.col_labels} against ground {ground.labels}"
         )
     _check_cap(ground)
-    bases, circuits = _certificates(matroid)
     start = _strip_rows(rep, "verified").matrix
+    bases, circuits = _certificates(matroid, start)
     nz, one = start._col_masks
     loose = [c for c in circuits if _peel(nz, one, c) is not None]
     gone = _greedy_drops(nz, one, start.n_rows, bases, loose)

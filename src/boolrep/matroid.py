@@ -31,7 +31,7 @@ from .errors import (
     UnequalBasisSizes,
     UnknownLabel,
 )
-from .sbool import SbMatrix
+from .sbool import SbMatrix, _peel
 
 __all__ = [
     "GroundSet",
@@ -148,20 +148,21 @@ class HereditaryCollection:
     def circuit_masks(self) -> tuple[int, ...]:
         """Minimal dependent subsets, canonically ordered.
 
-        Every circuit is one element above a member, so candidates come from
-        single-element extensions; minimality then needs only single-element
-        deletions, because the family is downward closed.
+        A circuit C minus its largest element is a member, so candidates
+        extend each member only by elements above its top bit, and each
+        circuit is met exactly once.  Minimality then needs only the
+        single-element deletions within the member, because the family is
+        downward closed and the member itself is in it.
         """
-        full = self.ground.full_mask
-        found = set()
-        for member in self.family:
-            rest = full & ~member
-            for i in bits(rest):
-                cand = member | (1 << i)
-                if cand in found or cand in self.family:
+        family = self.family
+        found = []
+        for member in family:
+            for i in range(member.bit_length(), self.ground.size):
+                top = 1 << i
+                if member | top in family:
                     continue
-                if all(cand ^ (1 << j) in self.family for j in bits(cand)):
-                    found.add(cand)
+                if all(member ^ (1 << j) | top in family for j in bits(member)):
+                    found.append(member | top)
         return tuple(sorted(found, key=self.ground.sort_key))
 
     def circuits(self) -> tuple[tuple[str, ...], ...]:
@@ -414,25 +415,26 @@ def hereditary_from_matrix(matrix: SbMatrix) -> HereditaryCollection:
 
     Column independence is hereditary, so candidates are grown one element
     at a time and a subset is tested only when all its one-smaller subsets
-    already passed.
+    already passed.  Each candidate is its parent plus one column above the
+    parent's top, so it is generated once, and it is peeled straight on the
+    matrix's column masks as a tuple of column indices.
     """
     ground = GroundSet(matrix.col_labels)
     n = ground.size
+    nz, one = matrix._col_masks
     family = {0}
-    level = [0]
+    level = [(0, ())]
     while level:
         grown = []
-        for mask in level:
-            top = mask.bit_length()
-            for j in range(top, n):
+        for mask, cols in level:
+            for j in range(mask.bit_length(), n):
                 cand = mask | (1 << j)
-                if cand in family:
+                if any(cand ^ (1 << i) not in family for i in cols):
                     continue
-                if any(cand ^ (1 << i) not in family for i in bits(mask)):
-                    continue
-                if matrix.columns_independent(bits(cand)):
+                idxs = cols + (j,)
+                if _peel(nz, one, idxs) is not None:
                     family.add(cand)
-                    grown.append(cand)
+                    grown.append((cand, idxs))
         level = grown
     return HereditaryCollection(ground, frozenset(family))
 

@@ -77,7 +77,7 @@ class SBool(Enum):
 
     @property
     def token(self) -> str:
-        return _TOKEN[self]
+        return _TOKENS[self._value_]
 
     @classmethod
     def from_token(cls, text: str) -> "SBool":
@@ -92,7 +92,8 @@ class SBool(Enum):
 
 ZERO, ONE, GHOST = SBool.ZERO, SBool.ONE, SBool.GHOST
 
-_TOKEN = {ZERO: "0", ONE: "1", GHOST: "1v"}
+# Indexed by value: a dict keyed by SBool would run Enum.__hash__ per entry.
+_TOKENS = ("0", "1", "1v")
 _FROM_TOKEN = {"0": ZERO, "1": ONE, "1v": GHOST}
 _COMPLEMENT = {ZERO: ONE, ONE: ZERO, GHOST: GHOST}
 
@@ -494,7 +495,7 @@ class SbMatrix:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + list(self.col_labels))
         for label, row in zip(self.row_labels, self.entries):
-            writer.writerow([label] + [v.token for v in row])
+            writer.writerow([label] + [_TOKENS[v._value_] for v in row])
         return out.getvalue()
 
     @classmethod
@@ -523,7 +524,7 @@ class SbMatrix:
 
     def text(self) -> str:
         """Aligned human-readable grid."""
-        tokens = [[v.token for v in row] for row in self.entries]
+        tokens = [[_TOKENS[v._value_] for v in row] for row in self.entries]
         label_w = max((len(s) for s in self.row_labels), default=0)
         widths = [
             max([len(c)] + [len(tokens[i][j]) for i in range(self.n_rows)])

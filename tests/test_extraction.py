@@ -16,6 +16,7 @@ from boolrep import (
     BoolrepError,
     FlatLattice,
     GroundTooLarge,
+    HereditaryCollection,
     LabelMismatch,
     ONE,
     ZERO,
@@ -38,6 +39,7 @@ from boolrep import (
 from conftest import read_golden
 from oracles import (
     circuits_scan,
+    flats_scan,
     grid_of,
     indep_from_bases,
     independent_column_sets,
@@ -153,14 +155,17 @@ def test_reducers_refuse_past_the_cap_before_any_kernel_call(monkeypatch):
 
 
 def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
-    """Neither reducer walks every subset: with the exhaustive path made to
-    fail, both still reduce the whole pool, and their results verify."""
+    """Neither reducer walks every subset, and on an extraction, whose rows
+    are all flat rows, neither lists circuits: with the exhaustive path and
+    the circuit listing made to fail, both still reduce the whole pool, and
+    their results verify."""
 
     def refuse(*args):
-        raise AssertionError("a reducer ran the exhaustive check")
+        raise AssertionError("a reducer ran the exhaustive check or listed circuits")
 
     monkeypatch.setattr(extraction, "hereditary_from_matrix", refuse)
     monkeypatch.setattr(extraction, "verify_representation", refuse)
+    monkeypatch.setattr(HereditaryCollection, "circuit_masks", refuse)
     reduced = []
     for m in pool:
         full = extract_representation(m)
@@ -363,11 +368,36 @@ def candidate_loop_reduce(rep, matroid):
     return matrix.row_labels
 
 
-def test_verified_reduce_matches_the_candidate_loop(pool):
+def counting_circuit_lists(monkeypatch):
+    """Patch circuit listing to count its calls; returns the call list."""
+    calls = []
+    circuit_masks = HereditaryCollection.circuit_masks
+
+    def counted(self):
+        calls.append(self)
+        return circuit_masks(self)
+
+    monkeypatch.setattr(HereditaryCollection, "circuit_masks", counted)
+    return calls
+
+
+def oracle_flat_rows(matrix, matroid):
+    """Is every row free of ghosts and zero exactly on a flat of the
+    oracles' scan?"""
+    flats = set(flats_scan(matroid.bases, matroid.ground.size))
+    return all(
+        2 not in row and sum(1 << j for j, v in enumerate(row) if v == 0) in flats
+        for row in grid_of(matrix)
+    )
+
+
+def test_verified_reduce_matches_the_candidate_loop(pool, monkeypatch):
     """Kept rows, or error type and message, agree with the per-candidate
     loop on every full representation, its broken copies and three seeded
-    flipped starts."""
+    flipped starts.  Circuits are listed exactly when some stripped row is
+    not a flat row."""
     rng = random.Random(37)
+    listed = counting_circuit_lists(monkeypatch)
     outcomes = set()
     for m in pool:
         full = extract_representation(m)
@@ -377,13 +407,86 @@ def test_verified_reduce_matches_the_candidate_loop(pool):
             for matrix in broken_copies(full.matrix, rng)
         )
         for rep in starts:
+            expected = candidate_loop_reduce(rep, m)
+            stripped = extraction._strip_rows(rep, "verified").matrix
+            listed.clear()
             try:
                 got = verified_reduce(rep, m).provenance
             except BoolrepError as exc:
                 got = type(exc), str(exc)
-            assert got == candidate_loop_reduce(rep, m)
-            outcomes.add(got[0] is ReductionError)
-    assert outcomes == {True, False}
+            assert got == expected
+            assert bool(listed) == (not oracle_flat_rows(stripped, m))
+            outcomes.add((got[0] is ReductionError, bool(listed)))
+    assert {failed for failed, _ in outcomes} == {True, False}
+    assert {listed for _, listed in outcomes} == {True, False}
+
+
+def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
+    pool, monkeypatch
+):
+    """On flipped and broken starts, the kept rows, or the error message,
+    are those of the check on every basis and every circuit, and circuits
+    are listed exactly when some kept row is not a flat row."""
+    rng = random.Random(43)
+    listed = counting_circuit_lists(monkeypatch)
+    outcomes = set()
+    for m in pool:
+        if m.rank < 3:
+            continue
+        full = extract_representation(m)
+        starts = [full, flipped(full, rng)]
+        starts.extend(
+            Representation(matrix, full.provenance, "full", m, full.lattice)
+            for matrix in broken_copies(full.matrix, rng)
+        )
+        for rep in starts:
+            kept = rep.matrix.submatrix(rows=paper_rows(rep))
+            bad = extraction._false_certificate(kept, *extraction._certificates(m))
+            expected = paper_rows(rep) if bad is None else (
+                ReductionError,
+                "dropping atom and top rows broke a certificate: "
+                + extraction._broken(m, bad),
+            )
+            listed.clear()
+            try:
+                got = paper_reduce(rep).provenance
+            except ReductionError as exc:
+                got = type(exc), str(exc)
+            assert got == expected
+            assert bool(listed) == (not oracle_flat_rows(kept, m))
+            outcomes.add((got[0] is ReductionError, bool(listed)))
+    assert {failed for failed, _ in outcomes} == {True, False}
+    assert {listed for _, listed in outcomes} == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flat_rows_call_no_circuit_independent(pool, data):
+    """The fourth fact of `extraction`, against the oracles.  Rows are a
+    random subset of a pool matroid's flat rows, with at most one entry
+    set to 0, 1 or 1v.  `_flat_rows` holds exactly when every row is free
+    of ghosts and zero on a flat of the oracles' scan, and then every
+    circuit of the scan is column-dependent."""
+    m = data.draw(st.sampled_from(pool))
+    n = m.ground.size
+    flats = flats_scan(m.bases, n)
+    picked = data.draw(st.lists(st.sampled_from(flats), unique=True, max_size=8))
+    grid = [[0 if flat >> e & 1 else 1 for e in range(n)] for flat in picked]
+    if grid:
+        change = data.draw(
+            st.none()
+            | st.tuples(st.sampled_from(grid), st.integers(0, n - 1), st.sampled_from((0, 1, 2)))
+        )
+        if change is not None:
+            row, j, value = change
+            row[j] = value
+    matrix = SbMatrix.of(grid, col_labels=m.ground.labels)
+    flat = oracle_flat_rows(matrix, m)
+    assert extraction._flat_rows(matrix, m) == flat
+    if flat:
+        for circuit in circuits_scan(m.bases, n):
+            cols = [j for j in range(n) if circuit >> j & 1]
+            assert not vectors_independent([tuple(row[j] for row in grid) for j in cols])
 
 
 @settings(max_examples=200, deadline=None)

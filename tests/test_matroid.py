@@ -510,9 +510,21 @@ def test_hereditary_from_single_row():
 
 
 def test_hereditary_from_matrix_matches_direct_scan():
+    """Random matrices with ghosts, with a column of zeros and one of ghosts
+    and zeros, and matrices with no rows or no columns."""
     rng = random.Random(29)
-    for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+    matrices = [random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5)) for _ in range(60)]
+    for _ in range(20):
+        n_rows, n_cols = rng.randint(1, 4), rng.randint(2, 5)
+        grid = [[rng.choice(("0", "1", "1v")) for _ in range(n_cols)] for _ in range(n_rows)]
+        for row in grid:
+            row[0] = "0"  # a column of zeros
+            if row[-1] == "1":
+                row[-1] = "1v"  # a column of ghosts and zeros
+        matrices.append(SbMatrix.of(grid))
+    matrices.extend(SbMatrix.of([], col_labels=("a", "b", "c")[:k]) for k in range(4))
+    matrices.extend(SbMatrix.of([[]] * k) for k in (1, 3))
+    for m in matrices:
         h = hereditary_from_matrix(m)
         for mask in range(1 << m.n_cols):
             labels = tuple(m.col_labels[j] for j in range(m.n_cols) if mask >> j & 1)
