@@ -68,7 +68,7 @@ def _load_matroid(source: str | None, file_opt: str | None) -> Matroid:
 
 
 def _ensure_simple(matroid: Matroid) -> Matroid:
-    """The lattice construction needs a simple matroid; quotient and warn."""
+    """Flats are enumerated for simple matroids only; quotient and warn."""
     if matroid.is_simple:
         return matroid
     simple, mapping = matroid.simplify()
@@ -133,10 +133,11 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    matroid = _ensure_simple(_load_matroid(args.source, args.file))
+    matroid = _load_matroid(args.source, args.file)
     if args.matrix is not None:
         subject = SbMatrix.from_csv(_read_text(args.matrix, MatrixParseError))
     else:
+        matroid = _ensure_simple(matroid)
         subject = extract_representation(matroid)
     report = verify_representation(subject, matroid)
     if report.ok:
@@ -275,3 +276,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,11 +1,11 @@
 """Extract, reduce, verify, bound, and tropicalize boolean representations.
 
-The pipeline: build the flat lattice of a simple matroid, take the
-complement of its containment table, keep the atom rows, transpose.  The
-resulting boolean matrix, with one column per ground element, has exactly
-the matroid's independent sets as its independent column sets.  Reductions
-shrink the row set; every reduction is checked against the matroid rather
-than trusted.
+The pipeline reads the flats of a simple matroid, one row per flat that is
+1 on the elements outside it: the lattice of flats' complemented containment
+table cut to the atom rows and transposed, with no lattice built.  The
+matrix has exactly the matroid's independent sets as its independent
+column sets.  Reductions shrink the row set; every reduction is checked
+against the matroid rather than trusted.
 
 Four facts about superboolean column independence keep that checking
 cheap.  It is hereditary, so a matrix represents a matroid exactly when
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bitops import bits, mask_of
-from .errors import GroundTooLarge, LabelMismatch, ReductionError
-from .lattice import FlatLattice
+from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
 from .sbool import ONE, ZERO, BoolMatrix, SbMatrix, _peel
 
@@ -69,14 +68,14 @@ class Representation:
     """A boolean matrix representing a matroid, plus where its rows came from.
 
     Columns are the ground elements in canonical order; rows are the
-    retained lattice elements, recorded in provenance.
+    retained flats, named in provenance (their lattice, when wanted, is
+    `FlatLattice.from_matroid(rep.matroid)`).
     """
 
     matrix: BoolMatrix
     provenance: tuple[str, ...]
     reduction_mode: str
     matroid: Matroid
-    lattice: FlatLattice
 
     def __post_init__(self):
         if self.reduction_mode not in REDUCTION_MODES:
@@ -110,16 +109,16 @@ def extract_representation(matroid: Matroid) -> Representation:
     Entry (F, x) is 1 iff x is not in F.  This is the lattice
     representation cut down to the atom rows and transposed, since the
     atom of x lies below F exactly when x is in F; it is read straight off
-    the flat masks, so no F x F matrix is built.
+    `flat_masks`, rows named by `flat_names`, so no lattice is built.
     """
-    lattice = FlatLattice.from_matroid(matroid)
     ground = matroid.ground
+    names = matroid.flat_names
     grid = tuple(
         tuple(ZERO if flat >> e & 1 else ONE for e in range(ground.size))
-        for flat in lattice.flat_masks
+        for flat in matroid.flat_masks
     )
-    matrix = BoolMatrix(grid, lattice.names, ground.labels)
-    return Representation(matrix, lattice.names, "full", matroid, lattice)
+    matrix = BoolMatrix(grid, names, ground.labels)
+    return Representation(matrix, names, "full", matroid)
 
 
 def _check_cap(ground: GroundSet) -> None:
@@ -202,30 +201,34 @@ def paper_reduce(rep: Representation) -> Representation:
       independent triple, which rank at least 3 provides.
 
     Each Z_i is the bottom or a proper flat of height at least 2, so each
-    is kept.  Rank 2 can fail: only the bottom row is left, and it cannot
-    separate an independent pair.  The result is checked on every basis,
-    as the runtime guard of this proof, and on every circuit only when some
-    kept row is not a flat row; a certificate it breaks is a hard error.
-    Ground sets past `VERIFY_CAP` are refused.
+    is kept.  So a row is kept when its flat is empty, or is not the ground
+    set and has two or more elements: a simple matroid's rank-1 flats are
+    its singletons.  Rank 2 can fail: only the bottom row is left, and it
+    cannot separate an independent pair.  The result is checked on every
+    basis, as the runtime guard of this proof, and on every circuit only
+    when some kept row is not a flat row; a certificate it breaks is a hard
+    error.  Ground sets past `VERIFY_CAP` are refused.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")
     matroid = rep.matroid
     _check_cap(matroid.ground)
-    lattice = rep.lattice
-    keep = tuple(
-        name
-        for name in rep.provenance
-        if name == lattice.bottom
-        or (name != lattice.top and lattice.element_height(name) >= 2)
-    )
+    n = matroid.ground.size
+    sizes = dict(zip(matroid.flat_names, (f.bit_count() for f in matroid.flat_masks)))
+    keep = []
+    for name in rep.provenance:
+        if name not in sizes:
+            raise UnknownLabel(f"no flat named {name!r}")
+        if sizes[name] == 0 or 2 <= sizes[name] < n:
+            keep.append(name)
+    keep = tuple(keep)
     matrix = rep.matrix.submatrix(rows=keep)
     bad = _false_certificate(matrix, *_certificates(matroid, matrix))
     if bad is not None:
         raise ReductionError(
             f"dropping atom and top rows broke a certificate: {_broken(matroid, bad)}"
         )
-    return Representation(matrix, keep, "paper", matroid, lattice)
+    return Representation(matrix, keep, "paper", matroid)
 
 
 def _strip_rows(rep: Representation, mode: str) -> Representation:
@@ -236,13 +239,8 @@ def _strip_rows(rep: Representation, mode: str) -> Representation:
             continue
         seen.add(row)
         keep.append(label)
-    return Representation(
-        rep.matrix.submatrix(rows=tuple(keep)),
-        tuple(keep),
-        mode,
-        rep.matroid,
-        rep.lattice,
-    )
+    keep = tuple(keep)
+    return Representation(rep.matrix.submatrix(rows=keep), keep, mode, rep.matroid)
 
 
 def dedupe_reduce(rep: Representation) -> Representation:
@@ -299,7 +297,7 @@ def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
     return gone
 
 
-def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Representation:
+def verified_reduce(rep: Representation) -> Representation:
     """Greedy row minimization, each drop decided by basis and circuit
     certificates.
 
@@ -317,13 +315,8 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
     matrix is no representation.  Ground sets past `VERIFY_CAP` are
     refused.
     """
-    matroid = matroid if matroid is not None else rep.matroid
-    ground = matroid.ground
-    if rep.matrix.col_labels != ground.labels:
-        raise LabelMismatch(
-            f"matrix columns {rep.matrix.col_labels} against ground {ground.labels}"
-        )
-    _check_cap(ground)
+    matroid = rep.matroid
+    _check_cap(matroid.ground)
     start = _strip_rows(rep, "verified").matrix
     bases, circuits = _certificates(matroid, start)
     nz, one = start._col_masks
@@ -335,7 +328,7 @@ def verified_reduce(rep: Representation, matroid: Matroid | None = None) -> Repr
         raise ReductionError(
             f"greedy reduction produced a non-representation: {_broken(matroid, bad)}"
         )
-    return Representation(matrix, matrix.row_labels, "verified", matroid, rep.lattice)
+    return Representation(matrix, matrix.row_labels, "verified", matroid)
 
 
 def verify_representation(rep, matroid: Matroid) -> VerificationReport:

@@ -23,11 +23,9 @@ from typing import Iterable, Sequence
 
 from .bitops import bits, mask_of
 from .errors import (
-    AmbiguousLabel,
     BoolrepError,
     DuplicateLabels,
     InvalidWitness,
-    NotSimple,
     UnknownLabel,
 )
 from .matroid import GroundSet, Matroid
@@ -120,17 +118,10 @@ class FlatLattice:
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "FlatLattice":
-        """The flats of a simple matroid, each named by its labels in
-        braces, e.g. "{1,4}".  A label must be nonempty and comma-free, or
-        two names could be equal; such a label raises AmbiguousLabel."""
-        for label in matroid.ground.labels:
-            if label == "" or "," in label:
-                reason = "is empty" if label == "" else "contains a comma"
-                raise AmbiguousLabel(
-                    f"ground label {label!r} {reason}, so two flat names could be equal"
-                )
-        if not matroid.is_simple:
-            raise NotSimple("the lattice of flats is built for simple matroids only")
+        """The flats of a simple matroid by containment, named by
+        `Matroid.flat_names`, e.g. "{1,4}"; the atoms must biject with the
+        ground elements and chains from the bottom be of uniform length."""
+        names = matroid.flat_names
         flats = matroid.flat_masks
         # holds[e]: the flats containing element e; a flat's up-set is the
         # AND of holds[e] over its elements, O(total flat size) in all
@@ -145,11 +136,7 @@ class FlatLattice:
             for e in bits(flat):
                 mask &= holds[e]
             up.append(mask)
-        labels = tuple(matroid.ground.labels_of(f) for f in flats)
-        names = tuple("{" + ",".join(flat) + "}" for flat in labels)
         lattice = cls(names, tuple(up), flats, matroid.ground)
-        # the labels that named the flats are the flat_labels cache
-        lattice.__dict__["flat_labels"] = labels
         if len(lattice.atom_indices) != matroid.ground.size:
             raise BoolrepError("atoms do not biject with the ground elements")
         longest, shortest = lattice._path_extremes(lattice.bottom_index)

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from .bitops import bits, mask_of
 from .errors import (
     AllLoops,
+    AmbiguousLabel,
     DuplicateLabels,
     EmptyFamily,
     ExchangeFails,
@@ -373,6 +374,19 @@ class Matroid:
             self._span(m) for m in self.independent_family.family if m.bit_count() < rank
         )
         return tuple(sorted(flats, key=self.ground.sort_key))
+
+    @cached_property
+    def flat_names(self) -> tuple[str, ...]:
+        """Each flat's subset name, e.g. "{1,4}", in `flat_masks` order.  A
+        label must be nonempty and comma-free, or two names could be equal;
+        such a label raises AmbiguousLabel."""
+        for label in self.ground.labels:
+            if label == "" or "," in label:
+                reason = "is empty" if label == "" else "contains a comma"
+                raise AmbiguousLabel(
+                    f"ground label {label!r} {reason}, so two flat names could be equal"
+                )
+        return tuple(self.ground.subset_name(m) for m in self.flat_masks)
 
     def flats(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.ground.labels_of(m) for m in self.flat_masks)

@@ -112,7 +112,7 @@ def test_03_every_pool_matroid_verifies(capsys, pool):
 def test_04_rank_equals_lattice_height(capsys, pool_reps):
     def body():
         for m, rep in pool_reps:
-            lat = rep.lattice
+            lat = FlatLattice.from_matroid(rep.matroid)
             assert lat.representation_rank() == lat.height
             assert m.rank == lat.height
             assert rep.matrix.rank() == lat.height

@@ -1,7 +1,10 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,24 @@ def test_verify_corrupted_matrix_fails(capsys, tmp_path):
     assert "mismatch: {" in out
     n_claimed = int(out.split()[1])
     assert n_claimed == sum(1 for line in out.splitlines() if line.startswith("mismatch:"))
+
+
+def test_verify_matrix_checks_a_non_simple_matroid_as_given(capsys, tmp_path):
+    # a and b are parallel and l is a loop; the matrix has a column for
+    # each of them, so the matroid must not be simplified first
+    mpath = tmp_path / "parallel.json"
+    mpath.write_text(
+        json.dumps({"ground": ["a", "b", "c", "l"], "bases": [["a", "c"], ["b", "c"]]})
+    )
+    good = tmp_path / "good.csv"
+    good.write_text(",a,b,c,l\nr1,1,1,0,0\nr2,0,0,1,0\n")
+    code, out, err = run_cli(capsys, "verify", str(mpath), "--matrix", str(good))
+    assert (code, out, err) == (0, "ok: 16 subsets agree\n", "")
+    broken = tmp_path / "broken.csv"
+    broken.write_text(",a,b,c,l\nr1,1,1,0,0\nr2,0,0,1,1\n")
+    code, out, err = run_cli(capsys, "verify", str(mpath), "--matrix", str(broken))
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL: ") and "mismatch: {l}" in out
 
 
 # -- partitions ------------------------------------------------------------------
@@ -392,6 +413,25 @@ def test_help_and_bad_subcommand(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "lattice", "example:u34", "--format", "yaml")[0] == 2
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def script(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "boolrep.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    done = script("example", "u34")
+    assert (done.returncode, done.stdout) == (0, matroid_to_json(CATALOG["u34"].matroid) + "\n")
+    assert script("frobnicate").returncode == 2
 
 
 # Malformed input files, each of which once ended in a traceback.

@@ -24,6 +24,7 @@ from boolrep import (
     Representation,
     SbMatrix,
     TropicalMatrix,
+    UnknownLabel,
     VerificationReport,
     dedupe_reduce,
     extract_representation,
@@ -54,7 +55,7 @@ def test_extract_full_shape(fivept):
     rep = extract_representation(fivept)
     assert rep.matrix.shape == (13, 5)
     assert rep.reduction_mode == "full"
-    assert rep.provenance == rep.lattice.names
+    assert rep.provenance == FlatLattice.from_matroid(fivept).names
     assert rep.matrix.row_labels == rep.provenance
     assert rep.matrix.col_labels == ("1", "2", "3", "4", "5")
     assert rep.row_count == 13
@@ -63,7 +64,8 @@ def test_extract_full_shape(fivept):
 def test_extract_entry_rule(fivept):
     """Row F, column x holds 1 exactly when x lies outside the flat F."""
     rep = extract_representation(fivept)
-    for name, mask in zip(rep.lattice.names, rep.lattice.flat_masks):
+    lattice = FlatLattice.from_matroid(rep.matroid)
+    for name, mask in zip(lattice.names, lattice.flat_masks):
         for x in fivept.ground.labels:
             expected = ONE if not mask >> fivept.ground.index(x) & 1 else ZERO
             assert rep.matrix.entry(name, x) is expected
@@ -79,6 +81,29 @@ def test_extract_bottom_and_top_rows(u34):
 def test_extracted_matrix_rank_is_matroid_rank(u34, fivept, k4m, w3m):
     for m in (u34, fivept, k4m, w3m):
         assert extract_representation(m).matrix.rank() == m.rank
+
+
+def test_extraction_reducers_and_verify_build_no_lattice(pool, monkeypatch):
+    """Extraction, the three reducers and verification read the matroid's
+    flats alone: with the lattice construction made to fail they all
+    succeed, and the rows are the lattice's elements in its order."""
+
+    def refuse(*args):
+        raise AssertionError("a lattice of flats was built")
+
+    monkeypatch.setattr(FlatLattice, "from_matroid", refuse)
+    fulls = []
+    for m in pool:
+        full = extract_representation(m)
+        fulls.append(full)
+        reduced = [dedupe_reduce(full), verified_reduce(full)]
+        if m.rank >= 3:
+            reduced.append(paper_reduce(full))
+        for rep in (full, *reduced):
+            assert verify_representation(rep, m).ok
+    monkeypatch.undo()
+    for full in fulls:
+        assert full.provenance == FlatLattice.from_matroid(full.matroid).names
 
 
 def test_smallest_nontrivial_extraction():
@@ -105,7 +130,7 @@ def test_reduction_keeps_bottom_and_tall_proper_flats(k4m):
         "{3,4,6}",
     )
     assert reduced.reduction_mode == "paper"
-    lat = reduced.lattice
+    lat = FlatLattice.from_matroid(reduced.matroid)
     for name in reduced.provenance[1:]:
         assert lat.element_height(name) >= 2
         assert name != lat.top
@@ -116,6 +141,15 @@ def test_reduction_is_a_row_selection(fivept):
     reduced = paper_reduce(full)
     assert reduced.matrix == full.matrix.submatrix(rows=reduced.provenance)
     assert reduced.matrix.to_csv() == read_golden("fivept_repr_paper.csv")
+
+
+def test_paper_reduce_rejects_a_row_that_names_no_flat(k4m):
+    # {1,2} spans the line {1,2,4}, so it is no flat of K4
+    full = extract_representation(k4m)
+    names = (full.provenance[0], "{1,2}") + full.provenance[2:]
+    rep = Representation(full.matrix.relabeled(row_labels=names), names, "full", k4m)
+    with pytest.raises(UnknownLabel, match=r"\{1,2\}"):
+        paper_reduce(rep)
 
 
 def test_reduce_refuses_non_full_input(fivept):
@@ -136,7 +170,7 @@ def test_reduction_errors_name_the_broken_certificate():
     with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
         paper_reduce(full)
     ones = BoolMatrix.of([[1, 1]] * 4, row_labels=full.provenance, col_labels=("1", "2"))
-    start = Representation(ones, full.provenance, "full", full.matroid, full.lattice)
+    start = Representation(ones, full.provenance, "full", full.matroid)
     with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
         verified_reduce(start)
 
@@ -200,9 +234,7 @@ def test_dedupe_drops_zero_and_duplicate_rows():
         ("1", "2"),
     )
     m = uniform(2, 2)
-    rep = Representation(
-        matrix, ("a", "b", "c", "d"), "full", m, FlatLattice.from_matroid(m)
-    )
+    rep = Representation(matrix, ("a", "b", "c", "d"), "full", m)
     out = dedupe_reduce(rep)
     assert out.provenance == ("a", "d")
     assert out.reduction_mode == "dedupe"
@@ -228,18 +260,6 @@ def test_verified_reduce_never_empties_the_matrix():
     out = verified_reduce(extract_representation(uniform(1, 1)))
     assert out.row_count >= 1
     assert verify_representation(out, uniform(1, 1)).ok
-
-
-def test_verified_reduce_checks_labels_before_reducing(fivept, k4m, monkeypatch):
-    rep = extract_representation(fivept)
-
-    def refuse(*args):
-        raise AssertionError("the independence kernel ran before the label check")
-
-    monkeypatch.setattr(SbMatrix, "columns_independent", refuse)
-    monkeypatch.setattr(extraction, "_peel", refuse)
-    with pytest.raises(LabelMismatch):
-        verified_reduce(rep, k4m)
 
 
 def test_verified_reduce_builds_no_matrix_per_candidate(monkeypatch):
@@ -302,9 +322,9 @@ def reference_reduce(rep, matroid, verdicts):
     return tuple(label for label, _ in rows)
 
 
-def reduce_outcome(rep, matroid):
+def reduce_outcome(rep):
     try:
-        return verified_reduce(rep, matroid).provenance
+        return verified_reduce(rep).provenance
     except BoolrepError as exc:
         return type(exc)
 
@@ -318,7 +338,7 @@ def flipped(rep, rng):
     matrix = BoolMatrix(
         tuple(map(tuple, grid)), rep.matrix.row_labels, rep.matrix.col_labels
     )
-    return Representation(matrix, rep.provenance, "full", rep.matroid, rep.lattice)
+    return Representation(matrix, rep.provenance, "full", rep.matroid)
 
 
 def test_verified_reduce_matches_the_oracle_loop_on_the_pool(pool):
@@ -327,7 +347,7 @@ def test_verified_reduce_matches_the_oracle_loop_on_the_pool(pool):
     verdicts = []
     for m in pool:
         rep = extract_representation(m)
-        assert reduce_outcome(rep, m) == reference_reduce(rep, m, verdicts)
+        assert reduce_outcome(rep) == reference_reduce(rep, m, verdicts)
     assert all(certified == equal for certified, equal in verdicts)
     assert {equal for _, equal in verdicts} == {True, False}
 
@@ -339,7 +359,7 @@ def test_verified_reduce_matches_the_oracle_loop_on_broken_starts(pool):
     for m in pool:
         broken = flipped(extract_representation(m), rng)
         expected = reference_reduce(broken, m, verdicts)
-        assert reduce_outcome(broken, m) == expected
+        assert reduce_outcome(broken) == expected
         reduced += expected is not ReductionError
     assert all(certified == equal for certified, equal in verdicts)
     assert reduced > 0
@@ -403,7 +423,7 @@ def test_verified_reduce_matches_the_candidate_loop(pool, monkeypatch):
         full = extract_representation(m)
         starts = [full, *(flipped(full, rng) for _ in range(3))]
         starts.extend(
-            Representation(matrix, full.provenance, "full", m, full.lattice)
+            Representation(matrix, full.provenance, "full", m)
             for matrix in broken_copies(full.matrix, rng)
         )
         for rep in starts:
@@ -411,7 +431,7 @@ def test_verified_reduce_matches_the_candidate_loop(pool, monkeypatch):
             stripped = extraction._strip_rows(rep, "verified").matrix
             listed.clear()
             try:
-                got = verified_reduce(rep, m).provenance
+                got = verified_reduce(rep).provenance
             except BoolrepError as exc:
                 got = type(exc), str(exc)
             assert got == expected
@@ -436,7 +456,7 @@ def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
         full = extract_representation(m)
         starts = [full, flipped(full, rng)]
         starts.extend(
-            Representation(matrix, full.provenance, "full", m, full.lattice)
+            Representation(matrix, full.provenance, "full", m)
             for matrix in broken_copies(full.matrix, rng)
         )
         for rep in starts:
@@ -594,7 +614,9 @@ def test_verify_matches_the_per_subset_definition(pool):
 
 
 def paper_rows(rep):
-    lattice = rep.lattice
+    """The rows `paper_reduce` keeps, by lattice heights: the bottom and
+    the proper flats of height at least 2."""
+    lattice = FlatLattice.from_matroid(rep.matroid)
     return tuple(
         name
         for name in rep.provenance
@@ -698,19 +720,16 @@ def test_verification_report_consistency():
 def test_representation_validation(fivept):
     rep = extract_representation(fivept)
     with pytest.raises(ValueError):
-        Representation(rep.matrix, rep.provenance, "squeeze", fivept, rep.lattice)
+        Representation(rep.matrix, rep.provenance, "squeeze", fivept)
     with pytest.raises(LabelMismatch):
         Representation(
             rep.matrix.submatrix(cols=("2", "1", "3", "4", "5")),
             rep.provenance,
             "full",
             fivept,
-            rep.lattice,
         )
     with pytest.raises(ValueError):
-        Representation(
-            rep.matrix, tuple(reversed(rep.provenance)), "full", fivept, rep.lattice
-        )
+        Representation(rep.matrix, tuple(reversed(rep.provenance)), "full", fivept)
 
 
 # -- bounds ---------------------------------------------------------------------------------

@@ -113,9 +113,10 @@ def test_from_matroid_requires_simple():
 def test_from_matroid_rejects_labels_that_make_flat_names_equal(text, label, reason):
     # "{a,b}" names both the line through a and b and the atom of "a,b";
     # "{}" names both the bottom and the atom of ""
-    with pytest.raises(AmbiguousLabel) as info:
-        FlatLattice.from_matroid(matroid_from_json(text))
-    assert label in str(info.value) and reason in str(info.value)
+    for build in (FlatLattice.from_matroid, extract_representation):
+        with pytest.raises(AmbiguousLabel) as info:
+            build(matroid_from_json(text))
+        assert label in str(info.value) and reason in str(info.value)
 
 
 def test_bottom_top_atoms(catalog_lattices):
