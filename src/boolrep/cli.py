@@ -151,28 +151,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_partitions(args) -> int:
     """One line per maximal chain.  Each flat and each cover edge is
-    formatted once; a line joins the pieces along its chain, and equals
-    the rendering of `partition_of_chain` for that chain."""
+    formatted once, from its mask; a line joins the pieces along its chain,
+    and equals the rendering of `partition_of_chain` for that chain."""
     matroid = _ensure_simple(_load_matroid(args.source, args.file))
     lattice = FlatLattice.from_matroid(matroid)
     chains = chain_indices(lattice, args.limit)
-    edges = lattice.cover_blocks
+    ground = lattice.ground
     if args.format == "json":
-        flats = [json.dumps(list(labels)) for labels in lattice.flat_labels]
-        blocks = [
-            {j: json.dumps(list(labels)) for j, (_, labels) in row.items()}
-            for row in edges
-        ]
+        def name(mask: int) -> str:
+            return json.dumps(ground.labels_of(mask))
+
+        flats = [name(mask) for mask in lattice.flat_masks]
         head, flat_sep, middle, block_sep, tail = (
             '{"chain": [', ", ", '], "blocks": [', ", ", "]}\n"
         )
     else:
+        name = ground.subset_name
         flats = lattice.names
-        blocks = [
-            {j: "{" + ",".join(labels) + "}" for j, (_, labels) in row.items()}
-            for row in edges
-        ]
         head, flat_sep, middle, block_sep, tail = "", " < ", "  |  ", " / ", "\n"
+    blocks = [{j: name(mask) for j, mask in row.items()} for row in lattice.cover_blocks]
     write = sys.stdout.write
     count = 0
     for chain in chains:

@@ -119,8 +119,14 @@ class FlatLattice:
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "FlatLattice":
         """The flats of a simple matroid by containment, named by
-        `Matroid.flat_names`, e.g. "{1,4}"; the atoms must biject with the
-        ground elements and chains from the bottom be of uniform length."""
+        `Matroid.flat_names`, e.g. "{1,4}".
+
+        The result is a geometric lattice whose atoms are the singleton
+        flats and whose maximal chains all have rank + 1 elements (Oxley,
+        *Matroid Theory*, 2nd ed., §1.7).  Neither is checked at run time:
+        both are theorems for every simple matroid, `Matroid` checks basis
+        exchange when built, and `flat_masks` raises `NotSimple` otherwise.
+        """
         names = matroid.flat_names
         flats = matroid.flat_masks
         # holds[e]: the flats containing element e; a flat's up-set is the
@@ -136,13 +142,7 @@ class FlatLattice:
             for e in bits(flat):
                 mask &= holds[e]
             up.append(mask)
-        lattice = cls(names, tuple(up), flats, matroid.ground)
-        if len(lattice.atom_indices) != matroid.ground.size:
-            raise BoolrepError("atoms do not biject with the ground elements")
-        longest, shortest = lattice._path_extremes(lattice.bottom_index)
-        if longest != shortest:
-            raise BoolrepError("chain lengths from the bottom are not uniform")
-        return lattice
+        return cls(names, tuple(up), flats, matroid.ground)
 
     @classmethod
     def from_order(
@@ -230,21 +230,14 @@ class FlatLattice:
             raise BoolrepError("this lattice does not come from a matroid")
 
     @cached_property
-    def flat_labels(self) -> tuple[tuple[str, ...], ...]:
-        """Per element, the ground labels of its flat."""
-        self._require_flats()
-        return tuple(self.ground.labels_of(mask) for mask in self.flat_masks)
-
-    @cached_property
-    def cover_blocks(self) -> tuple[dict[int, tuple[int, tuple[str, ...]]], ...]:
-        """Per element i, each upper cover j mapped to the block F_j minus
-        F_i, as its mask and its labels.
+    def cover_blocks(self) -> tuple[dict[int, int], ...]:
+        """Per element i, each upper cover j mapped to the mask of the
+        block F_j minus F_i.
 
         Each cover's flats must be strictly nested, the bottom flat empty
         and the top flat the whole ground set.  Then along any bottom-to-top
         cover chain the blocks are nonempty, disjoint and telescope to the
-        ground set: every such chain cuts a partition, with no check per
-        chain.
+        ground set.
         """
         self._require_flats()
         masks = self.flat_masks
@@ -258,8 +251,7 @@ class FlatLattice:
                     raise BoolrepError(
                         f"flat {self.names[i]!r} is not strictly inside {self.names[j]!r}"
                     )
-                block = masks[j] & ~masks[i]
-                edges[j] = (block, self.ground.labels_of(block))
+                edges[j] = masks[j] & ~masks[i]
             out.append(edges)
         return tuple(out)
 

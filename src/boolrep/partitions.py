@@ -6,15 +6,12 @@ are exactly the subsets whose atoms are independent in the lattice
 representation; the witness construction makes one direction explicit.
 
 Cost model.  Chains are walked once, depth first, as tuples of element
-indices (`chain_indices`); `maximal_chains` only maps them to names.
-Labels are made once per flat (`FlatLattice.flat_labels`) and once per
-cover edge (`FlatLattice.cover_blocks`), never per chain, so a chain costs
-O(rank) lookups, and the CLI writes each line with O(rank) string joins of
-text made once per flat and per edge.  A cover chain's blocks need no
-check of their own: each cover is strict, so every block is nonempty, and
-the blocks telescope to top minus bottom, which `cover_blocks` checks once
-per lattice is the whole ground set.  `ChainPartition` still checks the
-partitions users build.
+indices (`chain_indices`); `maximal_chains` only maps them to names.  The
+lattice caches each cover edge's block `F_j − F_i` as a mask
+(`FlatLattice.cover_blocks`), so a chain costs O(rank) lookups and labels
+are made only where text or a partition is produced.  Every
+`ChainPartition`, including those returned here, is checked by its one
+constructor in O(n) for n ground elements.
 """
 
 from __future__ import annotations
@@ -70,18 +67,6 @@ class ChainPartition:
             total += len(block)
         if union != self.ground.full_mask or total != self.ground.size:
             raise BoolrepError("blocks do not partition the ground set")
-
-    @classmethod
-    def _of_cover_chain(cls, ground, chain, chain_flats, blocks) -> "ChainPartition":
-        """A partition cut by a bottom-to-top cover chain, which
-        `FlatLattice.cover_blocks` proves valid; skips the re-check."""
-        partition = object.__new__(cls)
-        for name, value in zip(
-            ("ground", "chain", "chain_flats", "blocks"),
-            (ground, chain, chain_flats, blocks),
-        ):
-            object.__setattr__(partition, name, value)
-        return partition
 
     @property
     def block_count(self) -> int:
@@ -154,15 +139,15 @@ def _require_flats(lattice: FlatLattice) -> None:
 
 
 def _partition(lattice: FlatLattice, chain: Sequence[int]) -> ChainPartition:
-    """The partition a cover chain cuts, from the lattice's per-flat and
-    per-edge caches; `FlatLattice.cover_blocks` proves it is one."""
-    labels = lattice.flat_labels
+    """The partition a cover chain cuts, labelled from the flat masks and
+    the cached block masks of `FlatLattice.cover_blocks`."""
+    ground = lattice.ground
     edges = lattice.cover_blocks
-    return ChainPartition._of_cover_chain(
-        lattice.ground,
+    return ChainPartition(
+        ground,
         tuple(lattice.names[i] for i in chain),
-        tuple(labels[i] for i in chain),
-        tuple(edges[a][b][1] for a, b in zip(chain, chain[1:])),
+        tuple(ground.labels_of(lattice.flat_masks[i]) for i in chain),
+        tuple(ground.labels_of(edges[a][b]) for a, b in zip(chain, chain[1:])),
     )
 
 
@@ -215,7 +200,7 @@ def exists_transversal_partition(
     edges = lattice.cover_blocks
     for chain in chains:
         if all(
-            (edges[a][b][0] & wanted).bit_count() <= 1
+            (edges[a][b] & wanted).bit_count() <= 1
             for a, b in zip(chain, chain[1:])
         ):
             return _partition(lattice, chain)

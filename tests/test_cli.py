@@ -1,5 +1,8 @@
 """End-to-end runs of the command line through main(argv)."""
 
+import ast
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -499,3 +502,44 @@ def test_readme_commands_exit_0(capsys, tmp_path, monkeypatch):
             (tmp_path / target).write_text(out)
         ran.add(argv[0])
     assert ran == {"lattice", "repr", "verify", "partitions", "example"}
+
+
+_PROSE = object()
+
+
+def _commented_value(comment: str):
+    """The Python literal a `# value, remark` comment opens with, or
+    _PROSE when it opens with none."""
+    parts = comment.split(", ")
+    for end in range(len(parts), 0, -1):
+        try:
+            return ast.literal_eval(", ".join(parts[:end]))
+        except (ValueError, SyntaxError):
+            continue
+    return _PROSE
+
+
+def test_readme_library_block_runs_as_commented():
+    """README's Python block runs, and each expression line whose comment
+    opens with a value evaluates to that value."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(compile(block, "README.md", "exec"), namespace)
+    claims = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        value = _commented_value(comment.strip())
+        if value is not _PROSE:
+            claims[code.strip()] = value
+    assert claims == {
+        "lat.height": 3,
+        "lat.representation_rank()": 3,
+        "rep.matrix.shape": (7, 5),
+        "verify_representation(rep, m).ok": True,
+    }
+    for expression, value in claims.items():
+        assert eval(expression, namespace) == value, expression
+    chains = list(maximal_chains(namespace["lat"]))
+    assert printed.getvalue().count("\n") == len(chains)

@@ -19,6 +19,7 @@ from boolrep import (
     ONE,
     extract_representation,
     matroid_from_json,
+    maximal_chains,
     pentagon,
     uniform,
 )
@@ -128,11 +129,23 @@ def test_bottom_top_atoms(catalog_lattices):
     assert all(lat.element_height(a) == 1 for a in lat.atoms)
 
 
-def test_atoms_biject_with_ground(catalog_lattices):
-    for name, lat in catalog_lattices.items():
+def test_atoms_biject_with_ground(catalog_lattices, pool_lattices):
+    # from_matroid does not check this theorem at run time
+    for lat in [*catalog_lattices.values(), *pool_lattices]:
         assert len(lat.atoms) == lat.ground.size
         for x in lat.ground.labels:
             assert lat.atom_of(x) == "{" + x + "}"
+
+
+def test_heights_are_ranks_and_maximal_chains_have_rank_plus_one_flats(pool, pool_lattices):
+    # the lattice of flats is graded by the matroid's rank function; the
+    # reference is the rank oracle, not lattice code
+    for m, lat in zip(pool, pool_lattices):
+        for i, flat in enumerate(lat.flat_masks):
+            assert lat.heights[i] == m.rank_of_mask(flat)
+        chains = list(maximal_chains(lat))
+        assert chains
+        assert all(len(chain) == m.rank + 1 for chain in chains)
 
 
 def test_atom_of_needs_a_matroid_lattice():

@@ -157,6 +157,28 @@ def test_cover_blocks_refuse_flats_that_break_the_partition_proof():
             partition_of_chain(lat, ("B", "M", "T"))
 
 
+def test_every_returned_partition_is_checked_once(catalog_lattices, monkeypatch):
+    """Partitions the library returns go through the one checked
+    constructor, exactly once each."""
+    checked = []
+    check = ChainPartition.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChainPartition, "__post_init__", counted)
+    for lat in catalog_lattices.values():
+        for chain in maximal_chains(lat):
+            checked.clear()
+            part = partition_of_chain(lat, chain)
+            assert len(checked) == 1 and checked[0] is part
+    checked.clear()
+    found = exists_transversal_partition(catalog_lattices["fivept"], ("1", "2", "4"))
+    assert found is not None
+    assert len(checked) == 1 and checked[0] is found
+
+
 def test_partitions_need_flats():
     lat = FlatLattice.from_order(("B", "T"), [("B", "T")])
     for call in (
