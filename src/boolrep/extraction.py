@@ -40,7 +40,7 @@ from typing import Iterable
 from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import ONE, ZERO, BoolMatrix, SbMatrix, _peel
+from .sbool import GHOST, ONE, ZERO, BoolMatrix, SbMatrix, _peel
 
 __all__ = [
     "VERIFY_CAP",
@@ -418,6 +418,8 @@ def tropicalize(rep) -> TropicalMatrix:
 
 def representation_to_json(rep: Representation) -> str:
     matrix = rep.matrix
+    if any(GHOST in row for row in matrix.entries):
+        raise ValueError("JSON entries are defined on {0, 1} only")
     return json.dumps(
         {
             "rows": list(matrix.row_labels),

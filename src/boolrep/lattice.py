@@ -79,6 +79,8 @@ class FlatLattice:
             raise DuplicateLabels("repeated lattice element name")
         if len(self.up) != n:
             raise BoolrepError("order relation size does not match element count")
+        if self.flat_masks is not None and len(self.flat_masks) != n:
+            raise BoolrepError("flat mask count does not match element count")
         full = (1 << n) - 1
         down = [0] * n
         for i, mask in enumerate(self.up):

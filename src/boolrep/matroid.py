@@ -1,13 +1,13 @@
 """Hereditary collections and matroids over a finite labeled ground set.
 
 Subsets of the ground set are bitmasks over label positions.  A matroid is
-stored by its bases; their downward closure, the independent family, is
-built at construction.  Rank and independence are membership in it, rank
-by the greedy algorithm (Edmonds 1971).  Closure has one rule, the span of
-an independent set: the set plus every element that makes it dependent.
-Closure, flats, loops, simplicity and the construction-time basis exchange
-check (once per (r-1)-subset of a basis, raising a counterexample-carrying
-error, never returning a bare bool) are all read off spans.
+stored by its bases; one walk down from them builds its extension table,
+each independent set I mapped to the elements e with I + e independent.
+Independence is membership in it, rank the greedy algorithm (Edmonds 1971),
+and the span of an independent set, the one closure rule, the complement of
+its extensions (Oxley, *Matroid Theory*, 2nd ed., §1.4).  Closure, flats,
+loops, simplicity and the construction-time basis exchange check (raising a
+counterexample, never returning a bare bool) all read that table.
 """
 
 from __future__ import annotations
@@ -220,11 +220,8 @@ class HereditaryCollection:
 class Matroid:
     """A matroid stored by its bases (equicardinal, exchange-closed).
 
-    Construction builds the downward closure of the bases
-    (`independent_family`) and checks basis exchange once per (r-1)-subset
-    of a basis.  Rank and independence are membership in that family;
-    closure, flats, loops and simplicity all come from spans of its
-    members (`_span`).
+    Construction builds the extension table (`_extensions`) and checks basis
+    exchange once per (r-1)-subset of a basis; every other answer reads it.
     """
 
     ground: GroundSet
@@ -245,12 +242,12 @@ class Matroid:
         """Basis exchange, once per (r-1)-subset of a basis.
 
         For a basis b1 and x in b1, the bases b1 - x + y are I + y for
-        I = b1 - x and y outside the span of I, x among them.  A basis b2
-        fails the exchange for (b1, x) exactly when it lies inside that
-        span, so the verdict depends on I alone and each I is checked once,
-        in canonical basis order.  Bit k of hits[e] marks that the k-th
-        basis contains e, so the bases meeting the span's complement are
-        one OR.
+        I = b1 - x and y a completion of I: an element of its extensions,
+        x among them.  A basis b2 fails the exchange for (b1, x) exactly
+        when it holds no completion of I, so the verdict depends on I alone
+        and each I is checked once, in canonical basis order.  Bit k of
+        hits[e] marks that the k-th basis contains e, so the bases holding
+        some completion are one OR over I's extensions.
         """
         order = sorted(self.bases, key=self.ground.sort_key)
         hits = [0] * self.ground.size
@@ -258,7 +255,7 @@ class Matroid:
             for e in bits(b):
                 hits[e] |= 1 << k
         every = (1 << len(order)) - 1
-        full = self.ground.full_mask
+        ext = self._extensions
         checked = set()
         for b1 in order:
             for x in bits(b1):
@@ -267,7 +264,7 @@ class Matroid:
                     continue
                 checked.add(rest)
                 met = 0
-                for y in bits(full & ~self._span(rest)):
+                for y in bits(ext[rest]):
                     met |= hits[y]
                 free = every & ~met
                 if free:
@@ -288,13 +285,29 @@ class Matroid:
     def rank(self) -> int:
         return next(iter(self.bases)).bit_count()
 
+    @cached_property
+    def _extensions(self) -> dict:
+        """Each independent set I mapped to the mask of the elements e with
+        I + e independent: one walk down from the bases, each member M
+        giving bit i to M - i for each i in M.  A basis maps to 0."""
+        ext = dict.fromkeys(self.bases, 0)
+        frontier = list(self.bases)
+        while frontier:
+            mask = frontier.pop()
+            for i in bits(mask):
+                sub = mask ^ (1 << i)
+                if sub not in ext:
+                    frontier.append(sub)
+                ext[sub] = ext.get(sub, 0) | 1 << i
+        return ext
+
     def _greedy_basis(self, mask: int) -> int:
         """A maximal independent subset of the mask, grown element by element."""
-        family = self.independent_family.family
+        ext = self._extensions
         basis = 0
         for i in bits(mask):
             grown = basis | (1 << i)
-            if grown in family:
+            if grown in ext:
                 basis = grown
         return basis
 
@@ -305,7 +318,7 @@ class Matroid:
         return self.rank_of_mask(self.ground.mask_of(labels))
 
     def is_independent_mask(self, mask: int) -> bool:
-        return mask in self.independent_family.family
+        return mask in self._extensions
 
     def is_independent(self, labels: Iterable[str]) -> bool:
         return self.is_independent_mask(self.ground.mask_of(labels))
@@ -316,17 +329,8 @@ class Matroid:
 
     @cached_property
     def independent_family(self) -> HereditaryCollection:
-        """Downward closure of the bases as a validated hereditary collection."""
-        seen = set(self.bases)
-        frontier = list(self.bases)
-        while frontier:
-            mask = frontier.pop()
-            for i in bits(mask):
-                sub = mask ^ (1 << i)
-                if sub not in seen:
-                    seen.add(sub)
-                    frontier.append(sub)
-        return HereditaryCollection(self.ground, frozenset(seen))
+        """The extension table's keys: a validated hereditary collection."""
+        return HereditaryCollection(self.ground, frozenset(self._extensions))
 
     def circuits(self) -> tuple[tuple[str, ...], ...]:
         return self.independent_family.circuits()
@@ -335,13 +339,8 @@ class Matroid:
 
     def _span(self, independent: int) -> int:
         """Closure of an independent set: the set plus every element whose
-        addition makes it dependent."""
-        family = self.independent_family.family
-        span = independent
-        for i in bits(self.ground.full_mask & ~independent):
-            if independent | (1 << i) not in family:
-                span |= 1 << i
-        return span
+        addition makes it dependent, the complement of its extensions."""
+        return self.ground.full_mask & ~self._extensions[independent]
 
     def closure_mask(self, mask: int) -> int:
         """Smallest flat containing the subset: the span of its greedy basis."""
@@ -363,16 +362,13 @@ class Matroid:
 
     @cached_property
     def flat_masks(self) -> tuple[int, ...]:
-        """All closed subsets, canonically ordered.  A flat of rank below r
-        is the span of any basis of it, so the flats are the spans of the
-        members smaller than a basis, plus the ground set."""
+        """All closed subsets, canonically ordered.  A flat is the span of
+        any basis of it, so the flats are the complements of the extension
+        table's values; a basis maps to 0, giving the ground set."""
         if not self.is_simple:
             raise NotSimple("flats are enumerated for simple matroids only")
-        rank = self.rank
-        flats = {self.ground.full_mask}
-        flats.update(
-            self._span(m) for m in self.independent_family.family if m.bit_count() < rank
-        )
+        full = self.ground.full_mask
+        flats = {full & ~e for e in self._extensions.values()}
         return tuple(sorted(flats, key=self.ground.sort_key))
 
     @cached_property
@@ -548,7 +544,7 @@ def matroid_from_json(text: str) -> Matroid:
     hc = HereditaryCollection(ground, family)
     top = max(m.bit_count() for m in family)
     matroid = Matroid(ground, frozenset(m for m in family if m.bit_count() == top))
-    if matroid.independent_family.family != family:
+    if matroid._extensions.keys() != family:
         raise MatroidParseError(
             "the independent family is not the downward closure of its largest members"
         )

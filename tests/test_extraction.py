@@ -814,3 +814,14 @@ def test_representation_to_json():
         "cols": ["1", "2"],
         "entries": [[1, 1], [0, 1], [1, 0], [0, 0]],
     }
+
+
+def test_representation_to_json_rejects_ghosts():
+    """A ghost entry has no 0/1 form, so it raises rather than reading 0."""
+    full = extract_representation(uniform(3, 4))
+    i, j = full.provenance.index("{}"), full.matrix.col_labels.index("1")
+    grid = [list(row) for row in full.matrix.entries]
+    grid[i][j] = GHOST
+    matrix = SbMatrix(tuple(map(tuple, grid)), full.provenance, full.matrix.col_labels)
+    with pytest.raises(ValueError):
+        representation_to_json(Representation(matrix, full.provenance, "full", full.matroid))

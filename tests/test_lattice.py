@@ -153,6 +153,12 @@ def test_atom_of_needs_a_matroid_lattice():
         two_chain().atom_of("B")
 
 
+def test_flat_masks_must_match_the_element_count(u34):
+    lat = FlatLattice.from_matroid(u34)
+    with pytest.raises(BoolrepError, match="flat mask count"):
+        FlatLattice(lat.names, lat.up, lat.flat_masks[:-1], lat.ground)
+
+
 def test_from_order_rejects_broken_posets():
     with pytest.raises(BoolrepError):
         FlatLattice.from_order(("a", "b"), [])  # two bottoms, no meet

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -29,6 +30,7 @@ from boolrep import (
     matroid_to_json,
     paper_reduce,
     uniform,
+    verified_reduce,
 )
 
 from conftest import random_bool_matrix, random_matrix
@@ -396,6 +398,34 @@ def test_spans_alone_answer_simplicity_flats_and_the_lattice(pool, monkeypatch):
             paper_reduce(extract_representation(rebuilt))
 
 
+def test_the_extension_table_alone_answers_the_matroid(pool, monkeypatch):
+    """Construction, flats, closure, loops, simplicity, simplification, the
+    lattice, extraction and both reducers on flat rows build no
+    `HereditaryCollection`: every answer comes from the extension table."""
+
+    def refuse(self):
+        raise AssertionError("HereditaryCollection built")
+
+    monkeypatch.setattr(HereditaryCollection, "__post_init__", refuse)
+    non_simple = Matroid.from_bases(
+        GroundSet.of("abcdl"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    simple, mapping = non_simple.simplify()
+    assert simple.ground.labels == ("a", "c", "d") and mapping["b"] == "a"
+    for m in pool:
+        rebuilt = Matroid(m.ground, m.bases)
+        assert rebuilt.flat_masks == m.flat_masks
+        assert rebuilt.flat_names == m.flat_names
+        assert rebuilt.is_simple and rebuilt.loops() == ()
+        full = rebuilt.ground.full_mask
+        assert rebuilt.closure_mask(full) == full
+        assert FlatLattice.from_matroid(rebuilt).size == len(rebuilt.flat_masks)
+        rep = extract_representation(rebuilt)
+        verified_reduce(rep)
+        if rebuilt.rank >= 3:  # below rank 3 the paper's rows cannot suffice
+            paper_reduce(rep)
+
+
 def pg25():
     """PG(2,5): the 31 points of GF(5)^3 up to scalars, each scaled so its
     first nonzero coordinate is 1; bases are the triples of nonzero
@@ -432,6 +462,50 @@ def test_projective_plane_of_order_5():
         closed = m.closure_mask((1 << i) | (1 << j))
         assert closed in lines
     assert FlatLattice.from_matroid(m).height == 3
+
+
+def pg33():
+    """PG(3,3): the 40 points of GF(3)^4 up to scalars, each scaled so its
+    first nonzero coordinate is 1.  The signed 3x3 minors of three points
+    are the cofactors of a fourth row, so a fourth point completes a basis
+    when its dot product with them, the 4x4 determinant, is nonzero mod 3."""
+    points = [
+        v for v in product(range(3), repeat=4)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
+    ]
+
+    def det(a, b, c):
+        return (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+
+    bases = set()
+    for i, j, k in combinations(range(len(points)), 3):
+        rows = (points[i], points[j], points[k])
+        cofactors = [
+            (-1) ** (c + 1) * det(*(v[:c] + v[c + 1:] for v in rows)) for c in range(4)
+        ]
+        for m in range(k + 1, len(points)):
+            if sum(x * y for x, y in zip(cofactors, points[m])) % 3:
+                bases.add((1 << i) | (1 << j) | (1 << k) | (1 << m))
+    ground = GroundSet(tuple(str(i + 1) for i in range(len(points))))
+    return Matroid(ground, frozenset(bases))
+
+
+def test_projective_space_of_dimension_3_over_gf3():
+    """Closed forms, not oracles: the basis count is the product formula and
+    the flats by rank are the Gaussian binomials [4 choose k]_3."""
+    m = pg33()
+    assert m.ground.size == 40 and len(m.bases) == 63180
+    assert m.is_simple
+    by_rank = Counter(m.rank_of_mask(f) for f in m.flat_masks)
+    assert [by_rank[k] for k in range(5)] == [1, 40, 130, 40, 1]
+    lines = {f for f in m.flat_masks if m.rank_of_mask(f) == 2}
+    assert {f.bit_count() for f in lines} == {4}
+    for i, j in combinations(range(40), 2):
+        assert m.closure_mask((1 << i) | (1 << j)) in lines
 
 
 # -- simplification -----------------------------------------------------------------
