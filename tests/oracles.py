@@ -338,3 +338,72 @@ def order_closure(n, pairs):
                 for j in range(n):
                     rel[i][j] = rel[i][j] or rel[k][j]
     return [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]
+
+
+# -- geometric lattices, from the definitions -------------------------------
+
+
+def order_covers(up):
+    """Per element, the elements covering it in the order up: j above i with
+    no k strictly between, found by trying every k."""
+    n = len(up)
+
+    def below(i, j):
+        return i != j and up[i] >> j & 1
+
+    return [
+        [j for j in range(n) if below(i, j)
+         and not any(below(i, k) and below(k, j) for k in range(n))]
+        for i in range(n)
+    ]
+
+
+def chain_lengths_to(up, covers, high):
+    """Per element below high, the set of lengths of its maximal chains up
+    to high; every cover path is walked, memoised per element."""
+    memo = {high: {0}}
+
+    def lengths(x):
+        if x not in memo:
+            memo[x] = {
+                1 + k for y in covers[x] if up[y] >> high & 1 for k in lengths(y)
+            }
+        return memo[x]
+
+    return {x: lengths(x) for x in range(len(up)) if up[x] >> high & 1}
+
+
+def geometric_lattice_oracle(up):
+    """(heights, geometric) of a lattice given by its up-set masks.
+
+    Heights are the longest chain length from the bottom.  The lattice is
+    geometric when maximal chains between every comparable pair all have
+    one length, the semimodular inequality h(a) + h(b) >= h(a v b) + h(a ^ b)
+    holds on every pair, and every element is the join of the atoms below it.
+    Covers, meets and joins are recomputed from the order alone.
+    """
+    n = len(up)
+    covers = order_covers(up)
+    bottom = next(i for i in range(n) if up[i] == (1 << n) - 1)
+    graded = True
+    heights = [None] * n
+    for high in range(n):
+        below = chain_lengths_to(up, covers, high)
+        heights[high] = max(below[bottom])
+        if any(len(lengths) != 1 for lengths in below.values()):
+            graded = False
+    semimodular = all(
+        heights[a] + heights[b]
+        >= heights[order_join(up, a, b)] + heights[order_meet(up, a, b)]
+        for a in range(n)
+        for b in range(n)
+    )
+    atoms = covers[bottom]
+    atomistic = True
+    for x in range(n):
+        joined = bottom
+        for a in atoms:
+            if up[a] >> x & 1:
+                joined = order_join(up, joined, a)
+        atomistic = atomistic and joined == x
+    return tuple(heights), graded and semimodular and atomistic

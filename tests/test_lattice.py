@@ -1,6 +1,7 @@
 """Order validation, heights, the two lattice matrices, chains and witnesses."""
 
 import json
+import random
 import re
 
 import pytest
@@ -27,6 +28,7 @@ from boolrep import (
 from oracles import (
     circuits_scan,
     closure_by_circuits,
+    geometric_lattice_oracle,
     grid_of,
     lattice_axiom_failure,
     order_closure,
@@ -345,6 +347,72 @@ def test_is_geometric(catalog_lattices):
         assert lat.is_geometric
     assert FlatLattice.from_matroid(uniform(2, 2)).is_geometric
     assert not pentagon().is_geometric
+
+
+def random_lattices(rng, count):
+    """Seeded lattices from `from_order` on up to 8 elements: a bottom, a
+    top, and random pairs among the rest in index order; orders lacking a
+    meet or a join are skipped."""
+    names = tuple("abcdefgh")
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 8)
+        pairs = [(0, i) for i in range(1, n)] + [(i, n - 1) for i in range(n - 1)]
+        p = rng.random()
+        pairs += [
+            (a, b)
+            for a in range(1, n - 1)
+            for b in range(a + 1, n - 1)
+            if rng.random() < p
+        ]
+        try:
+            out.append(
+                FlatLattice.from_order(names[:n], [(names[a], names[b]) for a, b in pairs])
+            )
+        except BoolrepError:
+            pass
+    return out
+
+
+def diamond():
+    """M3: three atoms under one top, the smallest geometric lattice that
+    is not distributive."""
+    return FlatLattice.from_order(
+        ("B", "x", "y", "z", "T"),
+        [("B", "x"), ("B", "y"), ("B", "z"), ("x", "T"), ("y", "T"), ("z", "T")],
+    )
+
+
+def hexagon():
+    """Two three-step sides: graded, but two atoms join at height 3."""
+    return FlatLattice.from_order(
+        ("B", "a1", "a2", "b1", "b2", "T"),
+        [("B", "a1"), ("a1", "a2"), ("a2", "T"), ("B", "b1"), ("b1", "b2"), ("b2", "T")],
+    )
+
+
+def three_chain():
+    """Graded and semimodular, but its top is no join of atoms."""
+    return FlatLattice.from_order(("B", "m", "T"), [("B", "m"), ("m", "T")])
+
+
+def test_heights_and_is_geometric_agree_with_the_oracle(catalog_lattices, pool_lattices):
+    named = [pentagon(), diamond(), hexagon(), three_chain(), two_chain()]
+    lattices = (
+        named
+        + list(catalog_lattices.values())
+        + pool_lattices
+        + random_lattices(random.Random(20261018), 400)
+    )
+    verdicts = []
+    for lat in lattices:
+        heights, geometric = geometric_lattice_oracle(lat.up)
+        assert lat.heights == heights
+        assert lat.is_geometric == geometric
+        verdicts.append(geometric)
+    assert verdicts[:5] == [False, True, False, False, True]
+    assert all(verdicts[5:5 + len(catalog_lattices) + len(pool_lattices)])
+    assert set(verdicts[-400:]) == {True, False}
 
 
 def test_pentagon_shape():
