@@ -32,6 +32,8 @@ every disagreement.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -68,12 +70,11 @@ class Representation:
     """A boolean matrix representing a matroid, plus where its rows came from.
 
     Columns are the ground elements in canonical order; rows are the
-    retained flats, named in provenance (their lattice, when wanted, is
-    `FlatLattice.from_matroid(rep.matroid)`).
+    retained flats, named by the row labels that `provenance` returns
+    (their lattice, when wanted, is `FlatLattice.from_matroid(rep.matroid)`).
     """
 
     matrix: BoolMatrix
-    provenance: tuple[str, ...]
     reduction_mode: str
     matroid: Matroid
 
@@ -82,8 +83,10 @@ class Representation:
             raise ValueError(f"unknown reduction mode {self.reduction_mode!r}")
         if self.matrix.col_labels != self.matroid.ground.labels:
             raise LabelMismatch("columns must be the ground elements in order")
-        if self.matrix.row_labels != self.provenance:
-            raise ValueError("row labels must match the provenance list")
+
+    @property
+    def provenance(self) -> tuple[str, ...]:
+        return self.matrix.row_labels
 
     @property
     def row_count(self) -> int:
@@ -92,15 +95,14 @@ class Representation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an exhaustive independence comparison."""
+    """Outcome of an exhaustive independence comparison; ok means no mismatches."""
 
-    ok: bool
     mismatches: tuple[tuple[str, ...], ...]
     checked_count: int
 
-    def __post_init__(self):
-        if self.ok != (not self.mismatches):
-            raise ValueError("ok must mean exactly: no mismatches")
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
 
 def extract_representation(matroid: Matroid) -> Representation:
@@ -117,8 +119,7 @@ def extract_representation(matroid: Matroid) -> Representation:
         tuple(ZERO if flat >> e & 1 else ONE for e in range(ground.size))
         for flat in matroid.flat_masks
     )
-    matrix = BoolMatrix(grid, names, ground.labels)
-    return Representation(matrix, names, "full", matroid)
+    return Representation(BoolMatrix(grid, names, ground.labels), "full", matroid)
 
 
 def _check_cap(ground: GroundSet) -> None:
@@ -228,19 +229,19 @@ def paper_reduce(rep: Representation) -> Representation:
         raise ReductionError(
             f"dropping atom and top rows broke a certificate: {_broken(matroid, bad)}"
         )
-    return Representation(matrix, keep, "paper", matroid)
+    return Representation(matrix, "paper", matroid)
 
 
-def _strip_rows(rep: Representation, mode: str) -> Representation:
+def _strip_rows(matrix: BoolMatrix) -> tuple[str, ...]:
+    """Labels of the rows that are neither all zero nor a repeat."""
     seen = set()
     keep = []
-    for label, row in zip(rep.matrix.row_labels, rep.matrix.entries):
+    for label, row in zip(matrix.row_labels, matrix.entries):
         if all(v is ZERO for v in row) or row in seen:
             continue
         seen.add(row)
         keep.append(label)
-    keep = tuple(keep)
-    return Representation(rep.matrix.submatrix(rows=keep), keep, mode, rep.matroid)
+    return tuple(keep)
 
 
 def dedupe_reduce(rep: Representation) -> Representation:
@@ -250,7 +251,8 @@ def dedupe_reduce(rep: Representation) -> Representation:
     coordinate no matter what, and a duplicate row tracks its twin, so
     column independence is untouched.  No re-verification needed.
     """
-    return _strip_rows(rep, "dedupe")
+    matrix = rep.matrix.submatrix(rows=_strip_rows(rep.matrix))
+    return Representation(matrix, "dedupe", rep.matroid)
 
 
 def _witness_rows(rounds) -> int:
@@ -317,7 +319,7 @@ def verified_reduce(rep: Representation) -> Representation:
     """
     matroid = rep.matroid
     _check_cap(matroid.ground)
-    start = _strip_rows(rep, "verified").matrix
+    start = rep.matrix.submatrix(rows=_strip_rows(rep.matrix))
     bases, circuits = _certificates(matroid, start)
     nz, one = start._col_masks
     loose = [c for c in circuits if _peel(nz, one, c) is not None]
@@ -328,7 +330,7 @@ def verified_reduce(rep: Representation) -> Representation:
         raise ReductionError(
             f"greedy reduction produced a non-representation: {_broken(matroid, bad)}"
         )
-    return Representation(matrix, matrix.row_labels, "verified", matroid)
+    return Representation(matrix, "verified", matroid)
 
 
 def verify_representation(rep, matroid: Matroid) -> VerificationReport:
@@ -355,7 +357,7 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     found = hereditary_from_matrix(matrix).family
     wrong = found.symmetric_difference(matroid.independent_family.family)
     mismatches = tuple(ground.labels_of(m) for m in sorted(wrong, key=ground.sort_key))
-    return VerificationReport(not mismatches, mismatches, 1 << ground.size)
+    return VerificationReport(mismatches, 1 << ground.size)
 
 
 def size_bound(matroid: Matroid) -> int:
@@ -387,11 +389,8 @@ class TropicalMatrix:
         return BoolMatrix(grid, self.row_labels, self.col_labels)
 
     def to_csv(self) -> str:
-        import csv as _csv
-        import io as _io
-
-        out = _io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + list(self.col_labels))
         for label, row in zip(self.row_labels, self.entries):
             writer.writerow([label] + ["0" if v == 0.0 else "-inf" for v in row])

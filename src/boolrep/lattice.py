@@ -219,14 +219,6 @@ class FlatLattice:
             out.append(tuple(covers))
         return tuple(out)
 
-    @cached_property
-    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.size)]
-        for i, ups in enumerate(self.upper_covers):
-            for j in ups:
-                out[j].append(i)
-        return tuple(tuple(row) for row in out)
-
     def _require_flats(self) -> None:
         if self.ground is None or self.flat_masks is None:
             raise BoolrepError("this lattice does not come from a matroid")
@@ -279,25 +271,15 @@ class FlatLattice:
         """Elements by down-set size, so each follows everything below it."""
         return tuple(sorted(range(self.size), key=lambda i: self.down[i].bit_count()))
 
-    def _path_extremes(self, source: int):
-        """Longest and shortest cover-path length from the source, per
-        element above it, as two dicts keyed by element index."""
-        above = self.up[source]
-        longest = {source: 0}
-        shortest = {source: 0}
-        for j in self._topological:
-            if j == source or not above >> j & 1:
-                continue
-            lows = [i for i in self.lower_covers[j] if above >> i & 1]
-            longest[j] = 1 + max(longest[i] for i in lows)
-            shortest[j] = 1 + min(shortest[i] for i in lows)
-        return longest, shortest
-
     @cached_property
     def heights(self) -> tuple[int, ...]:
-        """Length of the longest chain from the bottom, per element."""
-        longest, _ = self._path_extremes(self.bottom_index)
-        return tuple(longest[j] for j in range(self.size))
+        """Length of the longest chain from the bottom, per element: one
+        relaxation over the upper covers, in `_topological` order."""
+        heights = [0] * self.size
+        for i in self._topological:
+            for j in self.upper_covers[i]:
+                heights[j] = max(heights[j], heights[i] + 1)
+        return tuple(heights)
 
     @property
     def height(self) -> int:
@@ -414,14 +396,14 @@ class FlatLattice:
 
     @cached_property
     def is_geometric(self) -> bool:
-        """Uniform chain lengths between comparable pairs, the semimodular
+        """Uniform chain lengths between comparable pairs (Jordan–Dedekind:
+        every cover edge raises the height by exactly 1), the semimodular
         height inequality, and every element a join of atoms."""
         n = self.size
-        for s in range(n):
-            longest, shortest = self._path_extremes(s)
-            if longest != shortest:
-                return False
         h = self.heights
+        for i, ups in enumerate(self.upper_covers):
+            if any(h[j] != h[i] + 1 for j in ups):
+                return False
         for i in range(n):
             for j in range(i + 1, n):
                 if h[i] + h[j] < h[self._join_index(i, j)] + h[self._meet_index(i, j)]:

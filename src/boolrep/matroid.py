@@ -541,7 +541,7 @@ def matroid_from_json(text: str) -> Matroid:
     if has_bases:
         return Matroid(ground, collect("bases"))
     family = collect("independent")
-    hc = HereditaryCollection(ground, family)
+    HereditaryCollection(ground, family)  # raises EmptyFamily, NotDownwardClosed
     top = max(m.bit_count() for m in family)
     matroid = Matroid(ground, frozenset(m for m in family if m.bit_count() == top))
     if matroid._extensions.keys() != family:

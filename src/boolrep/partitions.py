@@ -44,17 +44,15 @@ class ChainPartition:
     """The ordered blocks cut out of the ground set by one maximal chain.
 
     Partitions are kept keyed to their generating chain; two chains may cut
-    identical blocks and still count separately.
+    identical blocks and still count separately.  Each chain flat is the
+    union of the blocks below it, so `chain_flats` reads them off the blocks.
     """
 
     ground: GroundSet
     chain: tuple[str, ...]
-    chain_flats: tuple[tuple[str, ...], ...]
     blocks: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if len(self.chain) != len(self.chain_flats):
-            raise BoolrepError("chain names and flats disagree in length")
         if len(self.blocks) + 1 != len(self.chain):
             raise BoolrepError("a k-step chain must cut exactly k blocks")
         union = 0
@@ -67,6 +65,16 @@ class ChainPartition:
             total += len(block)
         if union != self.ground.full_mask or total != self.ground.size:
             raise BoolrepError("blocks do not partition the ground set")
+
+    @property
+    def chain_flats(self) -> tuple[tuple[str, ...], ...]:
+        """Labels of the running union of the blocks, from the empty flat."""
+        flats = [()]
+        union = 0
+        for block in self.blocks:
+            union |= self.ground.mask_of(block)
+            flats.append(self.ground.labels_of(union))
+        return tuple(flats)
 
     @property
     def block_count(self) -> int:
@@ -139,14 +147,13 @@ def _require_flats(lattice: FlatLattice) -> None:
 
 
 def _partition(lattice: FlatLattice, chain: Sequence[int]) -> ChainPartition:
-    """The partition a cover chain cuts, labelled from the flat masks and
-    the cached block masks of `FlatLattice.cover_blocks`."""
+    """The partition a cover chain cuts, labelled from the cached block
+    masks of `FlatLattice.cover_blocks`."""
     ground = lattice.ground
     edges = lattice.cover_blocks
     return ChainPartition(
         ground,
         tuple(lattice.names[i] for i in chain),
-        tuple(ground.labels_of(lattice.flat_masks[i]) for i in chain),
         tuple(ground.labels_of(edges[a][b]) for a, b in zip(chain, chain[1:])),
     )
 

@@ -248,21 +248,12 @@ def maximal_chains_by_order(lattice):
     """Every bottom-to-top cover chain, by element name, lexicographic in
     element index.
 
-    Uses the `up` bitsets alone: j covers i when i < j and no k lies
-    strictly between them, found by trying every k.  The library's cover
-    lists and chain walk are not used.
+    Uses the `up` bitsets alone, through `order_covers`; the library's
+    cover lists and chain walk are not used.
     """
     n = lattice.size
     up = lattice.up
-
-    def below(i, j):
-        return i != j and up[i] >> j & 1
-
-    covers = [
-        [j for j in range(n) if below(i, j)
-         and not any(below(i, k) and below(k, j) for k in range(n))]
-        for i in range(n)
-    ]
+    covers = order_covers(up)
     bottom = next(i for i in range(n) if all(up[i] >> j & 1 for j in range(n)))
     chains = []
 

@@ -25,7 +25,6 @@ from boolrep import (
     SbMatrix,
     TropicalMatrix,
     UnknownLabel,
-    VerificationReport,
     dedupe_reduce,
     extract_representation,
     paper_reduce,
@@ -147,7 +146,7 @@ def test_paper_reduce_rejects_a_row_that_names_no_flat(k4m):
     # {1,2} spans the line {1,2,4}, so it is no flat of K4
     full = extract_representation(k4m)
     names = (full.provenance[0], "{1,2}") + full.provenance[2:]
-    rep = Representation(full.matrix.relabeled(row_labels=names), names, "full", k4m)
+    rep = Representation(full.matrix.relabeled(row_labels=names), "full", k4m)
     with pytest.raises(UnknownLabel, match=r"\{1,2\}"):
         paper_reduce(rep)
 
@@ -170,7 +169,7 @@ def test_reduction_errors_name_the_broken_certificate():
     with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
         paper_reduce(full)
     ones = BoolMatrix.of([[1, 1]] * 4, row_labels=full.provenance, col_labels=("1", "2"))
-    start = Representation(ones, full.provenance, "full", full.matroid)
+    start = Representation(ones, "full", full.matroid)
     with pytest.raises(ReductionError, match=r"basis \{1,2\} is column-dependent"):
         verified_reduce(start)
 
@@ -234,7 +233,7 @@ def test_dedupe_drops_zero_and_duplicate_rows():
         ("1", "2"),
     )
     m = uniform(2, 2)
-    rep = Representation(matrix, ("a", "b", "c", "d"), "full", m)
+    rep = Representation(matrix, "full", m)
     out = dedupe_reduce(rep)
     assert out.provenance == ("a", "d")
     assert out.reduction_mode == "dedupe"
@@ -338,7 +337,7 @@ def flipped(rep, rng):
     matrix = BoolMatrix(
         tuple(map(tuple, grid)), rep.matrix.row_labels, rep.matrix.col_labels
     )
-    return Representation(matrix, rep.provenance, "full", rep.matroid)
+    return Representation(matrix, "full", rep.matroid)
 
 
 def test_verified_reduce_matches_the_oracle_loop_on_the_pool(pool):
@@ -370,7 +369,7 @@ def candidate_loop_reduce(rep, matroid):
     check every basis and loose circuit on it.  Returns the kept row
     labels, or the error type and message."""
     bases, circuits = extraction._certificates(matroid)
-    matrix = extraction._strip_rows(rep, "verified").matrix
+    matrix = rep.matrix.submatrix(rows=extraction._strip_rows(rep.matrix))
     loose = [c for c in circuits if matrix.columns_independent(c)]
     for label in matrix.row_labels:
         if matrix.n_rows == 1:
@@ -423,12 +422,12 @@ def test_verified_reduce_matches_the_candidate_loop(pool, monkeypatch):
         full = extract_representation(m)
         starts = [full, *(flipped(full, rng) for _ in range(3))]
         starts.extend(
-            Representation(matrix, full.provenance, "full", m)
+            Representation(matrix, "full", m)
             for matrix in broken_copies(full.matrix, rng)
         )
         for rep in starts:
             expected = candidate_loop_reduce(rep, m)
-            stripped = extraction._strip_rows(rep, "verified").matrix
+            stripped = rep.matrix.submatrix(rows=extraction._strip_rows(rep.matrix))
             listed.clear()
             try:
                 got = verified_reduce(rep).provenance
@@ -456,7 +455,7 @@ def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
         full = extract_representation(m)
         starts = [full, flipped(full, rng)]
         starts.extend(
-            Representation(matrix, full.provenance, "full", m)
+            Representation(matrix, "full", m)
             for matrix in broken_copies(full.matrix, rng)
         )
         for rep in starts:
@@ -710,26 +709,16 @@ def test_verify_caps_the_ground_size():
         verify_representation(identity, free13)
 
 
-def test_verification_report_consistency():
-    with pytest.raises(ValueError):
-        VerificationReport(ok=True, mismatches=(("1",),), checked_count=2)
-    with pytest.raises(ValueError):
-        VerificationReport(ok=False, mismatches=(), checked_count=2)
-
-
 def test_representation_validation(fivept):
     rep = extract_representation(fivept)
     with pytest.raises(ValueError):
-        Representation(rep.matrix, rep.provenance, "squeeze", fivept)
+        Representation(rep.matrix, "squeeze", fivept)
     with pytest.raises(LabelMismatch):
         Representation(
             rep.matrix.submatrix(cols=("2", "1", "3", "4", "5")),
-            rep.provenance,
             "full",
             fivept,
         )
-    with pytest.raises(ValueError):
-        Representation(rep.matrix, tuple(reversed(rep.provenance)), "full", fivept)
 
 
 # -- bounds ---------------------------------------------------------------------------------
@@ -824,4 +813,4 @@ def test_representation_to_json_rejects_ghosts():
     grid[i][j] = GHOST
     matrix = SbMatrix(tuple(map(tuple, grid)), full.provenance, full.matrix.col_labels)
     with pytest.raises(ValueError):
-        representation_to_json(Representation(matrix, full.provenance, "full", full.matroid))
+        representation_to_json(Representation(matrix, "full", full.matroid))

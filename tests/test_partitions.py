@@ -138,7 +138,7 @@ def test_blocks_follow_the_chain_differences(pool_lattices):
                 assert lat.ground.mask_of(block) == upper & ~lower
                 assert block == lat.ground.labels_of(upper & ~lower)
             # the partition passes the check a hand-built one gets
-            assert ChainPartition(lat.ground, chain, part.chain_flats, part.blocks) == part
+            assert ChainPartition(lat.ground, chain, part.blocks) == part
 
 
 def test_cover_blocks_refuse_flats_that_break_the_partition_proof():
@@ -211,14 +211,12 @@ def test_chain_partition_validates_block_shape():
         ChainPartition(
             ground=ground,
             chain=("{}", "{1}", "E"),
-            chain_flats=(0, 1, 3),
             blocks=(("1",), ("1", "2")),
         )
     with pytest.raises(BoolrepError):
         ChainPartition(
             ground=ground,
             chain=("{}", "{1}", "E"),
-            chain_flats=(0, 1, 3),
             blocks=(("1",),),
         )
 
@@ -240,6 +238,14 @@ def test_to_json_dict_shape(catalog_lattices):
         "chain": [[], ["1"], ["1", "2"], ["1", "2", "3", "4"]],
         "blocks": [["1"], ["2"], ["3", "4"]],
     }
+
+
+def test_hand_built_chain_flats_are_the_running_union_of_the_blocks():
+    part = ChainPartition(GroundSet.of("12"), ("{}", "{1}", "E"), (("1",), ("2",)))
+    assert part.to_json_dict()["chain"] == [[], ["1"], ["1", "2"]]
+    # flats come out in ground order whatever the order within a block
+    part = ChainPartition(GroundSet.of("123"), ("B", "T"), (("3", "1", "2"),))
+    assert part.chain_flats == ((), ("1", "2", "3"))
 
 
 # -- transversals ------------------------------------------------------------------
