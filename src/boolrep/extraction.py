@@ -380,6 +380,7 @@ class TropicalMatrix:
             for v in row:
                 if v != 0.0 and v != float("-inf"):
                     raise ValueError(f"tropical entry must be 0 or -inf, got {v!r}")
+        self.to_boolean()  # the matrix checks: shape and repeated labels
 
     def to_boolean(self) -> BoolMatrix:
         """Inverse of the embedding: 0.0 back to 1, -inf back to 0."""

@@ -160,16 +160,10 @@ class FlatLattice:
             if low not in index or high not in index:
                 raise UnknownLabel(f"unknown element in pair ({low!r}, {high!r})")
             up[index[low]] |= 1 << index[high]
-        changed = True
-        while changed:
-            changed = False
+        for k in range(n):  # Warshall's algorithm
             for i in range(n):
-                grown = up[i]
-                for j in bits(up[i]):
-                    grown |= up[j]
-                if grown != up[i]:
-                    up[i] = grown
-                    changed = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         return cls(names, tuple(up))
 
     # -- basic structure ------------------------------------------------------
@@ -396,14 +390,22 @@ class FlatLattice:
 
     @cached_property
     def is_geometric(self) -> bool:
-        """Uniform chain lengths between comparable pairs (Jordan–Dedekind:
-        every cover edge raises the height by exactly 1), the semimodular
-        height inequality, and every element a join of atoms."""
+        """The semimodular height inequality h(a) + h(d) ≥ h(a ∨ d) + h(a ∧ d)
+        for every pair, and every element a join of atoms.  A geometric
+        lattice is also graded (Oxley, *Matroid Theory*, 2nd ed., §1.7), which
+        the inequality forces when h is the longest-chain height.
+
+        Lemma: then every cover a ⋖ b has h(b) = h(a) + 1.  Proof: take a cover
+        a ⋖ b with h(b) ≥ h(a) + 2 and h(b) least.  A longest chain to b ends
+        in some c ⋖ b with h(c) = h(b) − 1.  So c ≠ a, and c ≰ a, since
+        c < a < b would contradict c ⋖ b.  Let m = a ∧ c < c, and pick d with
+        m ⋖ d ≤ c.  Any cover x ⋖ y with y ≤ c has h(y) ≤ h(c) < h(b), so by
+        the choice of b it rises by exactly 1; hence h(d) = h(m) + 1.  Also
+        d ≰ a (else d ≤ a ∧ c = m), so a < a ∨ d ≤ b gives a ∨ d = b, and
+        m ≤ a ∧ d ≤ a ∧ c gives a ∧ d = m.  The inequality then gives
+        h(a) + h(m) + 1 ≥ h(b) + h(m), so h(b) ≤ h(a) + 1, a contradiction."""
         n = self.size
         h = self.heights
-        for i, ups in enumerate(self.upper_covers):
-            if any(h[j] != h[i] + 1 for j in ups):
-                return False
         for i in range(n):
             for j in range(i + 1, n):
                 if h[i] + h[j] < h[self._join_index(i, j)] + h[self._meet_index(i, j)]:

@@ -6,8 +6,8 @@ each independent set I mapped to the elements e with I + e independent.
 Independence is membership in it, rank the greedy algorithm (Edmonds 1971),
 and the span of an independent set, the one closure rule, the complement of
 its extensions (Oxley, *Matroid Theory*, 2nd ed., §1.4).  Closure, flats,
-loops, simplicity and the construction-time basis exchange check (raising a
-counterexample, never returning a bare bool) all read that table.
+loops, simplicity and the basis exchange check (one search per completion
+mask for a basis inside its span, raised as a counterexample) read that table.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class HereditaryCollection:
     family: frozenset
 
     def __post_init__(self):
-        _validate_downward_closed(self.ground, self.family)
         stray = next((m for m in self.family if m & ~self.ground.full_mask), None)
         if stray is not None:
             raise UnknownLabel(f"family mask {stray:#x} has bits outside the ground set")
+        _validate_downward_closed(self.ground, self.family)
 
     @classmethod
     def of(cls, ground: GroundSet, subsets: Iterable[Iterable[str]]) -> "HereditaryCollection":
@@ -221,7 +221,8 @@ class Matroid:
     """A matroid stored by its bases (equicardinal, exchange-closed).
 
     Construction builds the extension table (`_extensions`) and checks basis
-    exchange once per (r-1)-subset of a basis; every other answer reads it.
+    exchange once per completion mask of an (r-1)-subset, by its span; every
+    other answer reads the table.
     """
 
     ground: GroundSet
@@ -239,36 +240,31 @@ class Matroid:
         self._check_exchange()
 
     def _check_exchange(self):
-        """Basis exchange, once per (r-1)-subset of a basis.
+        """Basis exchange, once per completion mask of an (r-1)-subset.
 
         For a basis b1 and x in b1, the bases b1 - x + y are I + y for
         I = b1 - x and y a completion of I: an element of its extensions,
         x among them.  A basis b2 fails the exchange for (b1, x) exactly
-        when it holds no completion of I, so the verdict depends on I alone
-        and each I is checked once, in canonical basis order.  Bit k of
-        hits[e] marks that the k-th basis contains e, so the bases holding
-        some completion are one OR over I's extensions.
+        when it avoids every completion, that is, lies inside the span of I,
+        so each distinct completion mask is checked once.  A span of fewer
+        than r elements holds no basis; any other is scanned in canonical
+        basis order for the first basis inside it.
         """
         order = sorted(self.bases, key=self.ground.sort_key)
-        hits = [0] * self.ground.size
-        for k, b in enumerate(order):
-            for e in bits(b):
-                hits[e] |= 1 << k
-        every = (1 << len(order)) - 1
         ext = self._extensions
+        full = self.ground.full_mask
+        rank = self.rank
         checked = set()
         for b1 in order:
             for x in bits(b1):
-                rest = b1 ^ (1 << x)
-                if rest in checked:
+                completions = ext[b1 ^ (1 << x)]
+                if completions in checked:
                     continue
-                checked.add(rest)
-                met = 0
-                for y in bits(ext[rest]):
-                    met |= hits[y]
-                free = every & ~met
-                if free:
-                    b2 = order[(free & -free).bit_length() - 1]
+                checked.add(completions)
+                if (full & ~completions).bit_count() < rank:
+                    continue
+                b2 = next((b for b in order if not b & completions), None)
+                if b2 is not None:
                     raise ExchangeFails(
                         self.ground.labels_of(b1),
                         self.ground.labels_of(b2),

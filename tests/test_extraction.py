@@ -14,6 +14,7 @@ from boolrep import (
     GHOST,
     BoolMatrix,
     BoolrepError,
+    DuplicateLabels,
     FlatLattice,
     GroundTooLarge,
     HereditaryCollection,
@@ -784,6 +785,16 @@ def test_tropicalize_rejects_ghosts():
 def test_tropical_matrix_validates_entries():
     with pytest.raises(ValueError):
         TropicalMatrix(((1.0,),), ("a",), ("x",))
+
+
+def test_tropical_matrix_validates_shape_and_labels():
+    neg = float("-inf")
+    with pytest.raises(ValueError):  # two row labels for one row
+        TropicalMatrix(((0.0, neg),), ("r1", "r2"), ("a",))
+    with pytest.raises(ValueError):  # ragged rows
+        TropicalMatrix(((0.0,), (0.0, neg)), ("r1", "r2"), ("a", "b"))
+    with pytest.raises(DuplicateLabels):
+        TropicalMatrix(((0.0, neg),), ("r1",), ("a", "a"))
 
 
 def test_tropical_csv():

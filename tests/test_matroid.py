@@ -33,7 +33,7 @@ from boolrep import (
     verified_reduce,
 )
 
-from conftest import random_bool_matrix, random_matrix
+from conftest import _xor_rank, random_bool_matrix, random_matrix
 from oracles import (
     basis_exchange_holds,
     circuits_scan,
@@ -103,6 +103,15 @@ def test_hereditary_rejects_gap_with_counterexample():
     err = info.value
     assert set(err.superset) == {"a", "b"}
     assert len(err.subset) == 1
+
+
+def test_hereditary_rejects_masks_outside_the_ground_set():
+    """A stray or negative mask raises UnknownLabel before the closure
+    check, whose message would name labels for bits outside the ground."""
+    with pytest.raises(UnknownLabel):
+        HereditaryCollection(GroundSet.of("a"), frozenset({0b10}))
+    with pytest.raises(UnknownLabel):
+        HereditaryCollection(GroundSet.of("ab"), frozenset({0, -1}))
 
 
 def test_members_canonical_order():
@@ -184,42 +193,101 @@ def test_exchange_counterexample_is_reported():
     assert len(err.basis1) == 2
 
 
+def _agrees_with_pairwise_exchange(ground, bases):
+    """Construction accepts exactly when the pairwise oracle does, and a
+    rejection reports the first real failure in canonical order: b1, then
+    x ascending, then b2.  Returns whether the family was accepted."""
+    try:
+        Matroid(ground, bases)
+    except ExchangeFails as err:
+        assert not basis_exchange_holds(bases)
+        b1 = ground.mask_of(err.basis1)
+        b2 = ground.mask_of(err.basis2)
+        x = ground.index(err.element)
+        assert b1 in bases and b2 in bases
+        assert b1 >> x & 1 and not b2 >> x & 1
+        assert exchange_fails(bases, b1, b2, x)
+        order = sorted(bases, key=ground.sort_key)
+        first = next(
+            (c1, y, c2)
+            for c1 in order
+            for y in range(ground.size)
+            if c1 >> y & 1
+            for c2 in order
+            if not c2 >> y & 1 and exchange_fails(bases, c1, c2, y)
+        )
+        assert (b1, x, b2) == first
+        return False
+    assert basis_exchange_holds(bases)
+    return True
+
+
 def test_exchange_check_matches_pairwise_definition():
     """Every nonempty family of k-subsets of n elements, for (n, k) in
-    (4, 2), (5, 2), (5, 3): construction accepts exactly the families the
-    pairwise oracle accepts, and the reported triple is the first real
-    failure in canonical order: b1, then x ascending, then b2."""
-    accepted = rejected = 0
+    (4, 2), (5, 2), (5, 3), against the pairwise oracle."""
+    verdicts = Counter()
     for n, k in ((4, 2), (5, 2), (5, 3)):
         ground = GroundSet(tuple(str(i + 1) for i in range(n)))
         subsets = [sum(1 << i for i in c) for c in combinations(range(n), k)]
         for choice in range(1, 1 << len(subsets)):
             bases = frozenset(s for j, s in enumerate(subsets) if choice >> j & 1)
-            try:
-                Matroid(ground, bases)
-            except ExchangeFails as err:
-                rejected += 1
-                assert not basis_exchange_holds(bases)
-                b1 = ground.mask_of(err.basis1)
-                b2 = ground.mask_of(err.basis2)
-                x = ground.index(err.element)
-                assert b1 in bases and b2 in bases
-                assert b1 >> x & 1 and not b2 >> x & 1
-                assert exchange_fails(bases, b1, b2, x)
-                order = sorted(bases, key=ground.sort_key)
-                first = next(
-                    (c1, y, c2)
-                    for c1 in order
-                    for y in range(n)
-                    if c1 >> y & 1
-                    for c2 in order
-                    if not c2 >> y & 1 and exchange_fails(bases, c1, c2, y)
+            verdicts[_agrees_with_pairwise_exchange(ground, bases)] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _has_small_span(bases, n, r):
+    """Some (r-1)-subset I of a basis spans fewer than r elements: the
+    complement of its completions, the y with I + y a basis, is that small."""
+    full = (1 << n) - 1
+    for b in bases:
+        for x in range(n):
+            if b >> x & 1:
+                rest = b ^ (1 << x)
+                completions = sum(
+                    1 << y for y in range(n) if not rest >> y & 1 and rest | 1 << y in bases
                 )
-                assert (b1, x, b2) == first
-            else:
-                accepted += 1
-                assert basis_exchange_holds(bases)
-    assert accepted and rejected
+                if (full & ~completions).bit_count() < r:
+                    return True
+    return False
+
+
+def test_exchange_check_matches_pairwise_definition_on_random_families():
+    """Seeded random equicardinal families on 0-8 elements at every rank
+    0..n: the uniform matroid, GF(2) column matroids (zero and repeated
+    columns allowed), each of those with one r-subset toggled, and families
+    drawn at random.  Each must agree with the pairwise oracle; the sweep
+    holds both verdicts at every rank that has both, and both verdicts on
+    families where some span has fewer than r elements."""
+    rng = random.Random(20261019)
+    verdicts = Counter()
+    small_span = Counter()
+    for n in range(9):
+        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+        for r in range(n + 1):
+            subsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+            families = [frozenset(subsets)]
+            for _ in range(4):
+                cols = [rng.randrange(1 << r) for _ in range(n)]
+                families.append(frozenset(
+                    s for s in subsets
+                    if _xor_rank([cols[i] for i in range(n) if s >> i & 1]) == r
+                ))
+            families += [
+                fam ^ {rng.choice(subsets)} for fam in families for _ in range(2)
+            ]
+            for _ in range(4):
+                density = rng.random()
+                families.append(frozenset(s for s in subsets if rng.random() < density))
+            for bases in families:
+                if not bases:
+                    continue
+                accepted = _agrees_with_pairwise_exchange(ground, bases)
+                verdicts[n, r, accepted] += 1
+                small_span[accepted] += _has_small_span(bases, n, r)
+    assert all(verdicts[n, r, True] for n in range(9) for r in range(n + 1))
+    # every family of rank 1 or of rank n - 1 is a matroid's bases
+    assert all(verdicts[n, r, False] for n in range(9) for r in range(2, n - 1))
+    assert small_span[True] and small_span[False]
 
 
 def test_basis_sets_canonical():
