@@ -132,13 +132,12 @@ def _check_cap(ground: GroundSet) -> None:
 def _flat_rows(matrix: SbMatrix, matroid: Matroid) -> bool:
     """Is every row a flat row: free of ghosts, with a closed zero set?
 
-    Columns are the ground elements in order.  A zero set is closed when it
-    is the span of its own greedy basis.
+    Columns are the ground elements in order.
     """
     full = matroid.ground.full_mask
     for nz, one in zip(*matrix._row_masks):
         zeros = full & ~nz
-        if nz != one or matroid._span(matroid._greedy_basis(zeros)) != zeros:
+        if nz != one or not matroid.is_flat_mask(zeros):
             return False
     return True
 

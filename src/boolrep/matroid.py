@@ -342,6 +342,10 @@ class Matroid:
         """Smallest flat containing the subset: the span of its greedy basis."""
         return self._span(self._greedy_basis(mask))
 
+    def is_flat_mask(self, mask: int) -> bool:
+        """Is the subset closed?  The span of its greedy basis adds nothing."""
+        return self._span(self._greedy_basis(mask)) == mask
+
     def closure(self, labels: Iterable[str]) -> tuple[str, ...]:
         return self.ground.labels_of(self.closure_mask(self.ground.mask_of(labels)))
 

@@ -11,9 +11,10 @@ has a triangular form with plain 1s on the diagonal.  One greedy peel
 independence, nonsingularity (a square matrix whose rows all peel),
 triangular forms and witness rows in polynomial time, and it decides each
 step of rank, a depth-first search over independent sets of the shorter
-side.  The permanent is 1 iff the matrix is nonsingular, and otherwise 1v
-or 0 as its nonzero pattern does or does not hold a perfect matching
-(Kuhn's algorithm).
+side with one bound in its loop.  The permanent is 1 iff the matrix is
+nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
+hold a perfect matching (Kuhn's algorithm, each augmenting path found depth
+first on an explicit stack).
 """
 
 from __future__ import annotations
@@ -215,72 +216,62 @@ def _masks(vectors):
     return tuple(nz), tuple(one)
 
 
-def _max_independent(nz_masks, one_masks, indices, cap: int) -> int:
+def _max_independent(nz_masks, one_masks) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
     Depth-first over independent sets only, each extension decided by the
     peel.  Independence is hereditary, so a child tries only the vectors
-    that extended its parent, and a branch stops once those cannot beat
-    the best size found.
+    that extended its parent.  One bound stops the search: a branch ends
+    once its chosen vectors and the viable ones left cannot beat the best
+    size found.  A set holding every vector ends all branches, so no
+    separate cap is needed.
     """
-    if cap <= 0:
-        return 0
     best = 0
 
-    def extend(chosen, candidates) -> bool:
+    def extend(chosen, candidates):
         nonlocal best
-        depth = len(chosen)
-        if depth + len(candidates) <= best:
-            return False
         viable = [i for i in candidates if _peel(nz_masks, one_masks, chosen + [i]) is not None]
-        if viable and depth + 1 > best:
-            best = depth + 1
-            if best >= cap:
-                return True
+        if viable:
+            best = max(best, len(chosen) + 1)
         for t, i in enumerate(viable):
-            if depth + len(viable) - t <= best:
+            if len(chosen) + len(viable) - t <= best:
                 break
-            if extend(chosen + [i], viable[t + 1:]):
-                return True
-        return False
+            extend(chosen + [i], viable[t + 1:])
 
-    extend([], list(indices))
+    extend([], range(len(nz_masks)))
     return best
 
 
 def _has_perfect_matching(row_nz, n: int) -> bool:
     """Does the nonzero pattern hold a perfect matching?  Kuhn's algorithm:
-    each row in turn is matched along an augmenting path, found breadth
-    first over the row bitmasks."""
+    each row in turn is matched along an augmenting path, found depth first
+    over the row bitmasks on an explicit stack.  A step takes an unowned
+    column when its row has one, which ends the path at once."""
     owner = [-1] * n  # column -> its matched row
-    col_of = [-1] * n  # row -> its matched column
+    full = (1 << n) - 1
+    unowned = full
     for r in range(n):
-        came_from = {}  # column -> the row that reached it
-        seen = 0
-        frontier = [r]
-        end = -1
-        while frontier and end < 0:
-            reached = []
-            for row in frontier:
-                free = row_nz[row] & ~seen
-                seen |= free
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    j = bit.bit_length() - 1
-                    came_from[j] = row
-                    if owner[j] < 0:
-                        end = j
-                        break
-                    reached.append(owner[j])
-                if end >= 0:
-                    break
-            frontier = reached
-        if end < 0:
+        unseen = full  # columns not yet reached in this search
+        stack = [[r, row_nz[r], -1]]  # steps: [row, columns left, column taken]
+        while stack:
+            step = stack[-1]
+            left = step[1] & unseen
+            if not left:
+                stack.pop()
+                continue
+            pick = (left & unowned) or left
+            bit = pick & -pick
+            unseen ^= bit
+            step[1] = left
+            step[2] = j = bit.bit_length() - 1
+            if unowned & bit:
+                unowned ^= bit
+                for row, _, col in stack:
+                    owner[col] = row
+                break
+            stack.append([owner[j], row_nz[owner[j]], -1])
+        else:
             return False
-        while end >= 0:
-            row = came_from[end]
-            owner[end], col_of[row], end = row, end, col_of[row]
     return True
 
 
@@ -379,9 +370,7 @@ class SbMatrix:
         return type(self)(grid, self.row_labels, self.col_labels)
 
     def transpose(self):
-        grid = tuple(zip(*self.entries)) if self.entries else ()
-        if not self.entries and self.n_cols:
-            grid = tuple(() for _ in range(self.n_cols))
+        grid = tuple(zip(*self.entries)) if self.entries else ((),) * self.n_cols
         return type(self)(grid, self.col_labels, self.row_labels)
 
     def submatrix(self, rows=None, cols=None):
@@ -425,10 +414,8 @@ class SbMatrix:
         return GHOST if _has_perfect_matching(self._row_masks[0], n) else ZERO
 
     def is_nonsingular(self) -> bool:
-        """True when the permanent is exactly 1: all rows peel."""
-        n = self._square()
-        nz, one = self._row_masks
-        return _peel(nz, one, range(n)) is not None
+        """True when the permanent is exactly 1: the matrix has a triangular form."""
+        return self.triangular_form() is not None
 
     def triangular_form(self):
         """Permutations putting 1s on the diagonal and 0s strictly above.
@@ -466,10 +453,10 @@ class SbMatrix:
         Equals the maximal number of independent columns and the size of the
         largest nonsingular square submatrix, so the search runs over the
         shorter side: depth first over independent sets, each extension
-        decided by the peel.
+        decided by the peel, each branch ended by one bound.
         """
         nz, one = self._col_masks if self.n_cols < self.n_rows else self._row_masks
-        return _max_independent(nz, one, range(len(nz)), min(self.n_rows, self.n_cols))
+        return _max_independent(nz, one)
 
     def witness(self, cols: Iterable):
         """Row labels carrying a nonsingular square submatrix on these columns.

@@ -398,3 +398,15 @@ def geometric_lattice_oracle(up):
                 joined = order_join(up, joined, a)
         atomistic = atomistic and joined == x
     return tuple(heights), graded and semimodular and atomistic
+
+
+def gaussian_binomial(n, k, q):
+    """[n choose k]_q, the number of k-dimensional subspaces of GF(q)^n:
+    the product over i < k of (q^(n-i) - 1) / (q^(i+1) - 1)."""
+    if not 0 <= k <= n:
+        return 0
+    top = bottom = 1
+    for i in range(k):
+        top *= q ** (n - i) - 1
+        bottom *= q ** (i + 1) - 1
+    return top // bottom

@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import factorial, prod
 
 import pytest
 
@@ -32,6 +33,7 @@ from boolrep import (
     uniform,
     verified_reduce,
 )
+from boolrep.partitions import chain_indices
 
 from conftest import _xor_rank, random_bool_matrix, random_matrix
 from oracles import (
@@ -40,6 +42,7 @@ from oracles import (
     closure_by_circuits,
     exchange_fails,
     flats_scan,
+    gaussian_binomial,
     indep_from_bases,
     rank_from_bases,
 )
@@ -417,6 +420,12 @@ def test_flats_match_power_set_scan(pool):
         assert list(m.flat_masks) == expected
 
 
+def test_is_flat_mask_matches_power_set_scan(pool):
+    for m in pool:
+        flats = set(flats_scan(sorted(m.bases), m.ground.size))
+        assert {s for s in range(1 << m.ground.size) if m.is_flat_mask(s)} == flats
+
+
 def test_flats_require_simple():
     g = GroundSet.of("ab")
     parallel = Matroid.from_bases(g, [("a",), ("b",)])
@@ -494,12 +503,12 @@ def test_the_extension_table_alone_answers_the_matroid(pool, monkeypatch):
             paper_reduce(rep)
 
 
-def pg25():
-    """PG(2,5): the 31 points of GF(5)^3 up to scalars, each scaled so its
-    first nonzero coordinate is 1; bases are the triples of nonzero
-    determinant mod 5."""
+def projective_plane(p):
+    """PG(2,p) for a prime p: the p^2 + p + 1 points of GF(p)^3 up to
+    scalars, each scaled so its first nonzero coordinate is 1; bases are the
+    triples of nonzero determinant mod p."""
     points = [
-        v for v in product(range(5), repeat=3)
+        v for v in product(range(p), repeat=3)
         if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
     ]
 
@@ -508,7 +517,7 @@ def pg25():
             a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0])
-        ) % 5
+        ) % p
 
     ground = GroundSet(tuple(str(i + 1) for i in range(len(points))))
     bases = frozenset(
@@ -517,6 +526,52 @@ def pg25():
         if det(points[i], points[j], points[k])
     )
     return Matroid(ground, bases)
+
+
+def pg25():
+    """PG(2,5): 31 points, 31 lines of 6 points each."""
+    return projective_plane(5)
+
+
+def pg32():
+    """PG(3,2): the 15 nonzero vectors of GF(2)^4, as bitmasks; bases are
+    the 4-sets of GF(2) rank 4."""
+    vectors = range(1, 16)
+    ground = GroundSet(tuple(str(v) for v in vectors))
+    bases = frozenset(
+        sum(1 << i for i in combo)
+        for combo in combinations(range(15), 4)
+        if _xor_rank([vectors[i] for i in combo]) == 4
+    )
+    return Matroid(ground, bases)
+
+
+def pg_closed_forms(d, q):
+    """Bases, flats by rank and maximal chains of PG(d,q), from formulas:
+    ordered bases of GF(q)^r up to scalars and order, the Gaussian binomials
+    [d+1 choose k]_q, and the complete flags of GF(q)^(d+1)."""
+    r = d + 1
+    bases = prod(q**r - q**i for i in range(r)) // ((q - 1) ** r * factorial(r))
+    flats = [gaussian_binomial(r, k, q) for k in range(r + 1)]
+    chains = prod((q**k - 1) // (q - 1) for k in range(1, r + 1))
+    return bases, flats, chains
+
+
+@pytest.mark.parametrize(
+    "build, d, q",
+    [(lambda: projective_plane(3), 2, 3), (pg32, 3, 2), (pg25, 2, 5)],
+    ids=["PG(2,3)", "PG(3,2)", "PG(2,5)"],
+)
+def test_projective_geometries_match_closed_forms(build, d, q):
+    """Closed forms, not oracles: they hold past the brute-force oracles'
+    reach, and share no code with the library."""
+    m = build()
+    bases, flats, chains = pg_closed_forms(d, q)
+    assert m.ground.size == flats[1]
+    assert len(m.bases) == bases
+    by_rank = Counter(m.rank_of_mask(f) for f in m.flat_masks)
+    assert [by_rank[k] for k in range(d + 2)] == flats
+    assert sum(1 for _ in chain_indices(FlatLattice.from_matroid(m))) == chains
 
 
 def test_projective_plane_of_order_5():
@@ -563,13 +618,16 @@ def pg33():
 
 
 def test_projective_space_of_dimension_3_over_gf3():
-    """Closed forms, not oracles: the basis count is the product formula and
-    the flats by rank are the Gaussian binomials [4 choose k]_3."""
+    """Closed forms, not oracles: the basis count is the product formula,
+    the flats by rank are the Gaussian binomials [4 choose k]_3 and the
+    maximal chains are the complete flags of GF(3)^4."""
     m = pg33()
-    assert m.ground.size == 40 and len(m.bases) == 63180
+    bases, flats, chains = pg_closed_forms(3, 3)
+    assert m.ground.size == 40 and len(m.bases) == bases == 63180
     assert m.is_simple
     by_rank = Counter(m.rank_of_mask(f) for f in m.flat_masks)
-    assert [by_rank[k] for k in range(5)] == [1, 40, 130, 40, 1]
+    assert [by_rank[k] for k in range(5)] == flats == [1, 40, 130, 40, 1]
+    assert sum(1 for _ in chain_indices(FlatLattice.from_matroid(m))) == chains == 2080
     lines = {f for f in m.flat_masks if m.rank_of_mask(f) == 2}
     assert {f.bit_count() for f in lines} == {4}
     for i, j in combinations(range(40), 2):

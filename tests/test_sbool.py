@@ -21,7 +21,8 @@ from boolrep import (
     UnknownLabel,
     as_sbool,
 )
-from boolrep.sbool import sb_product, sb_sum
+from boolrep import sbool
+from boolrep.sbool import _has_perfect_matching, sb_product, sb_sum
 
 from conftest import random_matrix, read_golden
 from oracles import (
@@ -393,6 +394,28 @@ def test_rank_examples():
     assert SbMatrix.of([["1v", "1v"], ["1v", "1v"]]).rank() == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_rank_bound_keeps_the_search_quadratic_on_extreme_matrices(n, monkeypatch):
+    """On the n x n identity (rank n) and all-ones matrix (rank 1) the
+    search makes exactly n(n+1)/2 peels.  The identity's first chain finds
+    all n rows and the bound ends every other branch; without it the search
+    would visit all 2^n independent sets."""
+    calls = []
+    peel = sbool._peel
+
+    def counted(nz, one, idxs):
+        calls.append(1)
+        return peel(nz, one, idxs)
+
+    monkeypatch.setattr(sbool, "_peel", counted)
+    identity = SbMatrix.of([[int(i == j) for j in range(n)] for i in range(n)])
+    ones = SbMatrix.of([[1] * n] * n)
+    for m, rank in ((identity, n), (ones, 1)):
+        calls.clear()
+        assert m.rank() == rank
+        assert len(calls) == n * (n + 1) // 2
+
+
 def test_rank_of_submatrix_never_exceeds_rank():
     rng = random.Random(13)
     for _ in range(40):
@@ -602,6 +625,60 @@ def test_nonsingularity_past_six_by_six():
         assert not m.is_nonsingular()
         assert m.triangular_form() is None
         assert m.permanent() is GHOST
+
+
+def _planted_pattern(rng, n, extra=3):
+    """Row bitmasks of an n x n pattern holding a planted permutation plus
+    `extra` random columns per row: it has a perfect matching."""
+    perm = rng.sample(range(n), n)
+    return [
+        (1 << perm[i]) | sum(1 << j for j in rng.sample(range(n), extra))
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [300, 800, 1500])
+def test_matching_on_large_planted_patterns(n):
+    """Answers known by construction, far past the permanent's other tests."""
+    rng = random.Random(n)
+    rows = _planted_pattern(rng, n)
+    assert _has_perfect_matching(rows, n)
+    zeroed = list(rows)
+    zeroed[rng.randrange(n)] = 0
+    assert not _has_perfect_matching(zeroed, n)
+    # k + 1 rows inside the same k columns break Hall's condition
+    for k in (1, 7, n // 2):
+        cols = rng.sample(range(n), k)
+        confined = list(rows)
+        for i in rng.sample(range(n), k + 1):
+            confined[i] = sum(1 << j for j in cols if rng.random() < 0.5) or 1 << cols[0]
+        assert not _has_perfect_matching(confined, n)
+
+
+def test_matching_on_staircases():
+    """Row i of the lower staircase holds columns 0..i, of the upper one
+    columns i..n-1; the diagonal is the only perfect matching of each."""
+    n = 1000
+    lower = [(1 << (i + 1)) - 1 for i in range(n)]
+    upper = [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)]
+    assert _has_perfect_matching(lower, n)
+    assert _has_perfect_matching(upper, n)
+    assert not _has_perfect_matching(lower[:-1] + [lower[-2]], n)
+
+
+def test_matching_agrees_with_the_permanent_oracle_on_sparse_patterns():
+    rng = random.Random(41)
+    seen = set()
+    for n in (9, 10, 11, 12):
+        for density in (0.12, 0.2, 0.3):
+            for _ in range(8):
+                grid = [[1 if rng.random() < density else 0 for _ in range(n)]
+                        for _ in range(n)]
+                rows = [sum(1 << j for j, v in enumerate(row) if v) for row in grid]
+                expected = permanent_dp(grid) != 0
+                assert _has_perfect_matching(rows, n) == expected
+                seen.add(expected)
+    assert seen == {False, True}
 
 
 # -- text forms -------------------------------------------------------------------
