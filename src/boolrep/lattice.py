@@ -7,12 +7,11 @@ live here; partition machinery builds on top in a sibling module.
 
 Each element is held as two bitsets over the element list: its up-set
 (the elements above it) and its down-set (the elements below it).  In a
-partial order the common lower bounds of two elements form a down-set,
-and that set has a greatest element m exactly when it equals down[m];
-dually, the common upper bounds have a least element m exactly when they
-equal up[m].  So one map from down-sets to elements and one from up-sets
-decide the lattice axioms with one set lookup per pair, O(F^2) lookups
-for F elements, and then answer every meet and join in O(1).
+partial order the common upper bounds of two elements have a least
+element m exactly when they equal up[m], so one map from up-sets decides
+every join with one set lookup per pair, O(F^2) lookups for F elements.
+Dually, one map from down-sets answers every meet, which a bottom
+guarantees (see `FlatLattice`), in O(1).
 """
 
 from __future__ import annotations
@@ -58,11 +57,13 @@ class FlatLattice:
 
     Construction validates the full partial-order and lattice axioms on
     every path, in O(F^2) for F elements: the order axioms by walking each
-    up-set once, then one lookup per pair for its meet and one for its
-    join (exact, as the module docstring shows).  The lookup maps stay
-    with the lattice and answer meets and joins.  When built from a
-    matroid, flat_masks and ground record what the elements are;
-    order-only instances leave both None.
+    up-set once, then one lookup per pair for its join (exact, as the
+    module docstring shows), then the bottom.  Then every pair a, b has a
+    meet: their common lower bounds hold the bottom, and the join of them
+    all, built from pairwise joins, lies below a and b, so it is the
+    greatest.  The lookup maps stay with the lattice and answer meets and
+    joins.  When built from a matroid, flat_masks and ground record what
+    the elements are; order-only instances leave both None.
     """
 
     names: tuple[str, ...]
@@ -102,10 +103,6 @@ class FlatLattice:
         up_index = {mask: i for i, mask in enumerate(self.up)}
         for i in range(n):
             for j in range(i + 1, n):
-                if down[i] & down[j] not in down_index:
-                    raise BoolrepError(
-                        f"no meet for {self.names[i]!r}, {self.names[j]!r}"
-                    )
                 if self.up[i] & self.up[j] not in up_index:
                     raise BoolrepError(
                         f"no join for {self.names[i]!r}, {self.names[j]!r}"
@@ -307,11 +304,7 @@ class FlatLattice:
     @cached_property
     def structure_matrix(self) -> BoolMatrix:
         """Square containment table: entry (i, j) is 1 iff element i <= j."""
-        grid = tuple(
-            tuple(ONE if self.up[i] >> j & 1 else ZERO for j in range(self.size))
-            for i in range(self.size)
-        )
-        return BoolMatrix(grid, self.names, self.names)
+        return self.representation.complement()
 
     @cached_property
     def representation(self) -> BoolMatrix:

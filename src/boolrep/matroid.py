@@ -97,12 +97,13 @@ class GroundSet:
 
 
 def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
-    """Mask of one set given by its labels; a label listed twice raises
-    rather than being dropped, which would silently change the set."""
+    """Mask of one set given by its labels, for callers and JSON alike; a
+    label listed twice raises rather than being dropped, which would
+    silently change the set."""
     labels = tuple(labels)
     mask = ground.mask_of(labels)
     if mask.bit_count() != len(labels):
-        raise DuplicateLabels(f"set {labels!r} lists a label twice")
+        raise DuplicateLabels(f"repeated label in set {labels!r}")
     return mask
 
 
@@ -194,22 +195,26 @@ class HereditaryCollection:
 
         Augmentation: members X, Y with |Y| = |X| + 1 admit y in Y minus X
         with X + y a member.  Holding for all pairs makes the family a
-        matroid's independent family.
+        matroid's independent family, so `Matroid`'s exchange check on the
+        largest members decides it.  ExchangeFails(b1, b2, x) gives
+        X = b1 - x and Y = b2, since b2 holds no completion of b1 - x.
+        Otherwise a largest member M outside that matroid's extension table
+        extends by no element (M + e would be larger and outside too), so Y
+        is the first |M| + 1 labels of the canonically first largest member.
         """
-        by_size: dict = {}
-        for m in self.family:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        for k in sorted(by_size):
-            if k + 1 not in by_size:
-                continue
-            for x in by_size[k]:
-                for y in by_size[k + 1]:
-                    gain = y & ~x
-                    if gain == 0:
-                        continue
-                    if not any(x | (1 << i) in self.family for i in bits(gain)):
-                        return (self.ground.labels_of(x), self.ground.labels_of(y))
-        return None
+        rank = self.rank
+        tops = frozenset(m for m in self.family if m.bit_count() == rank)
+        try:
+            matroid = Matroid(self.ground, tops)
+        except ExchangeFails as exc:
+            small = tuple(x for x in exc.basis1 if x != exc.element)
+            return (small, exc.basis2)
+        outside = (m for m in self.family if m not in matroid._extensions)
+        small = max(outside, key=self.ground.sort_key, default=None)
+        if small is None:
+            return None
+        first = self.ground.labels_of(min(tops, key=self.ground.sort_key))
+        return (self.ground.labels_of(small), first[: small.bit_count() + 1])
 
     @property
     def is_matroid(self) -> bool:
@@ -499,7 +504,8 @@ def matroid_from_json(text: str) -> Matroid:
     """Load {"ground": [...], "bases": [[...]]} or {"ground", "independent"}.
 
     An explicit independent family must be exactly the downward closure of
-    its maximum-cardinality members, and no set may list a label twice;
+    its maximum-cardinality members.  Each set is read by `_set_mask`, so an
+    unknown or repeated label raises MatroidParseError naming the key;
     anything else is rejected rather than silently reinterpreted.
     """
     try:
@@ -523,16 +529,10 @@ def matroid_from_json(text: str) -> Matroid:
             isinstance(s, list) and all(isinstance(x, str) for x in s) for s in raw
         ):
             raise MatroidParseError(f'"{key}" must be a list of label lists')
-        masks = set()
-        for s in raw:
-            try:
-                mask = ground.mask_of(s)
-            except UnknownLabel as exc:
-                raise MatroidParseError(str(exc)) from None
-            if mask.bit_count() != len(s):
-                raise MatroidParseError(f'repeated label in "{key}" set {s!r}')
-            masks.add(mask)
-        return frozenset(masks)
+        try:
+            return frozenset(_set_mask(ground, s) for s in raw)
+        except (UnknownLabel, DuplicateLabels) as exc:
+            raise MatroidParseError(f'"{key}": {exc}') from None
 
     has_bases = "bases" in data
     has_independent = "independent" in data

@@ -503,7 +503,12 @@ class SbMatrix:
             if len(r) != len(col_labels) + 1:
                 raise MatrixParseError(f"row {r[:1]} has {len(r) - 1} entries, expected {len(col_labels)}")
             row_labels.append(r[0])
-            grid.append(tuple(SBool.from_token(tok) for tok in r[1:]))
+            try:
+                grid.append(tuple([_FROM_TOKEN[tok.strip()] for tok in r[1:]]))
+            except KeyError:
+                for tok in r[1:]:
+                    SBool.from_token(tok)  # raises, naming the raw token
+                raise
         try:
             return cls(tuple(grid), tuple(row_labels), tuple(col_labels))
         except (ValueError, DuplicateLabels) as exc:

@@ -194,6 +194,21 @@ def basis_exchange_holds(bases):
     )
 
 
+def augmentation_violation_scan(family):
+    """First (X, Y) members with |Y| = |X| + 1 and no y in Y - X making
+    X + y a member, or None: every such pair of a downward-closed family
+    of masks, level by level, straight from the augmentation axiom."""
+    by_size = {}
+    for m in family:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    for k in sorted(by_size):
+        for x in by_size[k]:
+            for y in by_size.get(k + 1, ()):
+                if not any(x | (1 << i) in family for i in _positions(y & ~x)):
+                    return (x, y)
+    return None
+
+
 def flats_scan(bases, n):
     """Closure fixed points over all 2^n subsets, canonically sorted."""
     def closure(mask):
@@ -287,9 +302,11 @@ def lattice_axiom_failure(names, up):
     """The first failed lattice axiom of the order up, in FlatLattice's
     wording and check order, or None when up is a lattice.
 
-    Meets and joins are decided pair by pair from the definition, scanning
-    the common bounds for one that all the others lie below (above), so a
-    full check costs O(n^3).
+    Joins and meets are decided pair by pair from the definition, scanning
+    the common bounds for one that all the others lie above (below), so a
+    full check costs O(n^3).  FlatLattice checks joins and the bottom only;
+    the meets come last here, so a "no meet" failure would mean that
+    every pair having a join, with a bottom, does not give every meet.
     """
     n = len(names)
     if len(set(names)) != n:
@@ -308,12 +325,14 @@ def lattice_axiom_failure(names, up):
                 return f"order not transitive through {names[i]!r} <= {names[j]!r}"
     for i in range(n):
         for j in range(i + 1, n):
-            if order_meet(up, i, j) is None:
-                return f"no meet for {names[i]!r}, {names[j]!r}"
             if order_join(up, i, j) is None:
                 return f"no join for {names[i]!r}, {names[j]!r}"
     if (1 << n) - 1 not in up:
         return "lattice has no bottom element"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if order_meet(up, i, j) is None:
+                return f"no meet for {names[i]!r}, {names[j]!r}"
     return None
 
 

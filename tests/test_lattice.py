@@ -187,7 +187,9 @@ NAMES = tuple("abcdefg")
 
 def _agrees_with_the_axiom_oracle(names, up, build):
     """build() raises exactly when the oracle names a failure, with the
-    oracle's message; an accepted lattice has the oracle's meets and joins."""
+    oracle's message; an accepted lattice has the oracle's meets and joins.
+    The oracle checks meets last, and the library not at all, so this also
+    checks that every pair has a meet once all have joins and a bottom."""
     expected = lattice_axiom_failure(names, up)
     try:
         lat = build()
@@ -245,7 +247,7 @@ def test_validation_agrees_with_the_axiom_oracle_on_raw_relations(order):
 @example((NAMES[:5], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))  # diamond
 @example((NAMES[:4], [(0, 2), (0, 3), (1, 2), (1, 3)]))  # no meet, no join
 @example((NAMES[:3], [(0, 1), (0, 2)]))  # no join
-@example((NAMES[:3], [(0, 2), (1, 2)]))  # no meet
+@example((NAMES[:3], [(0, 2), (1, 2)]))  # no meet, so no bottom
 def test_validation_agrees_with_the_axiom_oracle_after_closure(order):
     names, pairs = order
     up = order_closure(len(names), pairs)
@@ -446,6 +448,16 @@ def test_structure_matrix_shape_and_diagonal(catalog_lattices):
     for i in range(12):
         for j in range(i + 1, 12):
             assert (s.entries[i][j], s.entries[j][i]) != (ONE, ONE)
+
+
+def test_structure_matrix_is_flat_containment_on_the_pool(pool_lattices):
+    for lat in pool_lattices:
+        flats = lat.flat_masks
+        s = lat.structure_matrix
+        assert s.row_labels == s.col_labels == lat.names
+        assert s.entries == tuple(
+            tuple(ONE if a & ~b == 0 else ZERO for b in flats) for a in flats
+        )
 
 
 def test_representation_is_complement(catalog_lattices):

@@ -37,6 +37,7 @@ from boolrep.partitions import chain_indices
 
 from conftest import _xor_rank, random_bool_matrix, random_matrix
 from oracles import (
+    augmentation_violation_scan,
     basis_exchange_holds,
     circuits_scan,
     closure_by_circuits,
@@ -164,6 +165,49 @@ def test_augmentation_violation_and_is_matroid():
     assert len(large) == len(small) + 1
     assert not bad.is_matroid
     assert uniform(2, 3).independent_family.is_matroid
+
+
+def _downward_closure(tops):
+    family = set()
+    frontier = list(tops)
+    while frontier:
+        mask = frontier.pop()
+        if mask not in family:
+            family.add(mask)
+            frontier.extend(mask & ~(1 << i) for i in range(mask.bit_length()))
+    return frozenset(family)
+
+
+def test_augmentation_violation_agrees_with_the_pairwise_scan():
+    """4,000 seeded families on 0-7 elements, half closures of random top
+    sets and half independent column sets of random boolean matrices: the
+    verdict is the oracle scan's, and every counterexample is a member pair
+    (X, Y) with |Y| = |X| + 1 and no y in Y - X making X + y a member."""
+    rng = random.Random(20)
+    verdicts = Counter()
+    for trial in range(4000):
+        if trial % 2:
+            matrix = random_bool_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+            h = hereditary_from_matrix(matrix)
+        else:
+            n = rng.randint(0, 7)
+            tops = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+            h = HereditaryCollection(GroundSet.of(map(str, range(n))), _downward_closure(tops))
+        verdict = h.is_matroid
+        assert verdict == (augmentation_violation_scan(h.family) is None)
+        verdicts[verdict] += 1
+        violation = h.augmentation_violation()
+        assert (violation is None) == verdict
+        if violation is not None:
+            small, large = (h.ground.mask_of(labels) for labels in violation)
+            assert violation == (h.ground.labels_of(small), h.ground.labels_of(large))
+            assert small in h.family and large in h.family
+            assert large.bit_count() == small.bit_count() + 1
+            gain = large & ~small
+            assert not any(
+                small | 1 << i in h.family for i in range(h.ground.size) if gain >> i & 1
+            )
+    assert verdicts[True] and verdicts[False]
 
 
 # -- matroid construction ----------------------------------------------------------
@@ -625,6 +669,7 @@ def test_projective_space_of_dimension_3_over_gf3():
     bases, flats, chains = pg_closed_forms(3, 3)
     assert m.ground.size == 40 and len(m.bases) == bases == 63180
     assert m.is_simple
+    assert m.independent_family.is_matroid
     by_rank = Counter(m.rank_of_mask(f) for f in m.flat_masks)
     assert [by_rank[k] for k in range(5)] == flats == [1, 40, 130, 40, 1]
     assert sum(1 for _ in chain_indices(FlatLattice.from_matroid(m))) == chains == 2080
@@ -818,6 +863,17 @@ def test_json_rejects_family_that_is_not_a_closure_of_its_tops():
          "independent": [[], ["a"], ["b"], ["c"], ["a", "b"]]}
     )
     with pytest.raises(MatroidParseError):
+        matroid_from_json(text)
+
+
+@pytest.mark.parametrize("key", ["bases", "independent"])
+@pytest.mark.parametrize(
+    "labels, reason",
+    [(["z"], "no ground element labeled 'z'"), (["a", "a"], r"repeated label in set \('a', 'a'\)")],
+)
+def test_json_label_errors_name_the_key(key, labels, reason):
+    text = json.dumps({"ground": ["a", "b"], key: [[], ["a"], labels]})
+    with pytest.raises(MatroidParseError, match=f'^"{key}": {reason}$'):
         matroid_from_json(text)
 
 
