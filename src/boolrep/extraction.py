@@ -170,10 +170,10 @@ def _false_certificate(matrix: SbMatrix, bases, circuits):
     """
     nz, one = matrix._col_masks
     for basis in bases:
-        if _peel(nz, one, basis) is None:
+        if _peel(nz, one, basis)[1]:
             return basis
     for circuit in circuits:
-        if _peel(nz, one, circuit) is not None:
+        if not _peel(nz, one, circuit)[1]:
             return circuit
     return None
 
@@ -270,8 +270,8 @@ def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
     """
     witnesses = []
     for basis in bases:
-        rounds = _peel(nz, one, basis)
-        if rounds is None:
+        rounds, stuck = _peel(nz, one, basis)
+        if stuck:
             return 0  # a dependent basis stays dependent, so no drop is accepted
         witnesses.append(_witness_rows(rounds))
     gone = 0
@@ -285,12 +285,12 @@ def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
         renewed = {}
         for i, basis in enumerate(bases):
             if witnesses[i] & bit:
-                rounds = _peel(trial_nz, trial_one, basis)
-                if rounds is None:
+                rounds, stuck = _peel(trial_nz, trial_one, basis)
+                if stuck:
                     break
                 renewed[i] = _witness_rows(rounds)
         else:  # every rechecked basis still peels
-            if all(_peel(trial_nz, trial_one, c) is None for c in loose):
+            if all(_peel(trial_nz, trial_one, c)[1] for c in loose):
                 gone |= bit
                 for i, rows in renewed.items():
                     witnesses[i] = rows
@@ -321,7 +321,7 @@ def verified_reduce(rep: Representation) -> Representation:
     start = rep.matrix.submatrix(rows=_strip_rows(rep.matrix))
     bases, circuits = _certificates(matroid, start)
     nz, one = start._col_masks
-    loose = [c for c in circuits if _peel(nz, one, c) is not None]
+    loose = [c for c in circuits if not _peel(nz, one, c)[1]]
     gone = _greedy_drops(nz, one, start.n_rows, bases, loose)
     matrix = start.submatrix(rows=[i for i in range(start.n_rows) if not gone >> i & 1])
     bad = _false_certificate(matrix, bases, loose)

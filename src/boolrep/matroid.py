@@ -202,19 +202,26 @@ class HereditaryCollection:
         extends by no element (M + e would be larger and outside too), so Y
         is the first |M| + 1 labels of the canonically first largest member.
         """
-        rank = self.rank
-        tops = frozenset(m for m in self.family if m.bit_count() == rank)
         try:
-            matroid = Matroid(self.ground, tops)
+            matroid, small = self._largest_matroid()
         except ExchangeFails as exc:
-            small = tuple(x for x in exc.basis1 if x != exc.element)
-            return (small, exc.basis2)
-        outside = (m for m in self.family if m not in matroid._extensions)
-        small = max(outside, key=self.ground.sort_key, default=None)
+            return (tuple(x for x in exc.basis1 if x != exc.element), exc.basis2)
         if small is None:
             return None
-        first = self.ground.labels_of(min(tops, key=self.ground.sort_key))
+        first = self.ground.labels_of(min(matroid.bases, key=self.ground.sort_key))
         return (self.ground.labels_of(small), first[: small.bit_count() + 1])
+
+    def _largest_matroid(self):
+        """`Matroid` on the largest members, and the canonically last member
+        outside its extension table, or None when there is none.  The table
+        is the downward closure of those members, which this family holds,
+        so None means the family is exactly that matroid's independent
+        family.  Raises ExchangeFails when the largest members break basis
+        exchange."""
+        rank = self.rank
+        matroid = Matroid(self.ground, frozenset(m for m in self.family if m.bit_count() == rank))
+        outside = (m for m in self.family if m not in matroid._extensions)
+        return matroid, max(outside, key=self.ground.sort_key, default=None)
 
     @property
     def is_matroid(self) -> bool:
@@ -447,7 +454,7 @@ def hereditary_from_matrix(matrix: SbMatrix) -> HereditaryCollection:
                 if any(cand ^ (1 << i) not in family for i in cols):
                     continue
                 idxs = cols + (j,)
-                if _peel(nz, one, idxs) is not None:
+                if not _peel(nz, one, idxs)[1]:
                     family.add(cand)
                     grown.append((cand, idxs))
         level = grown
@@ -540,11 +547,9 @@ def matroid_from_json(text: str) -> Matroid:
         raise MatroidParseError('need exactly one of "bases" or "independent"')
     if has_bases:
         return Matroid(ground, collect("bases"))
-    family = collect("independent")
-    HereditaryCollection(ground, family)  # raises EmptyFamily, NotDownwardClosed
-    top = max(m.bit_count() for m in family)
-    matroid = Matroid(ground, frozenset(m for m in family if m.bit_count() == top))
-    if matroid._extensions.keys() != family:
+    # raises EmptyFamily or NotDownwardClosed, then ExchangeFails
+    matroid, outside = HereditaryCollection(ground, collect("independent"))._largest_matroid()
+    if outside is not None:
         raise MatroidParseError(
             "the independent family is not the downward closure of its largest members"
         )

@@ -10,11 +10,42 @@ has a triangular form with plain 1s on the diagonal.  One greedy peel
 (`_peel`) is the only test of independence.  It answers row and column
 independence, nonsingularity (a square matrix whose rows all peel),
 triangular forms and witness rows in polynomial time, and it decides each
-step of rank, a depth-first search over independent sets of the shorter
-side with one bound in its loop.  The permanent is 1 iff the matrix is
-nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
-hold a perfect matching (Kuhn's algorithm, each augmenting path found depth
-first on an explicit stack).
+node of rank's search.  The permanent is 1 iff the matrix is nonsingular,
+and otherwise 1v or 0 as its nonzero pattern does or does not hold a
+perfect matching (Kuhn's algorithm, each augmenting path found depth first
+on an explicit stack).
+
+Rank is a depth-first search over U, the union of the nonzero coordinates
+of the vectors chosen so far, and rests on three facts.
+
+1. Order.  Vectors are independent iff they have an order in which each
+   has a plain 1 on a coordinate where every earlier vector is 0.  Proof:
+   those coordinates, taken in the same order, carry a triangular square
+   submatrix with plain 1s on its diagonal, which is nonsingular; and the
+   peel of an independent set, read from its last round to its first, is
+   such an order (see `_peel`).  So a vector can follow the chosen ones
+   iff it has a plain 1 outside U, and the rest of a search depends on U
+   alone: a union already reached at the same or a greater depth is
+   skipped.
+2. Split.  At a union U, the viable vectors (those with a plain 1 outside
+   U) are peeled cut to the free coordinates, those outside U.  The peeled
+   vectors, last round first, can follow any order of the chosen and the
+   stuck vectors: a peeled vector's witness is free, so the chosen vectors
+   are 0 there, and no other vector still present in its round hits it,
+   neither a stuck one nor a peeled one placed before it (from a later
+   round or its own).  Dropping peeled vectors from earlier in an order
+   only frees coordinates.  So some largest order ends with every peeled
+   vector: they count exactly, and the search branches only on the stuck
+   core, which is dependent, since a nonempty independent set always
+   peels something.
+3. Bounds.  Let d be the depth, p the number of peeled vectors and C the
+   core.  With C empty, d + p is exact.  Otherwise any one core vector
+   followed by the peeled ones is an order, so d + p + 1 is reached; and
+   the core vectors of an order are independent cut to the free
+   coordinates, so fewer than |C|, and each holds its own plain 1 there,
+   where the earlier ones are 0, so at most as many as the core's plain-1
+   free coordinates.  That gives the one upper bound,
+   d + p + min(|C| - 1, |core's plain-1 free coordinates|).
 """
 
 from __future__ import annotations
@@ -158,7 +189,7 @@ def _indices(keys: Iterable, lookup: dict, size: int, axis: str) -> list[int]:
 
 
 def _peel(nz_masks, one_masks, idxs):
-    """Peel rounds of the given vectors, or None when they are dependent.
+    """Peel rounds of the given vectors, and the vectors they get stuck on.
 
     Vectors are given as (nonzero, plain-1) coordinate bitmasks.  Each round
     finds the coordinates hit by exactly one remaining vector; every vector
@@ -170,8 +201,10 @@ def _peel(nz_masks, one_masks, idxs):
     so the order does not matter, and the witnesses of one round differ.
     At most k rounds of O(k) mask operations.
 
-    Returns one list per round of (vector, witness) pairs, in visiting
-    order.  Read from the last round to the first, the vectors and their
+    Returns (rounds, stuck): one list per round of (vector, witness) pairs,
+    in visiting order, and the vectors left when a round peels nothing, in
+    the given order.  The vectors are independent iff `stuck` is empty.
+    Read from the last round to the first, the peeled vectors and their
     witnesses form a triangular nonsingular submatrix: a witness freed in
     round t is hit by no other vector still present at round t, so every
     vector placed before its own is 0 there, and the diagonal holds the
@@ -195,10 +228,10 @@ def _peel(nz_masks, one_masks, idxs):
             else:
                 kept.append(i)
         if not peeled:
-            return None
+            break
         rounds.append(peeled)
         left = kept
-    return rounds
+    return rounds, left
 
 
 def _masks(vectors):
@@ -219,26 +252,45 @@ def _masks(vectors):
 def _max_independent(nz_masks, one_masks) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
-    Depth-first over independent sets only, each extension decided by the
-    peel.  Independence is hereditary, so a child tries only the vectors
-    that extended its parent.  One bound stops the search: a branch ends
-    once its chosen vectors and the viable ones left cannot beat the best
-    size found.  A set holding every vector ends all branches, so no
-    separate cap is needed.
+    Depth first over the union of the chosen vectors' nonzero coordinates,
+    on the three facts of the module docstring: a union is peeled again
+    only when reached at a greater depth, the peeled vectors are counted,
+    and the search branches on the stuck core until the upper bound cannot
+    beat the best size found.  The core vectors that leave the most
+    coordinates free go first, since a smaller union admits every order a
+    larger one does.  The steps wait on an explicit stack, each with the
+    bound of the step that pushed it, so the search holds no reference
+    cycle and its memo is freed as soon as it returns.
     """
     best = 0
-
-    def extend(chosen, candidates):
-        nonlocal best
-        viable = [i for i in candidates if _peel(nz_masks, one_masks, chosen + [i]) is not None]
-        if viable:
-            best = max(best, len(chosen) + 1)
-        for t, i in enumerate(viable):
-            if len(chosen) + len(viable) - t <= best:
-                break
-            extend(chosen + [i], viable[t + 1:])
-
-    extend([], range(len(nz_masks)))
+    reached = {}  # union -> the greatest depth it was reached at
+    # steps: (union, depth, candidates, bound of the step that pushed it);
+    # the root's bound exceeds every set, so it never prunes
+    stack = [(0, 0, range(len(nz_masks)), len(nz_masks) + 1)]
+    while stack:
+        union, depth, candidates, bound = stack.pop()
+        if bound <= best or reached.get(union, -1) >= depth:
+            continue
+        reached[union] = depth
+        free = ~union
+        viable = [i for i in candidates if one_masks[i] & free]
+        nz = [nz_masks[i] & free for i in viable]
+        one = [one_masks[i] & free for i in viable]
+        stuck = _peel(nz, one, range(len(viable)))[1]
+        counted = depth + len(viable) - len(stuck)  # chosen and peeled
+        if not stuck:
+            best = max(best, counted)
+            continue
+        best = max(best, counted + 1)
+        lone = 0
+        for j in stuck:
+            lone |= one[j]
+        bound = counted + min(len(stuck) - 1, lone.bit_count())
+        if bound <= best:
+            continue
+        # pushed in reverse, so the fewest new coordinates are popped first
+        for j in reversed(sorted(stuck, key=lambda k: nz[k].bit_count())):
+            stack.append((union | nz[j], depth + 1, viable, bound))
     return best
 
 
@@ -426,8 +478,8 @@ class SbMatrix:
         """
         n = self._square()
         nz, one = self._row_masks
-        rounds = _peel(nz, one, range(n))
-        if rounds is None:
+        rounds, stuck = _peel(nz, one, range(n))
+        if stuck:
             return None
         pairs = [pair for peeled in reversed(rounds) for pair in peeled]
         return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
@@ -440,20 +492,37 @@ class SbMatrix:
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
         nz, one = self._col_masks
-        return _peel(nz, one, idxs) is not None
+        return not _peel(nz, one, idxs)[1]
 
     def rows_independent(self, rows: Iterable) -> bool:
         idxs = dict.fromkeys(self._row_idxs(rows))
         nz, one = self._row_masks
-        return _peel(nz, one, idxs) is not None
+        return not _peel(nz, one, idxs)[1]
 
     def rank(self) -> int:
         """Maximal number of independent rows.
 
         Equals the maximal number of independent columns and the size of the
         largest nonsingular square submatrix, so the search runs over the
-        shorter side: depth first over independent sets, each extension
-        decided by the peel, each branch ended by one bound.
+        shorter side.  It rests on three facts, proved at more length in the
+        module docstring:
+        - Order: vectors are independent iff some order gives each a plain 1
+          where every earlier vector is 0.  Those coordinates carry a
+          triangular nonsingular submatrix, and the peel of an independent
+          set, read last round first, is such an order.  So the search state
+          is U, the union of the chosen vectors' nonzero coordinates.
+        - Split: at each union, the peel of the viable vectors cut to the
+          coordinates outside U splits them into peeled vectors and a stuck
+          core.  A peeled vector's witness lies outside U and is hit by no
+          stuck vector and no peeled vector placed before it, so the peeled
+          vectors can always go last and count exactly.  The core is
+          dependent, and it is the only part branched on.
+        - Bounds: depth + peeled is exact when the core is empty.  Otherwise
+          one core vector followed by the peeled ones is an order, so
+          depth + peeled + 1 is reached; and the core vectors of an order
+          are independent outside U, so fewer than |core|, and each needs
+          its own plain-1 coordinate outside U, which bounds every branch by
+          depth + peeled + min(|core| - 1, core's plain-1 free coordinates).
         """
         nz, one = self._col_masks if self.n_cols < self.n_rows else self._row_masks
         return _max_independent(nz, one)
@@ -467,8 +536,8 @@ class SbMatrix:
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
         nz, one = self._col_masks
-        rounds = _peel(nz, one, idxs)
-        if rounds is None:
+        rounds, stuck = _peel(nz, one, idxs)
+        if stuck:
             return None
         rows = sorted(j for peeled in rounds for _, j in peeled)
         return tuple(self.row_labels[i] for i in rows)

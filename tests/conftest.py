@@ -91,6 +91,30 @@ def gf2_matroid(rng: random.Random, n: int, r: int) -> Matroid:
     return Matroid(ground, bases)
 
 
+def ag32() -> Matroid:
+    """AG(3,2): the points (1, x) of GF(2)^4 for x in GF(2)^3, as the
+    integers 8..15; bases are the 4-sets of GF(2) rank 4."""
+    bases = frozenset(
+        sum(1 << i for i in combo)
+        for combo in combinations(range(8), 4)
+        if _xor_rank([8 + i for i in combo]) == 4
+    )
+    return Matroid(GroundSet(tuple(str(i + 1) for i in range(8))), bases)
+
+
+def vamos() -> Matroid:
+    """Vámos: rank 4 on the pairs {1,2}, {3,4}, {5,6}, {7,8}; every 4-set is
+    a basis except the unions of two pairs other than {5,6,7,8}."""
+    pairs = (0b11, 0b1100, 0b110000, 0b11000000)
+    banned = {a | b for a, b in combinations(pairs, 2)} - {pairs[2] | pairs[3]}
+    bases = frozenset(
+        mask
+        for combo in combinations(range(8), 4)
+        if (mask := sum(1 << i for i in combo)) not in banned
+    )
+    return Matroid(GroundSet(tuple(str(i + 1) for i in range(8))), bases)
+
+
 def line_matroid(rng: random.Random, n: int, tries: int) -> Matroid:
     """Rank-3 matroid on n points from random pairwise-sparse 3-point lines.
 

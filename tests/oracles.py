@@ -137,6 +137,49 @@ def rank_by_submatrix(grid):
     return 0
 
 
+def _all_peel(nz_masks, one_masks, idxs):
+    """Greedy peel: remove, round by round, every vector holding a plain 1
+    on a coordinate that exactly one remaining vector hits.  True when
+    every vector is removed, which is independence."""
+    left = list(idxs)
+    while left:
+        once = multi = 0
+        for i in left:
+            multi |= once & nz_masks[i]
+            once |= nz_masks[i]
+        free = once & ~multi
+        kept = [i for i in left if not one_masks[i] & free]
+        if len(kept) == len(left):
+            return False
+        left = kept
+    return True
+
+
+def rank_by_independent_sets(grid):
+    """Largest number of independent columns of an int grid, by a
+    depth-first search over independent column sets, each extension decided
+    by the greedy peel.  A child tries only the columns that extended its
+    parent, and a branch ends once its chosen columns plus the viable ones
+    left cannot beat the best size found."""
+    n_cols = len(grid[0]) if grid else 0
+    nz = [sum(1 << i for i, row in enumerate(grid) if row[j]) for j in range(n_cols)]
+    one = [sum(1 << i for i, row in enumerate(grid) if row[j] == 1) for j in range(n_cols)]
+    best = 0
+
+    def extend(chosen, candidates):
+        nonlocal best
+        viable = [j for j in candidates if _all_peel(nz, one, chosen + [j])]
+        if viable:
+            best = max(best, len(chosen) + 1)
+        for t, j in enumerate(viable):
+            if len(chosen) + len(viable) - t <= best:
+                break
+            extend(chosen + [j], viable[t + 1:])
+
+    extend([], range(n_cols))
+    return best
+
+
 # -- matroid-side oracles, working on raw basis masks ---------------------
 
 

@@ -23,7 +23,7 @@ from boolrep import (
 )
 from boolrep.cli import main
 
-from conftest import read_golden
+from conftest import read_golden, vamos
 
 
 def run_cli(capsys, *argv):
@@ -289,6 +289,18 @@ def test_rank_sees_ghost_entries(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(path))
     assert code == 0
     assert out == "0\n"
+
+
+def test_rank_of_the_vamos_lattice_matrix(capsys, tmp_path):
+    mpath = tmp_path / "vamos.json"
+    mpath.write_text(matroid_to_json(vamos()))
+    code, lattice_csv, _ = run_cli(capsys, "lattice", str(mpath), "--format", "csv")
+    assert code == 0
+    path = tmp_path / "vamos-lattice.csv"
+    path.write_text(lattice_csv)
+    code, out, _ = run_cli(capsys, "rank", str(path))
+    assert code == 0
+    assert out == "4\n"
 
 
 def test_example_round_trips(capsys):

@@ -25,6 +25,7 @@ from boolrep import (
     uniform,
 )
 
+from conftest import ag32, vamos
 from oracles import (
     circuits_scan,
     closure_by_circuits,
@@ -479,6 +480,20 @@ def test_representation_spot_row(catalog_lattices):
 def test_full_rank_equals_height(catalog_lattices):
     for lat in catalog_lattices.values():
         assert lat.representation_rank() == lat.height
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(ag32, 52), (vamos, 79), (lambda: uniform(4, 10), 177)],
+    ids=["AG(3,2)", "Vamos", "U(4,10)"],
+)
+def test_square_lattice_matrices_rank_as_their_matroids(build, size):
+    """Lattice matrices the independent-set search took seconds to minutes
+    on: their rank is the matroid rank, read from the bases."""
+    m = build()
+    matrix = FlatLattice.from_matroid(m).representation
+    assert matrix.shape == (size, size)
+    assert matrix.rank() == m.rank == 4
 
 
 def test_rank_of_subsets_is_bounded(catalog_lattices):

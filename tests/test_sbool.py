@@ -1,5 +1,6 @@
 """Scalar tables, semiring laws, and matrix operations, against oracles."""
 
+import gc
 import random
 import re
 from itertools import combinations, product
@@ -33,6 +34,7 @@ from oracles import (
     grid_of,
     permanent_dp,
     permanent_perms,
+    rank_by_independent_sets,
     rank_by_submatrix,
     vectors_independent,
 )
@@ -395,11 +397,12 @@ def test_rank_examples():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
-def test_rank_bound_keeps_the_search_quadratic_on_extreme_matrices(n, monkeypatch):
-    """On the n x n identity (rank n) and all-ones matrix (rank 1) the
-    search makes exactly n(n+1)/2 peels.  The identity's first chain finds
-    all n rows and the bound ends every other branch; without it the search
-    would visit all 2^n independent sets."""
+def test_rank_search_peels_the_identity_once_and_all_ones_at_most_twice(n, monkeypatch):
+    """The n x n identity (rank n) peels whole at the empty union, so its
+    core is empty and one peel is exact.  The all-ones matrix (rank 1) is
+    all core; one core vector covers every coordinate, whose union leaves
+    nothing viable, and every other core vector reaches that same union at
+    the same depth.  Either way the search does not grow with n."""
     calls = []
     peel = sbool._peel
 
@@ -410,10 +413,53 @@ def test_rank_bound_keeps_the_search_quadratic_on_extreme_matrices(n, monkeypatc
     monkeypatch.setattr(sbool, "_peel", counted)
     identity = SbMatrix.of([[int(i == j) for j in range(n)] for i in range(n)])
     ones = SbMatrix.of([[1] * n] * n)
-    for m, rank in ((identity, n), (ones, 1)):
-        calls.clear()
-        assert m.rank() == rank
-        assert len(calls) == n * (n + 1) // 2
+    calls.clear()
+    assert identity.rank() == n
+    assert len(calls) == 1
+    calls.clear()
+    assert ones.rank() == 1
+    assert 1 <= len(calls) <= 2
+
+
+def test_rank_frees_its_search_when_it_returns():
+    """The memo is local to one call: rank() leaves no reference cycle for
+    the collector, so nothing of its search outlives it."""
+    rng = random.Random(41)
+    matrices = [random_matrix(rng, rng.randint(4, 12), rng.randint(4, 12)) for _ in range(20)]
+    matrices.append(SbMatrix.of([[1] * 6] * 6))
+    gc.collect()
+    gc.disable()
+    try:
+        for m in matrices:
+            m.rank()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_rank_agrees_with_the_independent_set_search():
+    """360 seeded matrices, 1-16 x 1-16, density 0.1-0.9 and ghost share
+    0-0.3; every third one is sparse (density 0.1-0.25, both sides 10-16),
+    since sparse matrices of nearly full rank keep a union search busiest.
+    `rank()`, its transpose and the independent-set search agree."""
+    rng = random.Random(31)
+    sparse_near_full = 0
+    for k in range(360):
+        if k % 3 == 0:
+            rows, cols, density = rng.randint(10, 16), rng.randint(10, 16), rng.uniform(0.1, 0.25)
+        else:
+            rows, cols, density = rng.randint(1, 16), rng.randint(1, 16), rng.uniform(0.1, 0.9)
+        ghost = rng.uniform(0.0, 0.3)
+        grid = [
+            [(2 if rng.random() < ghost else 1) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        m = SbMatrix.of(grid)
+        r = m.rank()
+        assert r == m.transpose().rank() == rank_by_independent_sets(grid), grid
+        if k % 3 == 0 and r >= min(rows, cols) - 2:
+            sparse_near_full += 1
+    assert sparse_near_full >= 40
 
 
 def test_rank_of_submatrix_never_exceeds_rank():
@@ -519,7 +565,7 @@ def test_rank_on_tall_and_wide_matrices_matches_oracles():
             g = grid_of(m)
             r = m.rank()
             assert r == brute_row_rank(g) == brute_col_rank(g) == rank_by_submatrix(g)
-            assert r == m.transpose().rank()
+            assert r == m.transpose().rank() == rank_by_independent_sets(g)
 
 
 def test_rank_of_block_diagonal_sums_past_the_oracles():

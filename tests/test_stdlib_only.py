@@ -54,3 +54,17 @@ def test_reference_code_imports_only_the_standard_library(path):
         assert top in sys.stdlib_module_names, (
             f"{path.name}:{lineno} imports {name!r}, not standard library"
         )
+
+
+def test_sbool_imports_no_lattice_or_matroid_code():
+    """Acceptance 04 checks `SbMatrix.rank()` against the lattice height, so
+    the rank search must know nothing of lattices, matroids or extraction,
+    not even through an import inside a function."""
+    banned = {"lattice", "matroid", "extraction"}
+    path = PACKAGE / "sbool.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            parts = set(module.split("."))
+            parts.update(part for alias in node.names for part in alias.name.split("."))
+            assert not parts & banned, f"sbool.py:{node.lineno} imports {sorted(parts & banned)}"
