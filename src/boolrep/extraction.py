@@ -115,9 +115,12 @@ def extract_representation(matroid: Matroid) -> Representation:
     """
     ground = matroid.ground
     names = matroid.flat_names
+    # A sentinel bit at position n pads each string to n + 1 characters;
+    # the reverse slice drops it and reads from position 0 up.
+    top = 1 << ground.size
+    cell = {"0": ONE, "1": ZERO}.__getitem__
     grid = tuple(
-        tuple(ZERO if flat >> e & 1 else ONE for e in range(ground.size))
-        for flat in matroid.flat_masks
+        tuple(map(cell, format(flat | top, "b")[:0:-1])) for flat in matroid.flat_masks
     )
     return Representation(BoolMatrix(grid, names, ground.labels), "full", matroid)
 

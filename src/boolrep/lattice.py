@@ -310,10 +310,10 @@ class FlatLattice:
     def representation(self) -> BoolMatrix:
         """Complement of the structure matrix; entry (i, j) is 1 iff i is
         not below j.  Row independence in this matrix drives everything."""
-        grid = tuple(
-            tuple(ZERO if mask >> j & 1 else ONE for j in range(self.size))
-            for mask in self.up
-        )
+        # A lattice has a bottom, so each string is exactly size characters.
+        width = f"0{self.size}b"
+        cell = {"0": ONE, "1": ZERO}.__getitem__
+        grid = tuple(tuple(map(cell, format(mask, width)[::-1])) for mask in self.up)
         return BoolMatrix(grid, self.names, self.names)
 
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:

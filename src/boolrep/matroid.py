@@ -5,9 +5,18 @@ stored by its bases; one walk down from them builds its extension table,
 each independent set I mapped to the elements e with I + e independent.
 Independence is membership in it, rank the greedy algorithm (Edmonds 1971),
 and the span of an independent set, the one closure rule, the complement of
-its extensions (Oxley, *Matroid Theory*, 2nd ed., §1.4).  Closure, flats,
-loops, simplicity and the basis exchange check (one search per completion
-mask for a basis inside its span, raised as a counterexample) read that table.
+its extensions (Oxley, *Matroid Theory*, 2nd ed., §1.2-1.4).  Closure,
+flats, loops, simplicity and the basis exchange check read that table.
+
+The exchange check works on basis bitsets: holds[e] is the set of basis
+indices whose basis contains e, so the bases that avoid a mask C are
+every & ~OR(holds[e] for e in C), one big-integer OR per element of C.  A
+basis b2 breaks exchange for a basis b1 and x in b1 exactly when it avoids
+the completion mask of b1 - x, so the family is a matroid's bases iff no
+basis avoids any completion mask of an (r-1)-set of the table.  Those are
+all the masks there are to check: the table is the downward closure of the
+bases, so each of its (r-1)-sets is b1 - x for some basis b1.  The
+counterexample is built only when the check fails.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from typing import Iterable, Mapping
 
 from .bitops import bits, mask_of
@@ -66,7 +75,7 @@ class GroundSet:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
@@ -90,10 +99,19 @@ class GroundSet:
         """Brace-delimited name in ground order, e.g. "{1,4}"; "{}" when empty."""
         return "{" + ",".join(self.labels_of(mask)) + "}"
 
+    @cached_property
+    def _bit_format(self) -> str:
+        return f"0{len(self.labels)}b"
+
     def sort_key(self, mask: int):
-        """Canonical subset order: cardinality, then positions lexicographically."""
-        positions = tuple(bits(mask))
-        return (len(positions), positions)
+        """Canonical subset order: cardinality, then positions lexicographically.
+
+        The key is the cardinality and the complement's bits read from the
+        lowest position up.  Of two sets of one size, the one holding the
+        lowest position of their symmetric difference has the smaller
+        position tuple, and a 0 where the other's complement has a 1.
+        """
+        return (mask.bit_count(), format(mask ^ self.full_mask, self._bit_format)[::-1])
 
 
 def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
@@ -101,7 +119,13 @@ def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
     label listed twice raises rather than being dropped, which would
     silently change the set."""
     labels = tuple(labels)
-    mask = ground.mask_of(labels)
+    index = ground._index
+    mask = 0
+    try:
+        for label in labels:
+            mask |= 1 << index[label]
+    except KeyError:
+        raise UnknownLabel(f"no ground element labeled {label!r}") from None
     if mask.bit_count() != len(labels):
         raise DuplicateLabels(f"repeated label in set {labels!r}")
     return mask
@@ -125,7 +149,8 @@ class HereditaryCollection:
     family: frozenset
 
     def __post_init__(self):
-        stray = next((m for m in self.family if m & ~self.ground.full_mask), None)
+        outside = ~self.ground.full_mask
+        stray = next((m for m in self.family if m & outside), None)
         if stray is not None:
             raise UnknownLabel(f"family mask {stray:#x} has bits outside the ground set")
         _validate_downward_closed(self.ground, self.family)
@@ -246,37 +271,51 @@ class Matroid:
         sizes = {b.bit_count() for b in self.bases}
         if len(sizes) > 1:
             raise UnequalBasisSizes(f"bases of cardinalities {sorted(sizes)}")
-        stray = next((b for b in self.bases if b & ~self.ground.full_mask), None)
+        outside = ~self.ground.full_mask
+        stray = next((b for b in self.bases if b & outside), None)
         if stray is not None:
             raise UnknownLabel(f"basis mask {stray:#x} has bits outside the ground set")
         self._check_exchange()
 
     def _check_exchange(self):
-        """Basis exchange, once per completion mask of an (r-1)-subset.
+        """Basis exchange, once per completion mask of an (r-1)-set.
 
         For a basis b1 and x in b1, the bases b1 - x + y are I + y for
         I = b1 - x and y a completion of I: an element of its extensions,
         x among them.  A basis b2 fails the exchange for (b1, x) exactly
-        when it avoids every completion, that is, lies inside the span of I,
-        so each distinct completion mask is checked once.  A span of fewer
-        than r elements holds no basis; any other is scanned in canonical
-        basis order for the first basis inside it.
+        when it avoids every completion, that is, lies inside the span of I.
+        The (r-1)-sets of the table are exactly the sets b1 - x, since the
+        table is the downward closure of the bases, so each distinct
+        completion mask C among them is checked once: the bases avoiding C
+        are every & ~OR(holds[e] for e in C), where holds[e] is the bitset
+        of the basis indices whose basis contains e.  Only when some mask
+        fails is the counterexample built: the first b1 in canonical order,
+        then x ascending, with a failing mask, then the canonically first
+        basis b2 avoiding it.
         """
-        order = sorted(self.bases, key=self.ground.sort_key)
-        ext = self._extensions
-        full = self.ground.full_mask
         rank = self.rank
-        checked = set()
+        completions = {c for m, c in self._extensions.items() if m.bit_count() == rank - 1}
+        # Each basis as n bits, highest position first, end to end: every
+        # n-th character from offset n - 1 - e is element e's bit in each.
+        n = self.ground.size
+        rows = "".join(map(format, self.bases, repeat(self.ground._bit_format)))
+        holds = [int(rows[n - 1 - e :: n], 2) for e in range(n)]
+        every = (1 << len(self.bases)) - 1
+        failing = set()
+        for c in completions:
+            covered = 0
+            for e in bits(c):
+                covered |= holds[e]
+            if covered != every:
+                failing.add(c)
+        if not failing:
+            return
+        order = sorted(self.bases, key=self.ground.sort_key)
         for b1 in order:
             for x in bits(b1):
-                completions = ext[b1 ^ (1 << x)]
-                if completions in checked:
-                    continue
-                checked.add(completions)
-                if (full & ~completions).bit_count() < rank:
-                    continue
-                b2 = next((b for b in order if not b & completions), None)
-                if b2 is not None:
+                c = self._extensions[b1 ^ (1 << x)]
+                if c in failing:
+                    b2 = next(b for b in order if not b & c)
                     raise ExchangeFails(
                         self.ground.labels_of(b1),
                         self.ground.labels_of(b2),
@@ -296,17 +335,22 @@ class Matroid:
     @cached_property
     def _extensions(self) -> dict:
         """Each independent set I mapped to the mask of the elements e with
-        I + e independent: one walk down from the bases, each member M
-        giving bit i to M - i for each i in M.  A basis maps to 0."""
+        I + e independent: a walk down from the bases, one cardinality at a
+        time, each member M giving bit i to M - i for each i in M.  A basis
+        maps to 0."""
         ext = dict.fromkeys(self.bases, 0)
-        frontier = list(self.bases)
-        while frontier:
-            mask = frontier.pop()
-            for i in bits(mask):
-                sub = mask ^ (1 << i)
-                if sub not in ext:
-                    frontier.append(sub)
-                ext[sub] = ext.get(sub, 0) | 1 << i
+        level = ext
+        while level:
+            below = {}
+            for mask in level:
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    sub = mask ^ low
+                    below[sub] = below.get(sub, 0) | low
+                    rest ^= low
+            ext.update(below)
+            level = below
         return ext
 
     def _greedy_basis(self, mask: int) -> int:
@@ -532,8 +576,10 @@ def matroid_from_json(text: str) -> Matroid:
 
     def collect(key):
         raw = data[key]
-        if not isinstance(raw, list) or not all(
-            isinstance(s, list) and all(isinstance(x, str) for x in s) for s in raw
+        if not (
+            isinstance(raw, list)
+            and all(isinstance(s, list) for s in raw)
+            and all(map(isinstance, chain.from_iterable(raw), repeat(str)))
         ):
             raise MatroidParseError(f'"{key}" must be a list of label lists')
         try:

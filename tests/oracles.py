@@ -237,6 +237,32 @@ def basis_exchange_holds(bases):
     )
 
 
+def exchange_counterexample_scan(bases):
+    """First (b1, x, b2) breaking basis exchange, or None, by a scan of the
+    bases: b1 in canonical order, then x in b1 ascending, then b2 the
+    canonically first basis holding none of the completions of b1 - x (the
+    y with b1 - x + y a basis), x among them.  Each distinct completion
+    mask is scanned once; a repeated one passed the first time."""
+    order = sorted(bases, key=lambda m: (m.bit_count(), _positions(m)))
+    union = 0
+    for b in bases:
+        union |= b
+    scanned = set()
+    for b1 in order:
+        for x in _positions(b1):
+            rest = b1 & ~(1 << x)
+            completions = sum(
+                1 << y for y in _positions(union & ~rest) if rest | (1 << y) in bases
+            )
+            if completions in scanned:
+                continue
+            scanned.add(completions)
+            b2 = next((b for b in order if not b & completions), None)
+            if b2 is not None:
+                return (b1, x, b2)
+    return None
+
+
 def augmentation_violation_scan(family):
     """First (X, Y) members with |Y| = |X| + 1 and no y in Y - X making
     X + y a member, or None: every such pair of a downward-closed family

@@ -331,6 +331,25 @@ def test_loads_matroid_from_json_file(capsys, tmp_path):
     assert (code2, out2) == (code, out)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["repr", "--format", "csv"], '""\n{}\n'),
+        (["repr", "--reduce", "verified", "--format", "csv"], '""\n'),
+        (["lattice", "--format", "csv"], ",{}\n{},0\n"),
+        (["verify"], "ok: 1 subsets agree\n"),
+        (["partitions", "--format", "json"], '{"chain": [[]], "blocks": []}\n'),
+    ],
+    ids=["repr", "repr-verified", "lattice", "verify", "partitions"],
+)
+def test_empty_ground_set(capsys, tmp_path, argv, expected):
+    """The rank-0 matroid on no elements: one flat, the empty set; its
+    matrix rows have no entries."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ground": [], "bases": [[]]}))
+    assert run_cli(capsys, *argv, str(path)) == (0, expected, "")
+
+
 def test_repeated_label_in_a_basis_exits_2(capsys, tmp_path):
     path = tmp_path / "repeat.json"
     path.write_text(json.dumps({"ground": ["1", "2"], "bases": [["1", "1"]]}))

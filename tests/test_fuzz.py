@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from boolrep import BoolrepError, Matroid, SbMatrix, matroid_from_json
+from boolrep import BoolrepError, Matroid, MatroidParseError, SbMatrix, matroid_from_json
 from boolrep.cli import main
 
 # The malformed inputs that once ended in a traceback.
@@ -101,3 +101,28 @@ def test_rank_command_on_random_files(input_path, data):
 def test_verify_command_on_random_files(input_path, data):
     input_path.write_bytes(data)
     _check(*_run(["verify", str(input_path)]))
+
+
+@pytest.mark.parametrize("key", ["bases", "independent"])
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [["z"], ["a", 1]],
+        [["a", "z"], ["b"], [None]],
+        [["a", "a"], [["b"]]],
+        [["z"], "a"],
+        [["a", "b", "z"], ["a"], [True, "b"]],
+    ],
+)
+def test_a_non_string_label_outranks_an_earlier_unknown_or_repeated_one(input_path, key, sets):
+    """Every set is type-checked before any label is looked up, so a later
+    non-string label wins over an unknown or repeated label before it."""
+    text = json.dumps({"ground": ["a", "b"], key: sets})
+    message = f'"{key}" must be a list of label lists'
+    with pytest.raises(MatroidParseError) as info:
+        matroid_from_json(text)
+    assert str(info.value) == message
+    input_path.write_text(text)
+    code, out, err = _run(["verify", str(input_path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("error:") and message in err

@@ -35,12 +35,13 @@ from boolrep import (
 )
 from boolrep.partitions import chain_indices
 
-from conftest import _xor_rank, random_bool_matrix, random_matrix
+from conftest import _xor_rank, gf2_matroid, random_bool_matrix, random_matrix
 from oracles import (
     augmentation_violation_scan,
     basis_exchange_holds,
     circuits_scan,
     closure_by_circuits,
+    exchange_counterexample_scan,
     exchange_fails,
     flats_scan,
     gaussian_binomial,
@@ -75,6 +76,33 @@ def test_canonical_subset_order_is_cardinality_then_positions():
     shuffled = [masks[1], masks[2], masks[0]]
     assert sorted(shuffled, key=g.sort_key) == masks
     assert g.sort_key(g.mask_of(("1",))) < g.sort_key(g.mask_of(("1", "2")))
+
+
+def _positional_key(mask):
+    positions = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return (len(positions), positions)
+
+
+def test_sort_key_orders_as_the_position_tuples():
+    """The complement-string key sorts exactly as (size, positions) does:
+    every subset for n <= 10, the empty ground set, and seeded random masks
+    on 40 and 64 elements, sparse and dense."""
+    for n in range(11):
+        g = GroundSet(tuple(str(i) for i in range(n)))
+        masks = list(range(1 << n))
+        random.Random(n).shuffle(masks)
+        assert sorted(masks, key=g.sort_key) == sorted(masks, key=_positional_key)
+    assert sorted([0], key=GroundSet(()).sort_key) == [0]
+    rng = random.Random(20261019)
+    for n in (40, 64):
+        g = GroundSet(tuple(str(i) for i in range(n)))
+        masks = [
+            sum(1 << i for i in range(n) if rng.random() < density)
+            for density in (0.05, 0.1, 0.5, 0.9)
+            for _ in range(500)
+        ]
+        masks += [rng.getrandbits(n) & ~(1 << rng.randrange(n)) for _ in range(500)]
+        assert sorted(masks, key=g.sort_key) == sorted(masks, key=_positional_key)
 
 
 # -- hereditary collections ------------------------------------------------------
@@ -335,6 +363,41 @@ def test_exchange_check_matches_pairwise_definition_on_random_families():
     # every family of rank 1 or of rank n - 1 is a matroid's bases
     assert all(verdicts[n, r, False] for n in range(9) for r in range(2, n - 1))
     assert small_span[True] and small_span[False]
+
+
+def test_exchange_check_matches_the_basis_scan():
+    """Past the exhaustive sweep's 8 elements: accept or reject, and the
+    counterexample (b1, x, b2), agree with the canonical scan of the bases
+    on U(4,10), U(3,12), two GF(2) rank-4 matroids, PG(2,3), and seeded
+    copies of each with one r-subset toggled.  Removing one basis of a
+    uniform matroid leaves a matroid (the set becomes a circuit-hyperplane),
+    so the rejections come from the others."""
+    matroids = [
+        uniform(4, 10),
+        uniform(3, 12),
+        gf2_matroid(random.Random(1108), 10, 4),
+        gf2_matroid(random.Random(1473), 12, 4),
+        projective_plane(3),
+    ]
+    rng = random.Random(20261019)
+    verdicts = Counter()
+    for m in matroids:
+        ground, n, r = m.ground, m.ground.size, m.rank
+        assert exchange_counterexample_scan(m.bases) is None
+        for _ in range(12):
+            bases = m.bases ^ {sum(1 << i for i in rng.sample(range(n), r))}
+            try:
+                Matroid(ground, bases)
+                found = None
+            except ExchangeFails as err:
+                found = (
+                    ground.mask_of(err.basis1),
+                    ground.index(err.element),
+                    ground.mask_of(err.basis2),
+                )
+            assert found == exchange_counterexample_scan(bases)
+            verdicts[found is None] += 1
+    assert verdicts[True] >= 24 and verdicts[False] >= 30
 
 
 def test_basis_sets_canonical():
