@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .bitops import bits
 from .catalog import CATALOG
 from .errors import (
     BoolrepError,
@@ -152,14 +153,18 @@ def _cmd_verify(args) -> int:
 def _cmd_partitions(args) -> int:
     """One line per maximal chain.  Each flat and each cover edge is
     formatted once, from its mask; a line joins the pieces along its chain,
-    and equals the rendering of `partition_of_chain` for that chain."""
+    and equals the rendering of `partition_of_chain` for that chain.  JSON
+    quotes each ground label once: `json.dumps` of a list of strings is its
+    items' dumps joined by ", " inside brackets."""
     matroid = _ensure_simple(_load_matroid(args.source, args.file))
     lattice = FlatLattice.from_matroid(matroid)
     chains = chain_indices(lattice, args.limit)
     ground = lattice.ground
     if args.format == "json":
+        quoted = [json.dumps(label) for label in ground.labels]
+
         def name(mask: int) -> str:
-            return json.dumps(ground.labels_of(mask))
+            return "[" + ", ".join([quoted[i] for i in bits(mask)]) + "]"
 
         flats = [name(mask) for mask in lattice.flat_masks]
         head, flat_sep, middle, block_sep, tail = (

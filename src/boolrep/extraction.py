@@ -32,8 +32,6 @@ every disagreement.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -42,7 +40,7 @@ from typing import Iterable
 from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import GHOST, ONE, ZERO, BoolMatrix, SbMatrix, _peel
+from .sbool import GHOST, ONE, ZERO, BoolMatrix, SbMatrix, _labeled_csv, _peel, _zero_set_rows
 
 __all__ = [
     "VERIFY_CAP",
@@ -114,15 +112,8 @@ def extract_representation(matroid: Matroid) -> Representation:
     `flat_masks`, rows named by `flat_names`, so no lattice is built.
     """
     ground = matroid.ground
-    names = matroid.flat_names
-    # A sentinel bit at position n pads each string to n + 1 characters;
-    # the reverse slice drops it and reads from position 0 up.
-    top = 1 << ground.size
-    cell = {"0": ONE, "1": ZERO}.__getitem__
-    grid = tuple(
-        tuple(map(cell, format(flat | top, "b")[:0:-1])) for flat in matroid.flat_masks
-    )
-    return Representation(BoolMatrix(grid, names, ground.labels), "full", matroid)
+    grid = _zero_set_rows(matroid.flat_masks, ground.size)
+    return Representation(BoolMatrix(grid, matroid.flat_names, ground.labels), "full", matroid)
 
 
 def _check_cap(ground: GroundSet) -> None:
@@ -392,12 +383,8 @@ class TropicalMatrix:
         return BoolMatrix(grid, self.row_labels, self.col_labels)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + list(self.col_labels))
-        for label, row in zip(self.row_labels, self.entries):
-            writer.writerow([label] + ["0" if v == 0.0 else "-inf" for v in row])
-        return out.getvalue()
+        tokens = (["0" if v == 0.0 else "-inf" for v in row] for row in self.entries)
+        return _labeled_csv(self.row_labels, self.col_labels, tokens)
 
 
 def tropicalize(rep) -> TropicalMatrix:

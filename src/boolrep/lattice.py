@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .bitops import bits, mask_of
+from .bitops import bits, mask_of, transpose
 from .errors import (
     BoolrepError,
     DuplicateLabels,
@@ -28,9 +28,21 @@ from .errors import (
     UnknownLabel,
 )
 from .matroid import GroundSet, Matroid
-from .sbool import BoolMatrix, ONE, ZERO
+from .sbool import BoolMatrix, _zero_set_rows
 
 __all__ = ["FlatLattice", "LatticeWitness", "pentagon"]
+
+
+def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple.  A witness has one row per label, so a label
+    listed twice raises DuplicateLabels naming it rather than being dropped."""
+    labels = tuple(labels)
+    seen = set()
+    for x in labels:
+        if x in seen:
+            raise DuplicateLabels(f"set {labels!r} lists {x!r} twice")
+        seen.add(x)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -83,14 +95,12 @@ class FlatLattice:
         if self.flat_masks is not None and len(self.flat_masks) != n:
             raise BoolrepError("flat mask count does not match element count")
         full = (1 << n) - 1
-        down = [0] * n
         for i, mask in enumerate(self.up):
             if mask & ~full:
                 raise BoolrepError("order relation points outside the element list")
             if not mask >> i & 1:
                 raise BoolrepError(f"order not reflexive at {self.names[i]!r}")
             for j in bits(mask):
-                down[j] |= 1 << i
                 if i != j and self.up[j] >> i & 1:
                     raise BoolrepError(
                         f"order not antisymmetric on {self.names[i]!r}, {self.names[j]!r}"
@@ -99,6 +109,7 @@ class FlatLattice:
                     raise BoolrepError(
                         f"order not transitive through {self.names[i]!r} <= {self.names[j]!r}"
                     )
+        down = transpose(self.up, n)
         down_index = {mask: i for i, mask in enumerate(down)}
         up_index = {mask: i for i, mask in enumerate(self.up)}
         for i in range(n):
@@ -130,10 +141,7 @@ class FlatLattice:
         flats = matroid.flat_masks
         # holds[e]: the flats containing element e; a flat's up-set is the
         # AND of holds[e] over its elements, O(total flat size) in all
-        holds = [0] * matroid.ground.size
-        for j, flat in enumerate(flats):
-            for e in bits(flat):
-                holds[e] |= 1 << j
+        holds = transpose(flats, matroid.ground.size)
         full = (1 << len(flats)) - 1
         up = []
         for flat in flats:
@@ -310,10 +318,7 @@ class FlatLattice:
     def representation(self) -> BoolMatrix:
         """Complement of the structure matrix; entry (i, j) is 1 iff i is
         not below j.  Row independence in this matrix drives everything."""
-        # A lattice has a bottom, so each string is exactly size characters.
-        width = f"0{self.size}b"
-        cell = {"0": ONE, "1": ZERO}.__getitem__
-        grid = tuple(tuple(map(cell, format(mask, width)[::-1])) for mask in self.up)
+        grid = _zero_set_rows(self.up, self.size)
         return BoolMatrix(grid, self.names, self.names)
 
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:
@@ -328,8 +333,9 @@ class FlatLattice:
     # -- witnesses and chains ---------------------------------------------------
 
     def witness_for(self, elements: Iterable[str]):
-        """A valid witness for these elements, or None when they are dependent."""
-        rows = tuple(elements)
+        """A valid witness for these elements, or None when they are
+        dependent.  An element listed twice raises DuplicateLabels."""
+        rows = _distinct(elements)
         cols = self.representation.transpose().witness(rows)
         if cols is None:
             return None

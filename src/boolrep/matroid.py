@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain, permutations, repeat
 from typing import Iterable, Mapping
 
-from .bitops import bits, mask_of
+from .bitops import bits, mask_of, transpose
 from .errors import (
     AllLoops,
     AmbiguousLabel,
@@ -90,7 +90,16 @@ class GroundSet:
             raise UnknownLabel(f"no ground element labeled {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        return mask_of(self.index(x) for x in labels)
+        """Mask of the given labels, one lookup each; a label listed twice
+        counts once."""
+        index = self._index
+        mask = 0
+        try:
+            for label in labels:
+                mask |= 1 << index[label]
+        except KeyError:
+            raise UnknownLabel(f"no ground element labeled {label!r}") from None
+        return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
@@ -119,16 +128,18 @@ def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
     label listed twice raises rather than being dropped, which would
     silently change the set."""
     labels = tuple(labels)
-    index = ground._index
-    mask = 0
-    try:
-        for label in labels:
-            mask |= 1 << index[label]
-    except KeyError:
-        raise UnknownLabel(f"no ground element labeled {label!r}") from None
+    mask = ground.mask_of(labels)
     if mask.bit_count() != len(labels):
         raise DuplicateLabels(f"repeated label in set {labels!r}")
     return mask
+
+
+def _check_inside(ground: GroundSet, masks, kind: str) -> None:
+    """Raise UnknownLabel naming a mask with bits outside the ground set."""
+    outside = ~ground.full_mask
+    stray = next((m for m in masks if m & outside), None)
+    if stray is not None:
+        raise UnknownLabel(f"{kind} mask {stray:#x} has bits outside the ground set")
 
 
 def _validate_downward_closed(ground: GroundSet, family: frozenset) -> None:
@@ -149,10 +160,7 @@ class HereditaryCollection:
     family: frozenset
 
     def __post_init__(self):
-        outside = ~self.ground.full_mask
-        stray = next((m for m in self.family if m & outside), None)
-        if stray is not None:
-            raise UnknownLabel(f"family mask {stray:#x} has bits outside the ground set")
+        _check_inside(self.ground, self.family, "family")
         _validate_downward_closed(self.ground, self.family)
 
     @classmethod
@@ -271,10 +279,7 @@ class Matroid:
         sizes = {b.bit_count() for b in self.bases}
         if len(sizes) > 1:
             raise UnequalBasisSizes(f"bases of cardinalities {sorted(sizes)}")
-        outside = ~self.ground.full_mask
-        stray = next((b for b in self.bases if b & outside), None)
-        if stray is not None:
-            raise UnknownLabel(f"basis mask {stray:#x} has bits outside the ground set")
+        _check_inside(self.ground, self.bases, "basis")
         self._check_exchange()
 
     def _check_exchange(self):
@@ -295,11 +300,7 @@ class Matroid:
         """
         rank = self.rank
         completions = {c for m, c in self._extensions.items() if m.bit_count() == rank - 1}
-        # Each basis as n bits, highest position first, end to end: every
-        # n-th character from offset n - 1 - e is element e's bit in each.
-        n = self.ground.size
-        rows = "".join(map(format, self.bases, repeat(self.ground._bit_format)))
-        holds = [int(rows[n - 1 - e :: n], 2) for e in range(n)]
+        holds = transpose(tuple(self.bases), self.ground.size)
         every = (1 << len(self.bases)) - 1
         failing = set()
         for c in completions:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BoolrepError, ChainLimitExceeded, DuplicateLabels, UnknownLabel
-from .lattice import FlatLattice, LatticeWitness
+from .errors import BoolrepError, ChainLimitExceeded, UnknownLabel
+from .lattice import FlatLattice, LatticeWitness, _distinct
 from .matroid import GroundSet
 
 __all__ = [
@@ -224,12 +224,7 @@ def transversal_witness(
     escapes its own column and is inside all later ones, so the submatrix
     is triangular with a unit diagonal.
     """
-    labels = tuple(labels)
-    seen = set()
-    for x in labels:
-        if x in seen:
-            raise DuplicateLabels(f"set {labels!r} lists {x!r} twice")
-        seen.add(x)
+    labels = _distinct(labels)
     placed = sorted(
         ((partition.block_index_of(x), x) for x in labels), key=lambda p: p[0]
     )

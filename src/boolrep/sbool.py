@@ -327,6 +327,28 @@ def _has_perfect_matching(row_nz, n: int) -> bool:
     return True
 
 
+def _zero_set_rows(masks, width: int) -> tuple[tuple[SBool, ...], ...]:
+    """0/1 rows of the given width, row r zero exactly on masks[r].
+
+    A sentinel bit at position width pads each mask's string to width + 1
+    characters; the reverse slice drops it and reads from position 0 up, so
+    a width-0 row is empty (format(0, "00b") would be "0").
+    """
+    top = 1 << width
+    cell = {"0": ONE, "1": ZERO}.__getitem__
+    return tuple(tuple(map(cell, format(m | top, "b")[:0:-1])) for m in masks)
+
+
+def _labeled_csv(row_labels, col_labels, token_rows) -> str:
+    """Labeled CSV, the layout `SbMatrix.from_csv` reads: a header row of an
+    empty field and the column labels, then each row's label and tokens."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *col_labels])
+    writer.writerows([label, *row] for label, row in zip(row_labels, token_rows))
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class SbMatrix:
     """Immutable labeled matrix over the superboolean semiring."""
@@ -547,12 +569,8 @@ class SbMatrix:
     def to_csv(self) -> str:
         """Labeled CSV: header row of column labels, first field of each row
         its label, entries rendered 0 / 1 / 1v."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([""] + list(self.col_labels))
-        for label, row in zip(self.row_labels, self.entries):
-            writer.writerow([label] + [_TOKENS[v._value_] for v in row])
-        return out.getvalue()
+        tokens = ([_TOKENS[v._value_] for v in row] for row in self.entries)
+        return _labeled_csv(self.row_labels, self.col_labels, tokens)
 
     @classmethod
     def from_csv(cls, text: str):

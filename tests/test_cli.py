@@ -14,7 +14,9 @@ import pytest
 
 from boolrep import (
     CATALOG,
+    FlatLattice,
     GroundSet,
+    Matroid,
     extract_representation,
     matroid_to_json,
     maximal_chains,
@@ -226,6 +228,25 @@ def test_partitions_lines_match_partition_of_chain(capsys, tmp_path, pool, pool_
             code, out, err = run_cli(capsys, "partitions", str(path), "--format", fmt)
             assert (code, err) == (0, "")
             assert out == "".join(line + "\n" for line in _partition_lines(lat, fmt))
+
+
+def test_partitions_lines_match_partition_of_chain_on_labels_json_escapes(capsys, tmp_path):
+    """Labels JSON must escape or that are not ASCII: the JSON lines join
+    each label's quoted form once, and still equal `json.dumps` of the
+    partition, as the pretty lines equal its rendering."""
+    labels = ('a"b', "back\\slash", "é", "☃", "sp ace")
+    ground = GroundSet.of(labels)
+    matroid = Matroid(ground, uniform(3, 5).bases)
+    lat = FlatLattice.from_matroid(matroid)
+    path = tmp_path / "escaped.json"
+    path.write_text(matroid_to_json(matroid), encoding="utf-8")
+    outs = {}
+    for fmt in ("json", "pretty"):
+        code, outs[fmt], err = run_cli(capsys, "partitions", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert outs[fmt] == "".join(line + "\n" for line in _partition_lines(lat, fmt))
+    for quoted in ('"a\\"b"', '"back\\\\slash"', '"\\u00e9"', '"\\u2603"', '"sp ace"'):
+        assert quoted in outs["json"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
@@ -516,23 +537,33 @@ def readme_commands():
             yield argv[1:]
 
 
+README_STDOUT = Path(__file__).parent / "readme_stdout.txt"
+
+
 def test_readme_commands_exit_0(capsys, tmp_path, monkeypatch):
-    """Every self-contained command README shows runs and exits 0; the one
-    piped to `dot` and the ones reading `my_matrix.csv` are left out."""
+    """Every self-contained command README shows exits 0 and prints, byte
+    for byte, the output recorded in tests/readme_stdout.txt: "$ " and the
+    command, then its stdout.  The one piped to `dot` runs up to the pipe;
+    the ones reading `my_matrix.csv` are left out."""
     monkeypatch.chdir(tmp_path)
+    transcript = []
     ran = set()
     for argv in readme_commands():
-        if "|" in argv or "my_matrix.csv" in argv:
+        if "my_matrix.csv" in argv:
             continue
         target = None
-        if ">" in argv:
+        if "|" in argv:
+            argv = argv[: argv.index("|")]
+        elif ">" in argv:
             argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         if target is not None:
             (tmp_path / target).write_text(out)
+        transcript.append("$ " + shlex.join(["boolrep", *argv]) + "\n" + out)
         ran.add(argv[0])
     assert ran == {"lattice", "repr", "verify", "partitions", "example"}
+    assert "".join(transcript) == README_STDOUT.read_text(encoding="utf-8")
 
 
 _PROSE = object()

@@ -1,6 +1,8 @@
 """Extraction pipeline: full matrix, row reductions, verification, bounds,
 and the max-plus embedding."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -802,6 +804,15 @@ def test_tropical_csv():
         [[1, 0], [0, 1]], row_labels=("a", "b"), col_labels=("x", "y")
     )
     assert tropicalize(matrix).to_csv() == ",x,y\na,0,-inf\nb,-inf,0\n"
+
+
+def test_tropical_csv_quotes_labels_as_the_csv_module_does():
+    rows, cols = ("r,1", 'say "hi"'), ("x", "a,b")
+    matrix = BoolMatrix.of([[1, 0], [0, 1]], row_labels=rows, col_labels=cols)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerows([["", *cols], [rows[0], "0", "-inf"], [rows[1], "-inf", "0"]])
+    assert tropicalize(matrix).to_csv() == out.getvalue()
 
 
 # -- serialization ---------------------------------------------------------------------------

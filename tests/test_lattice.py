@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from boolrep import (
     AmbiguousLabel,
     BoolrepError,
+    DuplicateLabels,
     FlatLattice,
     InvalidWitness,
     LatticeWitness,
@@ -539,6 +540,17 @@ def test_witness_for_independent_and_dependent_sets(catalog_lattices):
     w = lat.witness_for(independent)
     assert w is not None
     assert lat.is_valid_witness(w)
+
+
+def test_witness_for_names_a_repeated_element(catalog_lattices):
+    """A witness has one row per element, so a repeat raises rather than
+    being dropped by the peel; boolean queries still read a set."""
+    lat = catalog_lattices["u34"]
+    for elements in (("{1}", "{1}"), ("{2}", "{1}", "{3}", "{1}")):
+        with pytest.raises(DuplicateLabels) as err:
+            lat.witness_for(elements)
+        assert "'{1}' twice" in str(err.value)
+    assert lat.elements_independent(("{1}", "{1}"))
 
 
 def test_witness_length_mismatch_rejected():

@@ -146,6 +146,14 @@ def test_hereditary_rejects_masks_outside_the_ground_set():
         HereditaryCollection(GroundSet.of("ab"), frozenset({0, -1}))
 
 
+def test_masks_outside_the_ground_set_are_named_by_kind():
+    ground = GroundSet.of("a")
+    with pytest.raises(UnknownLabel, match=r"^basis mask 0x2 has bits outside the ground set$"):
+        Matroid(ground, frozenset({0b10}))
+    with pytest.raises(UnknownLabel, match=r"^family mask 0x2 has bits outside the ground set$"):
+        HereditaryCollection(ground, frozenset({0, 0b10}))
+
+
 def test_members_canonical_order():
     h = hc("abc", [(), ("a",), ("c",), ("a", "c")])
     assert h.members() == ((), ("a",), ("c",), ("a", "c"))

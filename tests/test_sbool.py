@@ -1,6 +1,8 @@
 """Scalar tables, semiring laws, and matrix operations, against oracles."""
 
+import csv
 import gc
+import io
 import random
 import re
 from itertools import combinations, product
@@ -737,6 +739,18 @@ def test_csv_round_trip():
     text = m.to_csv()
     assert text == ",x,y,z\na,1,0,1v\nb,0,1,1\n"
     assert SbMatrix.from_csv(text) == m
+
+
+def test_csv_quotes_labels_as_the_csv_module_does():
+    rows, cols = ("r,1", 'say "hi"'), ("x", "a,b", 'q"')
+    m = SbMatrix.of([[1, 0, "1v"], ["1v", 1, 0]], row_labels=rows, col_labels=cols)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *cols])
+    writer.writerow([rows[0], "1", "0", "1v"])
+    writer.writerow([rows[1], "1v", "1", "0"])
+    assert m.to_csv() == out.getvalue()
+    assert SbMatrix.from_csv(m.to_csv()) == m
 
 
 def test_from_csv_rejects_malformed_text():
