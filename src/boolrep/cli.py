@@ -33,7 +33,7 @@ from .extraction import (
 from .lattice import FlatLattice
 from .matroid import Matroid, matroid_from_json, matroid_to_json
 from .partitions import DEFAULT_CHAIN_LIMIT, chain_indices
-from .sbool import ONE, SbMatrix
+from .sbool import SbMatrix, _bit_rows
 
 __all__ = ["main", "run"]
 
@@ -101,9 +101,7 @@ def _cmd_lattice(args) -> int:
             "heights": list(lattice.heights),
             "atoms": list(lattice.atoms),
             "matrix": args.matrix,
-            "entries": [
-                [1 if v is ONE else 0 for v in row] for row in matrix.entries
-            ],
+            "entries": _bit_rows(matrix),
         }
         print(json.dumps(payload))
     else:

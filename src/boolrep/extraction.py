@@ -40,7 +40,7 @@ from typing import Iterable
 from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import GHOST, ONE, ZERO, BoolMatrix, SbMatrix, _labeled_csv, _peel, _zero_set_rows
+from .sbool import BoolMatrix, SbMatrix, _bit_rows, _labeled_csv, _peel, _zero_set_rows
 
 __all__ = [
     "VERIFY_CAP",
@@ -226,13 +226,14 @@ def paper_reduce(rep: Representation) -> Representation:
 
 
 def _strip_rows(matrix: BoolMatrix) -> tuple[str, ...]:
-    """Labels of the rows that are neither all zero nor a repeat."""
+    """Labels of the rows that are neither all zero nor a repeat, read off
+    each row's (nonzero, plain-1) masks."""
     seen = set()
     keep = []
-    for label, row in zip(matrix.row_labels, matrix.entries):
-        if all(v is ZERO for v in row) or row in seen:
+    for label, nz, one in zip(matrix.row_labels, *matrix._row_masks):
+        if not nz or (nz, one) in seen:
             continue
-        seen.add(row)
+        seen.add((nz, one))
         keep.append(label)
     return tuple(keep)
 
@@ -377,10 +378,8 @@ class TropicalMatrix:
 
     def to_boolean(self) -> BoolMatrix:
         """Inverse of the embedding: 0.0 back to 1, -inf back to 0."""
-        grid = tuple(
-            tuple(ONE if v == 0.0 else ZERO for v in row) for row in self.entries
-        )
-        return BoolMatrix(grid, self.row_labels, self.col_labels)
+        rows = ((1 if v == 0.0 else 0 for v in row) for row in self.entries)
+        return BoolMatrix.of(rows, self.row_labels, self.col_labels)
 
     def to_csv(self) -> str:
         tokens = (["0" if v == 0.0 else "-inf" for v in row] for row in self.entries)
@@ -390,31 +389,17 @@ class TropicalMatrix:
 def tropicalize(rep) -> TropicalMatrix:
     """Entrywise embedding into the max-plus semiring: 1 to 0, 0 to -inf."""
     matrix = rep.matrix if isinstance(rep, Representation) else rep
-    neg_inf = float("-inf")
-    grid = []
-    for row in matrix.entries:
-        out = []
-        for v in row:
-            if v is ONE:
-                out.append(0.0)
-            elif v is ZERO:
-                out.append(neg_inf)
-            else:
-                raise ValueError("the max-plus embedding is defined on {0, 1} only")
-        grid.append(tuple(out))
-    return TropicalMatrix(tuple(grid), matrix.row_labels, matrix.col_labels)
+    value = (float("-inf"), 0.0)
+    grid = tuple(tuple([value[v] for v in row]) for row in _bit_rows(matrix))
+    return TropicalMatrix(grid, matrix.row_labels, matrix.col_labels)
 
 
 def representation_to_json(rep: Representation) -> str:
     matrix = rep.matrix
-    if any(GHOST in row for row in matrix.entries):
-        raise ValueError("JSON entries are defined on {0, 1} only")
     return json.dumps(
         {
             "rows": list(matrix.row_labels),
             "cols": list(matrix.col_labels),
-            "entries": [
-                [1 if v is ONE else 0 for v in row] for row in matrix.entries
-            ],
+            "entries": _bit_rows(matrix),
         }
     )

@@ -5,12 +5,12 @@ containment; its entrywise complement is the representation whose row rank
 realizes lattice heights.  Chains, witnesses, and the maps between them
 live here; partition machinery builds on top in a sibling module.
 
-Each element is held as two bitsets over the element list: its up-set
-(the elements above it) and its down-set (the elements below it).  In a
-partial order the common upper bounds of two elements have a least
-element m exactly when they equal up[m], so one map from up-sets decides
-every join with one set lookup per pair, O(F^2) lookups for F elements.
-Dually, one map from down-sets answers every meet, which a bottom
+Each element is held as a bitset over the element list: its up-set (the
+elements above it).  In a partial order the common upper bounds of two
+elements have a least element m exactly when they equal up[m], so one map
+from up-sets decides every join with one set lookup per pair, O(F^2)
+lookups for F elements.  Dually, one map from down-sets (the elements
+below each), built on the first meet, answers every meet, which a bottom
 guarantees (see `FlatLattice`), in O(1).
 """
 
@@ -27,22 +27,10 @@ from .errors import (
     InvalidWitness,
     UnknownLabel,
 )
-from .matroid import GroundSet, Matroid
+from .matroid import GroundSet, Matroid, _distinct
 from .sbool import BoolMatrix, _zero_set_rows
 
 __all__ = ["FlatLattice", "LatticeWitness", "pentagon"]
-
-
-def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
-    """The labels as a tuple.  A witness has one row per label, so a label
-    listed twice raises DuplicateLabels naming it rather than being dropped."""
-    labels = tuple(labels)
-    seen = set()
-    for x in labels:
-        if x in seen:
-            raise DuplicateLabels(f"set {labels!r} lists {x!r} twice")
-        seen.add(x)
-    return labels
 
 
 @dataclass(frozen=True)
@@ -73,17 +61,16 @@ class FlatLattice:
     module docstring shows), then the bottom.  Then every pair a, b has a
     meet: their common lower bounds hold the bottom, and the join of them
     all, built from pairwise joins, lies below a and b, so it is the
-    greatest.  The lookup maps stay with the lattice and answer meets and
-    joins.  When built from a matroid, flat_masks and ground record what
-    the elements are; order-only instances leave both None.
+    greatest.  The up-set map stays with the lattice and answers joins;
+    the down-sets and their map are built on the first meet.  When built
+    from a matroid, flat_masks and ground record what the elements are;
+    order-only instances leave both None.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
     flat_masks: tuple[int, ...] | None = None
     ground: GroundSet | None = None
-    down: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _down_index: dict = field(init=False, repr=False, compare=False)
     _up_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,8 +96,6 @@ class FlatLattice:
                     raise BoolrepError(
                         f"order not transitive through {self.names[i]!r} <= {self.names[j]!r}"
                     )
-        down = transpose(self.up, n)
-        down_index = {mask: i for i, mask in enumerate(down)}
         up_index = {mask: i for i, mask in enumerate(self.up)}
         for i in range(n):
             for j in range(i + 1, n):
@@ -120,8 +105,6 @@ class FlatLattice:
                     )
         if full not in up_index:
             raise BoolrepError("lattice has no bottom element")
-        object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "_down_index", down_index)
         object.__setattr__(self, "_up_index", up_index)
 
     # -- construction -------------------------------------------------------
@@ -184,7 +167,7 @@ class FlatLattice:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLabel(f"no lattice element named {name!r}") from None
 
     @cached_property
@@ -193,7 +176,7 @@ class FlatLattice:
 
     @cached_property
     def top_index(self) -> int:
-        return self._down_index[(1 << self.size) - 1]
+        return self._join_of_set(range(self.size))
 
     @property
     def bottom(self) -> str:
@@ -208,14 +191,17 @@ class FlatLattice:
 
     @cached_property
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Per element, the elements immediately above it."""
+        """Per element, the elements immediately above it: the minimal
+        elements of its strict up-set, which is that set cleared of the
+        strict up-sets of its members."""
+        up = self.up
         out = []
         for i in range(self.size):
-            strict = self.up[i] & ~(1 << i)
-            covers = [
-                j for j in bits(strict) if strict & (self.down[j] & ~(1 << j)) == 0
-            ]
-            out.append(tuple(covers))
+            strict = up[i] & ~(1 << i)
+            higher = 0
+            for j in bits(strict):
+                higher |= up[j] & ~(1 << j)
+            out.append(tuple(bits(strict & ~higher)))
         return tuple(out)
 
     def _require_flats(self) -> None:
@@ -267,8 +253,10 @@ class FlatLattice:
 
     @cached_property
     def _topological(self) -> tuple[int, ...]:
-        """Elements by down-set size, so each follows everything below it."""
-        return tuple(sorted(range(self.size), key=lambda i: self.down[i].bit_count()))
+        """Elements by up-set size, largest first, so each follows
+        everything below it: an element strictly below another has a
+        strictly larger up-set."""
+        return tuple(sorted(range(self.size), key=lambda i: -self.up[i].bit_count()))
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
@@ -288,6 +276,15 @@ class FlatLattice:
         return self.heights[self.index(name)]
 
     # -- meets and joins --------------------------------------------------------
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Per element, its down-set: the elements below it."""
+        return tuple(transpose(self.up, self.size))
+
+    @cached_property
+    def _down_index(self) -> dict:
+        return {mask: i for i, mask in enumerate(self.down)}
 
     def _meet_index(self, i: int, j: int) -> int:
         return self._down_index[self.down[i] & self.down[j]]

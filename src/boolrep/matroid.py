@@ -84,9 +84,10 @@ class GroundSet:
         return {label: i for i, label in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
+        """Position of a label; an unknown or unhashable one raises UnknownLabel."""
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLabel(f"no ground element labeled {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
@@ -94,11 +95,11 @@ class GroundSet:
         counts once."""
         index = self._index
         mask = 0
-        try:
-            for label in labels:
+        for label in labels:
+            try:
                 mask |= 1 << index[label]
-        except KeyError:
-            raise UnknownLabel(f"no ground element labeled {label!r}") from None
+            except (KeyError, TypeError):
+                raise UnknownLabel(f"no ground element labeled {label!r}") from None
         return mask
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
@@ -123,14 +124,27 @@ class GroundSet:
         return (mask.bit_count(), format(mask ^ self.full_mask, self._bit_format)[::-1])
 
 
+def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a tuple.  A label listed twice raises DuplicateLabels
+    rather than being dropped, which would silently change the set (or a
+    witness's row count); an unhashable one raises UnknownLabel."""
+    labels = tuple(labels)
+    try:
+        repeated = len(set(labels)) != len(labels)
+    except TypeError:
+        raise UnknownLabel(f"set {labels!r} holds an unhashable label") from None
+    if repeated:
+        raise DuplicateLabels(f"repeated label in set {labels!r}")
+    return labels
+
+
 def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
-    """Mask of one set given by its labels, for callers and JSON alike; a
-    label listed twice raises rather than being dropped, which would
-    silently change the set."""
+    """Mask of one set given by its labels, for callers and JSON alike: an
+    unknown label raises first, then a repeated one (`_distinct`)."""
     labels = tuple(labels)
     mask = ground.mask_of(labels)
     if mask.bit_count() != len(labels):
-        raise DuplicateLabels(f"repeated label in set {labels!r}")
+        _distinct(labels)  # raises, naming the set
     return mask
 
 

@@ -21,8 +21,8 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoolrepError, ChainLimitExceeded, UnknownLabel
-from .lattice import FlatLattice, LatticeWitness, _distinct
-from .matroid import GroundSet
+from .lattice import FlatLattice, LatticeWitness
+from .matroid import GroundSet, _distinct
 
 __all__ = [
     "DEFAULT_CHAIN_LIMIT",

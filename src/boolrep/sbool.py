@@ -2,7 +2,9 @@
 
 Scalars are totally ordered 1v > 1 > 0, where 1v = 1 + 1 is the ghost
 element and {0, 1v} is the ghost ideal.  Matrices are dense, labeled and
-immutable; every operation returns a new value.
+immutable; every operation returns a new value.  Only this module reads or
+writes a cell: other modules read a matrix through its (nonzero, plain-1)
+masks or its 0/1 rows (`_bit_rows`).
 
 Decisions rest on two facts: a set of columns is independent iff some
 square submatrix on it is nonsingular, and a matrix is nonsingular iff it
@@ -125,9 +127,10 @@ class SBool(Enum):
 ZERO, ONE, GHOST = SBool.ZERO, SBool.ONE, SBool.GHOST
 
 # Indexed by value: a dict keyed by SBool would run Enum.__hash__ per entry.
+_CELLS = (ZERO, ONE, GHOST)
 _TOKENS = ("0", "1", "1v")
+_COMPLEMENT = (ONE, ZERO, GHOST)
 _FROM_TOKEN = {"0": ZERO, "1": ONE, "1v": GHOST}
-_COMPLEMENT = {ZERO: ONE, ONE: ZERO, GHOST: GHOST}
 
 
 def as_sbool(value) -> SBool:
@@ -137,10 +140,9 @@ def as_sbool(value) -> SBool:
     if isinstance(value, bool):
         return ONE if value else ZERO
     if isinstance(value, int):
-        try:
-            return SBool(value)
-        except ValueError:
-            raise ValueError(f"not a superboolean value: {value!r}") from None
+        if not 0 <= value < len(_CELLS):
+            raise ValueError(f"not a superboolean value: {value!r}")
+        return _CELLS[value]
     if isinstance(value, str):
         return SBool.from_token(value)
     raise TypeError(f"cannot interpret {value!r} as a superboolean scalar")
@@ -339,6 +341,14 @@ def _zero_set_rows(masks, width: int) -> tuple[tuple[SBool, ...], ...]:
     return tuple(tuple(map(cell, format(m | top, "b")[:0:-1])) for m in masks)
 
 
+def _bit_rows(matrix) -> list[list[int]]:
+    """Each row's entries as the ints 0 and 1; a ghost raises ValueError."""
+    rows = [[v._value_ for v in row] for row in matrix.entries]
+    if any(GHOST._value_ in row for row in rows):
+        raise ValueError("0/1 entries are defined on {0, 1} only, not on the ghost 1v")
+    return rows
+
+
 def _labeled_csv(row_labels, col_labels, token_rows) -> str:
     """Labeled CSV, the layout `SbMatrix.from_csv` reads: a header row of an
     empty field and the column labels, then each row's label and tokens."""
@@ -440,7 +450,7 @@ class SbMatrix:
 
     def complement(self):
         """Entrywise 0 -> 1, 1 -> 0, 1v -> 1v."""
-        grid = tuple(tuple(_COMPLEMENT[v] for v in row) for row in self.entries)
+        grid = tuple(tuple([_COMPLEMENT[v._value_] for v in row]) for row in self.entries)
         return type(self)(grid, self.row_labels, self.col_labels)
 
     def transpose(self):

@@ -26,6 +26,7 @@ from boolrep import (
 from boolrep.cli import main
 
 from conftest import read_golden, vamos
+from oracles import flats_scan
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,41 @@ def test_lattice_dot(capsys):
     assert '"{}" -> "{1}";' in out
 
 
+def _flats_by_name(matroid):
+    """Each flat's mask from the power-set scan, keyed by its subset name."""
+    ground = matroid.ground
+    return {ground.subset_name(f): f for f in flats_scan(matroid.bases, ground.size)}
+
+
+def _sources(pool, tmp_path):
+    """(source argument, matroid) for every catalog entry and pool matroid."""
+    out = [(f"example:{name}", entry.matroid) for name, entry in CATALOG.items()]
+    for k, matroid in enumerate(pool):
+        path = tmp_path / f"pool{k}.json"
+        path.write_text(matroid_to_json(matroid), encoding="utf-8")
+        out.append((str(path), matroid))
+    return out
+
+
+def test_lattice_json_entries_follow_the_order(capsys, pool, tmp_path):
+    """repr entry (i, j) is 1 exactly when flat i is not inside flat j, and
+    the structure entry exactly when it is."""
+    for source, matroid in _sources(pool, tmp_path):
+        flats = _flats_by_name(matroid)
+        for kind in ("repr", "structure"):
+            code, out, _ = run_cli(
+                capsys, "lattice", source, "--format", "json", "--matrix", kind
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert sorted(payload["elements"]) == sorted(flats)
+            masks = [flats[name] for name in payload["elements"]]
+            inside = kind == "structure"
+            assert payload["entries"] == [
+                [int((a & ~b == 0) == inside) for b in masks] for a in masks
+            ]
+
+
 def test_lattice_json(capsys):
     code, out, _ = run_cli(capsys, "lattice", "example:w3", "--format", "json")
     assert code == 0
@@ -123,6 +159,31 @@ def test_repr_json(capsys):
     assert payload["cols"] == ["1", "2", "3", "4"]
     assert len(payload["rows"]) == 12
     assert payload["entries"][0] == [1, 1, 1, 1]
+
+
+def test_repr_json_entries_follow_the_flats(capsys, pool, tmp_path):
+    """Entry (F, x) is 1 exactly when x lies outside the flat F, in every
+    reduction mode.  The paper reduction may refuse a matroid of rank
+    below 3, whose independent pairs the bottom row cannot separate."""
+    for source, matroid in _sources(pool, tmp_path):
+        flats = _flats_by_name(matroid)
+        n = matroid.ground.size
+        for mode in ("full", "none", "paper", "dedupe", "verified"):
+            code, out, err = run_cli(
+                capsys, "repr", source, "--reduce", mode, "--format", "json"
+            )
+            if mode == "paper" and matroid.rank < 3 and code == 2:
+                assert "broke a certificate" in err
+                continue
+            assert code == 0, (source, mode, err)
+            payload = json.loads(out)
+            assert payload["cols"] == list(matroid.ground.labels)
+            if mode in ("full", "none"):
+                assert sorted(payload["rows"]) == sorted(flats)
+            assert payload["entries"] == [
+                [0 if flats[name] >> x & 1 else 1 for x in range(n)]
+                for name in payload["rows"]
+            ]
 
 
 def test_repr_default_pretty(capsys):

@@ -243,6 +243,15 @@ def test_dedupe_drops_zero_and_duplicate_rows():
     assert out.matrix.entries == ((ONE, ONE), (ONE, ZERO))
 
 
+def test_strip_rows_compares_whole_rows():
+    """A ghost in place of a 1 makes a different row, and a row of ghosts
+    is not a zero row."""
+    matrix = SbMatrix.of(
+        [[1, 1], ["1v", 1], [1, 1], ["1v", "1v"], [0, 0]], row_labels=("a", "b", "c", "d", "e")
+    )
+    assert extraction._strip_rows(matrix) == ("a", "b", "d")
+
+
 def test_dedupe_on_extraction_only_drops_the_top_row(u34):
     full = extract_representation(u34)
     out = dedupe_reduce(full)
@@ -751,6 +760,21 @@ def test_tropicalize_entries():
     trop = tropicalize(matrix)
     assert trop.entries == ((0.0, float("-inf")),)
     assert trop.row_labels == ("a",)
+
+
+def test_tropicalize_entries_follow_the_flats(pool):
+    """Entry (F, x) is 0.0 exactly when x lies outside the flat F, else
+    -inf; the flats come from the power-set scan."""
+    neg = float("-inf")
+    for matroid in pool:
+        ground = matroid.ground
+        flats = {ground.subset_name(f): f for f in flats_scan(matroid.bases, ground.size)}
+        trop = tropicalize(extract_representation(matroid))
+        assert sorted(trop.row_labels) == sorted(flats)
+        assert trop.entries == tuple(
+            tuple(neg if flats[name] >> x & 1 else 0.0 for x in range(ground.size))
+            for name in trop.row_labels
+        )
 
 
 def test_tropical_round_trip(fivept):

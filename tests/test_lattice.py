@@ -22,7 +22,9 @@ from boolrep import (
     extract_representation,
     matroid_from_json,
     maximal_chains,
+    partition_of_chain,
     pentagon,
+    transversal_witness,
     uniform,
 )
 
@@ -549,8 +551,38 @@ def test_witness_for_names_a_repeated_element(catalog_lattices):
     for elements in (("{1}", "{1}"), ("{2}", "{1}", "{3}", "{1}")):
         with pytest.raises(DuplicateLabels) as err:
             lat.witness_for(elements)
-        assert "'{1}' twice" in str(err.value)
+        assert str(err.value) == f"repeated label in set {elements!r}"
     assert lat.elements_independent(("{1}", "{1}"))
+
+
+@pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {x: 1}], ids=["list", "dict"])
+def test_unhashable_labels_raise_unknown_label(catalog_lattices, wrap):
+    """A list or dict where a label belongs is an unknown label, at every
+    label lookup and at the witness builders' repeat check, never a bare
+    TypeError."""
+    lat = catalog_lattices["u34"]
+    ground = lat.ground
+    matroid = uniform(3, 4)
+    part = partition_of_chain(lat, ("{}", "{1}", "{1,2}", "{1,2,3,4}"))
+    label, element = wrap("1"), wrap("{1}")
+    calls = [
+        lambda: ground.index(label),
+        lambda: ground.mask_of([label]),
+        lambda: ground.mask_of(["1", label]),
+        lambda: matroid.is_independent([label]),
+        lambda: lat.index(element),
+        lambda: lat.leq(element, "{1}"),
+        lambda: lat.meet("{1}", element),
+        lambda: lat.join(element, "{1}"),
+        lambda: lat.element_height(element),
+        lambda: lat.chain_witness([element]),
+        lambda: lat.witness_for([element]),
+        lambda: lat.witness_for(["{1}", element]),
+        lambda: transversal_witness(lat, part, [label]),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownLabel):
+            call()
 
 
 def test_witness_length_mismatch_rejected():
