@@ -40,7 +40,7 @@ from typing import Iterable
 from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
 from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import BoolMatrix, SbMatrix, _bit_rows, _labeled_csv, _peel, _zero_set_rows
+from .sbool import BoolMatrix, SbMatrix, _bit_rows, _check_axes, _labeled_csv, _peel
 
 __all__ = [
     "VERIFY_CAP",
@@ -112,8 +112,8 @@ def extract_representation(matroid: Matroid) -> Representation:
     `flat_masks`, rows named by `flat_names`, so no lattice is built.
     """
     ground = matroid.ground
-    grid = _zero_set_rows(matroid.flat_masks, ground.size)
-    return Representation(BoolMatrix(grid, matroid.flat_names, ground.labels), "full", matroid)
+    rows = tuple([ground.full_mask & ~flat for flat in matroid.flat_masks])
+    return Representation(BoolMatrix(rows, rows, matroid.flat_names, ground.labels), "full", matroid)
 
 
 def _check_cap(ground: GroundSet) -> None:
@@ -129,11 +129,8 @@ def _flat_rows(matrix: SbMatrix, matroid: Matroid) -> bool:
     Columns are the ground elements in order.
     """
     full = matroid.ground.full_mask
-    for nz, one in zip(*matrix._row_masks):
-        zeros = full & ~nz
-        if nz != one or not matroid.is_flat_mask(zeros):
-            return False
-    return True
+    rows = matrix.nonzero
+    return matrix.ones == rows and all(matroid.is_flat_mask(full & ~nz) for nz in rows)
 
 
 def _certificates(matroid: Matroid, matrix: SbMatrix | None = None):
@@ -227,15 +224,12 @@ def paper_reduce(rep: Representation) -> Representation:
 
 def _strip_rows(matrix: BoolMatrix) -> tuple[str, ...]:
     """Labels of the rows that are neither all zero nor a repeat, read off
-    each row's (nonzero, plain-1) masks."""
-    seen = set()
-    keep = []
-    for label, nz, one in zip(matrix.row_labels, *matrix._row_masks):
-        if not nz or (nz, one) in seen:
-            continue
-        seen.add((nz, one))
-        keep.append(label)
-    return tuple(keep)
+    each row's (nonzero, plain-1) masks: the first label of each nonzero pair."""
+    first = {}
+    for label, nz, one in zip(matrix.row_labels, matrix.nonzero, matrix.ones):
+        if nz:
+            first.setdefault((nz, one), label)
+    return tuple(first.values())
 
 
 def dedupe_reduce(rep: Representation) -> Representation:
@@ -374,7 +368,7 @@ class TropicalMatrix:
             for v in row:
                 if v != 0.0 and v != float("-inf"):
                     raise ValueError(f"tropical entry must be 0 or -inf, got {v!r}")
-        self.to_boolean()  # the matrix checks: shape and repeated labels
+        _check_axes(len(self.entries), self.row_labels, self.col_labels, map(len, self.entries))
 
     def to_boolean(self) -> BoolMatrix:
         """Inverse of the embedding: 0.0 back to 1, -inf back to 0."""

@@ -28,7 +28,7 @@ from .errors import (
     UnknownLabel,
 )
 from .matroid import GroundSet, Matroid, _distinct
-from .sbool import BoolMatrix, _zero_set_rows
+from .sbool import BoolMatrix
 
 __all__ = ["FlatLattice", "LatticeWitness", "pentagon"]
 
@@ -308,24 +308,27 @@ class FlatLattice:
 
     @cached_property
     def structure_matrix(self) -> BoolMatrix:
-        """Square containment table: entry (i, j) is 1 iff element i <= j."""
-        return self.representation.complement()
+        """Square containment table: entry (i, j) is 1 iff element i <= j,
+        so row i is the up-set of i."""
+        return BoolMatrix(self.up, self.up, self.names, self.names)
 
     @cached_property
     def representation(self) -> BoolMatrix:
         """Complement of the structure matrix; entry (i, j) is 1 iff i is
         not below j.  Row independence in this matrix drives everything."""
-        grid = _zero_set_rows(self.up, self.size)
-        return BoolMatrix(grid, self.names, self.names)
+        return self.structure_matrix.complement()
 
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:
-        """Rank of the representation rows for these elements (all by default)."""
+        """Rank of the representation rows for these elements (all by
+        default).  An element listed twice raises DuplicateLabels."""
         if elements is None:
             return self.representation.rank()
-        return self.representation.submatrix(rows=tuple(elements)).rank()
+        return self.representation.submatrix(rows=_distinct(elements)).rank()
 
     def elements_independent(self, elements: Iterable[str]) -> bool:
-        return self.representation.rows_independent(tuple(elements))
+        """Are the representation rows of these elements independent?  An
+        element listed twice raises DuplicateLabels."""
+        return self.representation.rows_independent(_distinct(elements))
 
     # -- witnesses and chains ---------------------------------------------------
 

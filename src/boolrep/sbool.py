@@ -1,10 +1,13 @@
 """Exact arithmetic in the three-element superboolean semiring and its matrices.
 
 Scalars are totally ordered 1v > 1 > 0, where 1v = 1 + 1 is the ghost
-element and {0, 1v} is the ghost ideal.  Matrices are dense, labeled and
-immutable; every operation returns a new value.  Only this module reads or
-writes a cell: other modules read a matrix through its (nonzero, plain-1)
-masks or its 0/1 rows (`_bit_rows`).
+element and {0, 1v} is the ghost ideal.  A matrix is labeled and immutable,
+and is its rows' masks: bit j of `nonzero[i]` is set iff entry (i, j) is
+not 0, and bit j of `ones[i]` iff it is a plain 1.  Every operation reads
+and returns masks; the cells (`entries`) are a read-only view of them.
+Only this module converts between cells and masks: into masks in `of` and
+`from_csv`, out of them in `entries`, `to_csv`, `text` and `_bit_rows` (the
+0/1 rows other modules read).
 
 Decisions rest on two facts: a set of columns is independent iff some
 square submatrix on it is nonsingular, and a matrix is nonsingular iff it
@@ -57,8 +60,10 @@ import io
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, total_ordering
+from itertools import chain
 from typing import Iterable, Sequence
 
+from .bitops import bits, transpose
 from .errors import DuplicateLabels, MatrixParseError, NonSquareError, UnknownLabel
 
 __all__ = [
@@ -129,8 +134,9 @@ ZERO, ONE, GHOST = SBool.ZERO, SBool.ONE, SBool.GHOST
 # Indexed by value: a dict keyed by SBool would run Enum.__hash__ per entry.
 _CELLS = (ZERO, ONE, GHOST)
 _TOKENS = ("0", "1", "1v")
-_COMPLEMENT = (ONE, ZERO, GHOST)
 _FROM_TOKEN = {"0": ZERO, "1": ONE, "1v": GHOST}
+_TOKEN_SET = frozenset(_TOKENS)
+_BITS = bytes.maketrans(b"01", b"\0\1")  # the characters "0", "1" to the bytes 0, 1
 
 
 def as_sbool(value) -> SBool:
@@ -236,21 +242,6 @@ def _peel(nz_masks, one_masks, idxs):
     return rounds, left
 
 
-def _masks(vectors):
-    """Per vector: coordinate bitmasks of its (nonzero, one) entries."""
-    nz, one = [], []
-    for vector in vectors:
-        a = b = 0
-        for j, v in enumerate(vector):
-            if v is not ZERO:
-                a |= 1 << j
-                if v is ONE:
-                    b |= 1 << j
-        nz.append(a)
-        one.append(b)
-    return tuple(nz), tuple(one)
-
-
 def _max_independent(nz_masks, one_masks) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
@@ -329,24 +320,11 @@ def _has_perfect_matching(row_nz, n: int) -> bool:
     return True
 
 
-def _zero_set_rows(masks, width: int) -> tuple[tuple[SBool, ...], ...]:
-    """0/1 rows of the given width, row r zero exactly on masks[r].
-
-    A sentinel bit at position width pads each mask's string to width + 1
-    characters; the reverse slice drops it and reads from position 0 up, so
-    a width-0 row is empty (format(0, "00b") would be "0").
-    """
-    top = 1 << width
-    cell = {"0": ONE, "1": ZERO}.__getitem__
-    return tuple(tuple(map(cell, format(m | top, "b")[:0:-1])) for m in masks)
-
-
 def _bit_rows(matrix) -> list[list[int]]:
     """Each row's entries as the ints 0 and 1; a ghost raises ValueError."""
-    rows = [[v._value_ for v in row] for row in matrix.entries]
-    if any(GHOST._value_ in row for row in rows):
+    if matrix.ones != matrix.nonzero:
         raise ValueError("0/1 entries are defined on {0, 1} only, not on the ghost 1v")
-    return rows
+    return [list("".join(row).encode().translate(_BITS)) for row in matrix._token_rows()]
 
 
 def _labeled_csv(row_labels, col_labels, token_rows) -> str:
@@ -359,32 +337,46 @@ def _labeled_csv(row_labels, col_labels, token_rows) -> str:
     return out.getvalue()
 
 
+def _check_axes(n_rows: int, row_labels, col_labels, widths=()) -> None:
+    """One label per row, every row of a grid (given its row widths) as
+    long as the column labels, and no label twice on either axis."""
+    if len(row_labels) != n_rows:
+        raise ValueError("row label count does not match the grid")
+    widths = set(widths)
+    if len(widths) > 1:
+        raise ValueError("ragged matrix")
+    if widths and widths.pop() != len(col_labels):
+        raise ValueError("column label count does not match the grid")
+    for axis in (row_labels, col_labels):
+        if len(set(axis)) != len(axis):
+            raise DuplicateLabels(f"repeated label in {axis!r}")
+
+
 @dataclass(frozen=True)
 class SbMatrix:
-    """Immutable labeled matrix over the superboolean semiring."""
+    """Immutable labeled matrix over the superboolean semiring, held as its
+    rows' masks: bit j of nonzero[i] is set iff entry (i, j) is not 0, and
+    bit j of ones[i] iff it is a plain 1.  The cells are a view (`entries`).
+    """
 
-    entries: tuple[tuple[SBool, ...], ...]
+    nonzero: tuple[int, ...]
+    ones: tuple[int, ...]
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.row_labels) != len(self.entries):
-            raise ValueError("row label count does not match the grid")
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
-        if widths and widths.pop() != len(self.col_labels):
-            raise ValueError("column label count does not match the grid")
-        for axis in (self.row_labels, self.col_labels):
-            if len(set(axis)) != len(axis):
-                raise DuplicateLabels(f"repeated label in {axis!r}")
-        self._check_entries()
-
-    def _check_entries(self):
-        for row in self.entries:
-            for v in row:
-                if not isinstance(v, SBool):
-                    raise TypeError(f"matrix entry {v!r} is not an SBool")
+        if len(self.ones) != len(self.nonzero):
+            raise ValueError("nonzero and plain-1 mask counts differ")
+        _check_axes(len(self.nonzero), self.row_labels, self.col_labels)
+        for m in chain(self.nonzero, self.ones):
+            if type(m) is not int:
+                raise TypeError(f"row mask {m!r} is not an int")
+        top = 1 << len(self.col_labels)
+        for nz, one in zip(self.nonzero, self.ones):
+            if not 0 <= nz < top:
+                raise ValueError(f"row mask {nz:#x} has bits outside {len(self.col_labels)} columns")
+            if one & ~nz:
+                raise ValueError(f"plain-1 mask {one:#x} is not inside nonzero mask {nz:#x}")
 
     @classmethod
     def of(
@@ -393,21 +385,42 @@ class SbMatrix:
         row_labels: Sequence[str] | None = None,
         col_labels: Sequence[str] | None = None,
     ):
-        grid = tuple(tuple(as_sbool(v) for v in row) for row in rows)
-        n_rows = len(grid)
-        if grid:
-            n_cols = len(grid[0])
-        else:
-            n_cols = len(col_labels) if col_labels is not None else 0
-        rl = tuple(row_labels) if row_labels is not None else _default_labels("r", n_rows)
-        cl = tuple(col_labels) if col_labels is not None else _default_labels("c", n_cols)
-        return cls(grid, rl, cl)
+        """The matrix of a grid of cells: SBools, bools, 0/1/2 or tokens."""
+        grid = [[as_sbool(v).token for v in row] for row in rows]
+        width = len(grid[0]) if grid else len(col_labels or ())
+        rl = tuple(row_labels) if row_labels is not None else _default_labels("r", len(grid))
+        cl = tuple(col_labels) if col_labels is not None else _default_labels("c", width)
+        _check_axes(len(grid), rl, cl, map(len, grid))
+        return cls._of_tokens([row[::-1] for row in grid], rl, cl)
+
+    @classmethod
+    def _of_tokens(cls, token_rows, row_labels, col_labels):
+        """The matrix of rows of tokens, each row last column first.
+
+        All tokens are joined, the last row first, after a row of zeros
+        (as in `bitops.transpose`).  With "1v" read as 1 (as 0) the text
+        holds one bit per cell of the nonzero (plain-1) masks, highest
+        first.  Read as one number, row i is its width bits from i * width
+        up; every width-th character from width - 1 - j is column j, whose
+        masks are cached.
+        """
+        n, width = len(token_rows), len(col_labels)
+        text = "0" * width + "".join(chain.from_iterable(reversed(token_rows)))
+        full = (1 << width) - 1
+        rows, cols = [], []
+        for digits in (text.replace("1v", "1"), text.replace("1v", "0")):
+            whole = int(digits or "0", 2)
+            rows.append(tuple([whole >> (i * width) & full for i in range(n)]))
+            cols.append(tuple([int(digits[k::width], 2) for k in range(width - 1, -1, -1)]))
+        matrix = cls(*rows, row_labels, col_labels)
+        matrix.__dict__["_col_masks"] = tuple(cols)
+        return matrix
 
     # -- shape and access -------------------------------------------------
 
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.nonzero)
 
     @property
     def n_cols(self) -> int:
@@ -426,46 +439,71 @@ class SbMatrix:
         return {label: j for j, label in enumerate(self.col_labels)}
 
     def _row_idxs(self, keys: Iterable) -> list[int]:
-        return _indices(keys, self._row_lookup, len(self.entries), "row")
+        return _indices(keys, self._row_lookup, self.n_rows, "row")
 
     def _col_idxs(self, keys: Iterable) -> list[int]:
-        return _indices(keys, self._col_lookup, len(self.col_labels), "column")
+        return _indices(keys, self._col_lookup, self.n_cols, "column")
 
     def entry(self, row, col) -> SBool:
         return self.entries[self._row_idxs((row,))[0]][self._col_idxs((col,))[0]]
 
-    # -- cached bitmask views ---------------------------------------------
-
     @cached_property
-    def _row_masks(self):
-        """Per row: column bitmasks of its (nonzero, one) entries, the peel's input."""
-        return _masks(self.entries)
+    def entries(self) -> tuple[tuple[SBool, ...], ...]:
+        """The cells row by row, a read-only view of the masks."""
+        return tuple(tuple(map(_FROM_TOKEN.__getitem__, row)) for row in self._token_rows())
+
+    def _token_rows(self) -> list[list[str]]:
+        """Each row's tokens: the nonzero mask's bits as "0" and "1", then
+        "1v" written over each ghost.
+
+        A sentinel bit at position n_cols pads each mask's string to
+        n_cols + 1 characters; the reverse slice drops it and reads from
+        bit 0 up, so a width-0 row is empty (format(0, "00b") would be "0").
+        """
+        top = 1 << self.n_cols
+        rows = [list(format(m | top, "b")[:0:-1]) for m in self.nonzero]
+        if self.ones != self.nonzero:
+            for row, nz, one in zip(rows, self.nonzero, self.ones):
+                for j in bits(nz ^ one):
+                    row[j] = "1v"
+        return rows
 
     @cached_property
     def _col_masks(self):
         """Per column: row bitmasks of its (nonzero, one) entries, the peel's input."""
-        return _masks(zip(*self.entries) if self.entries else [()] * self.n_cols)
+        nz = tuple(transpose(self.nonzero, self.n_cols))
+        one = nz if self.ones == self.nonzero else tuple(transpose(self.ones, self.n_cols))
+        return nz, one  # with no ghost, one transpose serves both
 
     # -- rearrangement ----------------------------------------------------
 
     def complement(self):
-        """Entrywise 0 -> 1, 1 -> 0, 1v -> 1v."""
-        grid = tuple(tuple([_COMPLEMENT[v._value_] for v in row]) for row in self.entries)
-        return type(self)(grid, self.row_labels, self.col_labels)
+        """Entrywise 0 -> 1, 1 -> 0, 1v -> 1v: a cell is nonzero after
+        unless it was a plain 1, and a plain 1 after iff it was 0."""
+        full = (1 << self.n_cols) - 1
+        nonzero = tuple([full & ~m for m in self.ones])
+        ones = nonzero if self.ones == self.nonzero else tuple([full & ~m for m in self.nonzero])
+        return type(self)(nonzero, ones, self.row_labels, self.col_labels)
 
     def transpose(self):
-        grid = tuple(zip(*self.entries)) if self.entries else ((),) * self.n_cols
-        return type(self)(grid, self.col_labels, self.row_labels)
+        return type(self)(*self._col_masks, self.col_labels, self.row_labels)
 
     def submatrix(self, rows=None, cols=None):
-        """Restriction to the given rows/columns (labels or indices), in order."""
+        """Restriction to the given rows/columns (labels or indices), in order.
+
+        Rows are picked from the row masks; picked columns are gathered as
+        the transpose of their column masks.
+        """
         ri = range(self.n_rows) if rows is None else self._row_idxs(rows)
         ci = range(self.n_cols) if cols is None else self._col_idxs(cols)
-        grid = tuple(tuple(self.entries[i][j] for j in ci) for i in ri)
+        nz, one = self.nonzero, self.ones
+        if cols is not None:
+            nz, one = (transpose([masks[j] for j in ci], self.n_rows) for masks in self._col_masks)
         return type(self)(
-            grid,
-            tuple(self.row_labels[i] for i in ri),
-            tuple(self.col_labels[j] for j in ci),
+            tuple([nz[i] for i in ri]),
+            tuple([one[i] for i in ri]),
+            tuple([self.row_labels[i] for i in ri]),
+            tuple([self.col_labels[j] for j in ci]),
         )
 
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]):
@@ -473,7 +511,8 @@ class SbMatrix:
 
     def relabeled(self, row_labels=None, col_labels=None):
         return type(self)(
-            self.entries,
+            self.nonzero,
+            self.ones,
             tuple(row_labels) if row_labels is not None else self.row_labels,
             tuple(col_labels) if col_labels is not None else self.col_labels,
         )
@@ -495,7 +534,7 @@ class SbMatrix:
         n = self._square()
         if self.is_nonsingular():
             return ONE
-        return GHOST if _has_perfect_matching(self._row_masks[0], n) else ZERO
+        return GHOST if _has_perfect_matching(self.nonzero, n) else ZERO
 
     def is_nonsingular(self) -> bool:
         """True when the permanent is exactly 1: the matrix has a triangular form."""
@@ -509,8 +548,7 @@ class SbMatrix:
         column is its row's witness.
         """
         n = self._square()
-        nz, one = self._row_masks
-        rounds, stuck = _peel(nz, one, range(n))
+        rounds, stuck = _peel(self.nonzero, self.ones, range(n))
         if stuck:
             return None
         pairs = [pair for peeled in reversed(rounds) for pair in peeled]
@@ -523,13 +561,11 @@ class SbMatrix:
         carry a triangular nonsingular square submatrix.
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
-        nz, one = self._col_masks
-        return not _peel(nz, one, idxs)[1]
+        return not _peel(*self._col_masks, idxs)[1]
 
     def rows_independent(self, rows: Iterable) -> bool:
         idxs = dict.fromkeys(self._row_idxs(rows))
-        nz, one = self._row_masks
-        return not _peel(nz, one, idxs)[1]
+        return not _peel(self.nonzero, self.ones, idxs)[1]
 
     def rank(self) -> int:
         """Maximal number of independent rows.
@@ -556,8 +592,8 @@ class SbMatrix:
           its own plain-1 coordinate outside U, which bounds every branch by
           depth + peeled + min(|core| - 1, core's plain-1 free coordinates).
         """
-        nz, one = self._col_masks if self.n_cols < self.n_rows else self._row_masks
-        return _max_independent(nz, one)
+        masks = self._col_masks if self.n_cols < self.n_rows else (self.nonzero, self.ones)
+        return _max_independent(*masks)
 
     def witness(self, cols: Iterable):
         """Row labels carrying a nonsingular square submatrix on these columns.
@@ -567,8 +603,7 @@ class SbMatrix:
         None when the columns are dependent.
         """
         idxs = dict.fromkeys(self._col_idxs(cols))
-        nz, one = self._col_masks
-        rounds, stuck = _peel(nz, one, idxs)
+        rounds, stuck = _peel(*self._col_masks, idxs)
         if stuck:
             return None
         rows = sorted(j for peeled in rounds for _, j in peeled)
@@ -579,8 +614,7 @@ class SbMatrix:
     def to_csv(self) -> str:
         """Labeled CSV: header row of column labels, first field of each row
         its label, entries rendered 0 / 1 / 1v."""
-        tokens = ([_TOKENS[v._value_] for v in row] for row in self.entries)
-        return _labeled_csv(self.row_labels, self.col_labels, tokens)
+        return _labeled_csv(self.row_labels, self.col_labels, self._token_rows())
 
     @classmethod
     def from_csv(cls, text: str):
@@ -594,38 +628,33 @@ class SbMatrix:
         if not header or header[0] not in ("", None):
             raise MatrixParseError("first header field must be empty")
         col_labels = tuple(header[1:])
-        row_labels = []
-        grid = []
+        token_rows = []
         for r in rows[1:]:
             if len(r) != len(col_labels) + 1:
                 raise MatrixParseError(f"row {r[:1]} has {len(r) - 1} entries, expected {len(col_labels)}")
-            row_labels.append(r[0])
-            try:
-                grid.append(tuple([_FROM_TOKEN[tok.strip()] for tok in r[1:]]))
-            except KeyError:
-                for tok in r[1:]:
-                    SBool.from_token(tok)  # raises, naming the raw token
-                raise
+            tokens = r[:0:-1]
+            if not _TOKEN_SET.issuperset(tokens):  # a token with spaces, or a bad one
+                tokens = [tok.strip() for tok in tokens]
+                if not _TOKEN_SET.issuperset(tokens):
+                    for tok in r[1:]:
+                        SBool.from_token(tok)  # raises, naming the first bad raw token
+            token_rows.append(tokens)
         try:
-            return cls(tuple(grid), tuple(row_labels), tuple(col_labels))
+            return cls._of_tokens(token_rows, tuple([r[0] for r in rows[1:]]), col_labels)
         except (ValueError, DuplicateLabels) as exc:
             raise MatrixParseError(str(exc)) from None
 
     def text(self) -> str:
         """Aligned human-readable grid."""
-        tokens = [[_TOKENS[v._value_] for v in row] for row in self.entries]
+        tokens = self._token_rows()
+        widths = [max([len(c)] + [len(row[j]) for row in tokens]) for j, c in enumerate(self.col_labels)]
         label_w = max((len(s) for s in self.row_labels), default=0)
-        widths = [
-            max([len(c)] + [len(tokens[i][j]) for i in range(self.n_rows)])
-            for j, c in enumerate(self.col_labels)
-        ]
-        lines = [
-            " ".join([" " * label_w] + [c.rjust(w) for c, w in zip(self.col_labels, widths)]).rstrip()
-        ]
-        for label, row in zip(self.row_labels, tokens):
-            lines.append(
-                " ".join([label.ljust(label_w)] + [t.rjust(w) for t, w in zip(row, widths)]).rstrip()
-            )
+
+        def line(first: str, cells) -> str:
+            return " ".join([first.ljust(label_w)] + [t.rjust(w) for t, w in zip(cells, widths)]).rstrip()
+
+        lines = [line("", self.col_labels)]
+        lines += [line(label, row) for label, row in zip(self.row_labels, tokens)]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -634,12 +663,10 @@ class SbMatrix:
 
 @dataclass(frozen=True, repr=False)
 class BoolMatrix(SbMatrix):
-    """Superboolean matrix whose entries are restricted to {0, 1}."""
+    """Superboolean matrix whose entries are restricted to {0, 1}: its
+    plain-1 masks are its nonzero masks."""
 
-    def _check_entries(self):
-        for row in self.entries:
-            for v in row:
-                if v is not ZERO and v is not ONE:
-                    # a non-SBool anywhere outranks a ghost: TypeError first
-                    super()._check_entries()
-                    raise ValueError("boolean matrix cannot hold the ghost 1v")
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ones != self.nonzero:
+            raise ValueError("boolean matrix cannot hold the ghost 1v")

@@ -27,8 +27,8 @@ EXPORTS = (
 )
 
 INIT_FIELDS = {
-    "SbMatrix": ("entries", "row_labels", "col_labels"),
-    "BoolMatrix": ("entries", "row_labels", "col_labels"),
+    "SbMatrix": ("nonzero", "ones", "row_labels", "col_labels"),
+    "BoolMatrix": ("nonzero", "ones", "row_labels", "col_labels"),
     "GroundSet": ("labels",),
     "HereditaryCollection": ("ground", "family"),
     "Matroid": ("ground", "bases"),

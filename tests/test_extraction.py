@@ -230,7 +230,7 @@ def test_paper_reduction_holds_from_rank_three_and_fails_at_rank_two(pool):
 
 
 def test_dedupe_drops_zero_and_duplicate_rows():
-    matrix = BoolMatrix(
+    matrix = BoolMatrix.of(
         ((ONE, ONE), (ONE, ONE), (ZERO, ZERO), (ONE, ZERO)),
         ("a", "b", "c", "d"),
         ("1", "2"),
@@ -346,7 +346,7 @@ def flipped(rep, rng):
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randrange(len(grid)), rng.randrange(len(grid[0]))
         grid[i][j] = ZERO if grid[i][j] is ONE else ONE
-    matrix = BoolMatrix(
+    matrix = BoolMatrix.of(
         tuple(map(tuple, grid)), rep.matrix.row_labels, rep.matrix.col_labels
     )
     return Representation(matrix, "full", rep.matroid)
@@ -589,7 +589,7 @@ def oracle_report(matrix, matroid):
 
 def with_column(matrix, j, values):
     grid = tuple(row[:j] + (v,) + row[j + 1:] for row, v in zip(matrix.entries, values))
-    return SbMatrix(grid, matrix.row_labels, matrix.col_labels)
+    return SbMatrix.of(grid, matrix.row_labels, matrix.col_labels)
 
 
 def broken_copies(matrix, rng):
@@ -690,7 +690,7 @@ def test_flipping_one_entry_breaks_verification(k4m):
     assert rep.matrix.entries[i][j] is ZERO
     grid = [list(row) for row in rep.matrix.entries]
     grid[i][j] = ONE
-    broken = BoolMatrix(
+    broken = BoolMatrix.of(
         tuple(tuple(row) for row in grid),
         rep.matrix.row_labels,
         rep.matrix.col_labels,
@@ -823,6 +823,17 @@ def test_tropical_matrix_validates_shape_and_labels():
         TropicalMatrix(((0.0, neg),), ("r1",), ("a", "a"))
 
 
+def test_tropicalize_builds_no_boolean_matrix(pool, monkeypatch):
+    """The max-plus image checks its own shape and labels; a boolean matrix
+    is built only when `to_boolean` asks for one."""
+    reps = [extract_representation(m) for m in pool]
+    built = []
+    monkeypatch.setattr(BoolMatrix, "__post_init__", lambda self: built.append(self))
+    trops = [tropicalize(rep) for rep in reps]
+    assert built == []
+    assert trops[0].to_boolean() == reps[0].matrix and len(built) == 1
+
+
 def test_tropical_csv():
     matrix = BoolMatrix.of(
         [[1, 0], [0, 1]], row_labels=("a", "b"), col_labels=("x", "y")
@@ -857,6 +868,6 @@ def test_representation_to_json_rejects_ghosts():
     i, j = full.provenance.index("{}"), full.matrix.col_labels.index("1")
     grid = [list(row) for row in full.matrix.entries]
     grid[i][j] = GHOST
-    matrix = SbMatrix(tuple(map(tuple, grid)), full.provenance, full.matrix.col_labels)
+    matrix = SbMatrix.of(tuple(map(tuple, grid)), full.provenance, full.matrix.col_labels)
     with pytest.raises(ValueError):
         representation_to_json(Representation(matrix, "full", full.matroid))

@@ -546,13 +546,26 @@ def test_witness_for_independent_and_dependent_sets(catalog_lattices):
 
 def test_witness_for_names_a_repeated_element(catalog_lattices):
     """A witness has one row per element, so a repeat raises rather than
-    being dropped by the peel; boolean queries still read a set."""
+    being dropped by the peel."""
     lat = catalog_lattices["u34"]
     for elements in (("{1}", "{1}"), ("{2}", "{1}", "{3}", "{1}")):
         with pytest.raises(DuplicateLabels) as err:
             lat.witness_for(elements)
         assert str(err.value) == f"repeated label in set {elements!r}"
-    assert lat.elements_independent(("{1}", "{1}"))
+
+
+def test_every_element_query_refuses_a_repeated_element(catalog_lattices):
+    """One repeat rule for element sets: independence, rank and witness
+    queries all raise the same DuplicateLabels, rather than dropping the
+    repeat or naming the matrix's row labels."""
+    for lat, element in ((pentagon(), "a"), (catalog_lattices["fivept"], "{1}")):
+        other = lat.atoms[-1]
+        for elements in ((element, element), (other, element, element), [element, other, element]):
+            for query in (lat.elements_independent, lat.representation_rank, lat.witness_for):
+                with pytest.raises(DuplicateLabels) as err:
+                    query(elements)
+                assert str(err.value) == f"repeated label in set {tuple(elements)!r}"
+        assert lat.elements_independent((element,)) and lat.representation_rank([element]) == 1
 
 
 @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {x: 1}], ids=["list", "dict"])

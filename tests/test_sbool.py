@@ -179,13 +179,21 @@ def test_bool_matrix_rejects_ghost():
 
 def test_bool_matrix_entry_errors():
     labels = ("r",), ("a", "b")
+    # the row 1 1v: nonzero on both columns, a plain 1 on the first only
     with pytest.raises(ValueError, match="ghost"):
-        BoolMatrix(((ONE, GHOST),), *labels)
+        BoolMatrix((0b11,), (0b01,), *labels)
+    with pytest.raises(ValueError, match="ghost"):
+        BoolMatrix.of([[ONE, GHOST]], *labels)
     with pytest.raises(TypeError):
-        BoolMatrix(((ONE, 1),), *labels)
-    # a non-SBool entry is a TypeError even after a ghost
+        BoolMatrix((0b11,), ("3",), *labels)
     with pytest.raises(TypeError):
-        BoolMatrix(((GHOST, None),), *labels)
+        BoolMatrix.of([[ONE, 1.0]], *labels)
+    # a non-int mask is a TypeError even after a ghost, and so is a cell
+    # that is no superboolean
+    with pytest.raises(TypeError):
+        BoolMatrix((0b11, 0b01), (0b01, None), ("r", "s"), labels[1])
+    with pytest.raises(TypeError):
+        BoolMatrix.of([[GHOST, None]], *labels)
 
 
 def test_complement_examples():
