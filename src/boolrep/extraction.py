@@ -26,8 +26,8 @@ holds C - c but not c; yet Z is closed, so it holds cl(C - c), which
 contains c.
 
 `verify_representation` still answers every subset, reading the answers
-off the matrix's independent family grown from the empty set, to report
-every disagreement.
+off the matrix's independent column sets grown from the empty set, to
+report every disagreement.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from typing import Iterable
 
 from .bitops import bits, mask_of
 from .errors import GroundTooLarge, LabelMismatch, ReductionError, UnknownLabel
-from .matroid import GroundSet, Matroid, hereditary_from_matrix
-from .sbool import BoolMatrix, SbMatrix, _bit_rows, _check_axes, _labeled_csv, _peel
+from .matroid import GroundSet, Matroid
+from .sbool import (
+    BoolMatrix, SbMatrix, _bit_rows, _check_axes, _independent_column_sets, _labeled_csv, _peel,
+)
 
 __all__ = [
     "VERIFY_CAP",
@@ -327,11 +329,14 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     Accepts a Representation or a bare matrix.  Column labels must be
     exactly the ground elements (any order); the columns are put in ground
     order once, and every disagreement is reported, in canonical subset
-    order.  The matrix's answers come from its independent family, grown
-    one column at a time: dependence survives adding columns, so a set is
-    tested only when all its one-smaller subsets are independent.  Both
-    families are sets of ground masks, so the disagreements are their
-    symmetric difference, and only those are sorted.
+    order.  The matrix's answers are its independent column sets, grown
+    one column at a time by `sbool._independent_column_sets`: dependence
+    survives adding columns, so a set is tested only when all its
+    one-smaller subsets are independent.  That plain mask set and the
+    matroid's independent family are both sets of ground masks, so the
+    disagreements are their symmetric difference, and only those are
+    sorted; the grown set is downward closed by construction and is not
+    wrapped or checked again.
     """
     matrix = rep.matrix if isinstance(rep, Representation) else rep
     ground = matroid.ground
@@ -342,8 +347,7 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     _check_cap(ground)
     if matrix.col_labels != ground.labels:
         matrix = matrix.submatrix(cols=ground.labels)
-    found = hereditary_from_matrix(matrix).family
-    wrong = found.symmetric_difference(matroid.independent_family.family)
+    wrong = _independent_column_sets(matrix) ^ matroid.independent_family.family
     mismatches = tuple(ground.labels_of(m) for m in sorted(wrong, key=ground.sort_key))
     return VerificationReport(mismatches, 1 << ground.size)
 

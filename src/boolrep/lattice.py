@@ -1,9 +1,23 @@
 """The lattice of flats of a simple matroid and its boolean representation.
 
 Elements are kept in canonical flat order.  The structure matrix records
-containment; its entrywise complement is the representation whose row rank
-realizes lattice heights.  Chains, witnesses, and the maps between them
-live here; partition machinery builds on top in a sibling module.
+containment; its entrywise complement is the representation, entry (x, z)
+1 iff x is not below z, whose row rank realizes lattice heights.  Chains,
+witnesses, and the maps between them live here; partition machinery builds
+on top in a sibling module.
+
+Theorem: in every finite lattice the rank of the representation is the
+height h, so `representation_rank()` reads it off the heights.
+- Lower bound: a longest chain x_0 < ... < x_h gives rows x_1..x_h and
+  columns x_0..x_{h-1}.  Row x_i is 1 on column x_{i-1} (x_i is not below
+  it) and 0 on columns x_i..x_{h-1} (it is below them), so the submatrix
+  is triangular with 1s on its diagonal, hence nonsingular.
+- Upper bound: independent rows have an order x_1..x_k in which each x_i
+  has a witness column z_i, 1 on x_i and 0 on every earlier row (`sbool`'s
+  order fact).  So x_1..x_{i-1} <= z_i, and their join y_{i-1} <= z_i,
+  while x_i is not below z_i: the prefix joins strictly increase,
+  y_{i-1} < y_i.  As x_1 is not below z_1, it is not the bottom, so
+  bottom < y_1 < ... < y_k is a chain of length k, and k <= h.
 
 Each element is held as a bitset over the element list: its up-set (the
 elements above it).  In a partial order the common upper bounds of two
@@ -318,32 +332,43 @@ class FlatLattice:
         not below j.  Row independence in this matrix drives everything."""
         return self.structure_matrix.complement()
 
+    def _element_indices(self, elements: Iterable[str]) -> list[int]:
+        """Indices of the named elements.  A repeat raises DuplicateLabels
+        (`_distinct`); then an unknown name, or a matrix row index, raises
+        UnknownLabel (`index`)."""
+        return [self.index(name) for name in _distinct(elements)]
+
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:
         """Rank of the representation rows for these elements (all by
-        default).  An element listed twice raises DuplicateLabels."""
+        default).  All the rows have rank the height, so that is read with
+        no search.  Theorem (proof in the module docstring): in every finite
+        lattice the representation's rank is the height.  A longest chain
+        gives a triangular square submatrix of that size; and the prefix
+        joins of an independent order strictly increase, since each row's
+        witness column lies above the earlier rows but not above that row,
+        so they form a chain.  The search on the F x F matrix stays the
+        tests' reference."""
         if elements is None:
-            return self.representation.rank()
-        return self.representation.submatrix(rows=_distinct(elements)).rank()
+            return self.height
+        return self.representation.submatrix(rows=self._element_indices(elements)).rank()
 
     def elements_independent(self, elements: Iterable[str]) -> bool:
-        """Are the representation rows of these elements independent?  An
-        element listed twice raises DuplicateLabels."""
-        return self.representation.rows_independent(_distinct(elements))
+        """Are the representation rows of these elements independent?"""
+        return self.representation.rows_independent(self._element_indices(elements))
 
     # -- witnesses and chains ---------------------------------------------------
 
     def witness_for(self, elements: Iterable[str]):
         """A valid witness for these elements, or None when they are
-        dependent.  An element listed twice raises DuplicateLabels."""
+        dependent.  The peel runs on the columns of the transpose, which
+        are the representation's own row masks."""
         rows = _distinct(elements)
-        cols = self.representation.transpose().witness(rows)
-        if cols is None:
-            return None
-        return LatticeWitness(rows, cols)
+        cols = self.representation.transpose().witness(self._element_indices(rows))
+        return None if cols is None else LatticeWitness(rows, cols)
 
     def is_valid_witness(self, witness: LatticeWitness) -> bool:
-        sub = self.representation.submatrix(rows=witness.rows, cols=witness.cols)
-        return sub.is_nonsingular()
+        rows, cols = self._element_indices(witness.rows), self._element_indices(witness.cols)
+        return self.representation.submatrix(rows=rows, cols=cols).is_nonsingular()
 
     def chain_witness(self, chain: Sequence[str]) -> LatticeWitness:
         """Witness certifying a strict chain above the bottom: columns are
@@ -368,12 +393,12 @@ class FlatLattice:
         is the meet of the j-th through last reordered columns; strictness
         comes from each diagonal row escaping its own column.
         """
-        sub = self.representation.submatrix(rows=witness.rows, cols=witness.cols)
-        form = sub.triangular_form()
+        rows, cols = self._element_indices(witness.rows), self._element_indices(witness.cols)
+        form = self.representation.submatrix(rows=rows, cols=cols).triangular_form()
         if form is None:
             raise InvalidWitness("the witness submatrix is singular")
         _, col_order = form
-        ordered = [self.index(witness.cols[c]) for c in col_order]
+        ordered = [cols[c] for c in col_order]
         chain = []
         running = None
         for i in reversed(ordered):

@@ -41,7 +41,7 @@ from .errors import (
     UnequalBasisSizes,
     UnknownLabel,
 )
-from .sbool import SbMatrix, _peel
+from .sbool import SbMatrix, _independent_column_sets
 
 __all__ = [
     "GroundSet",
@@ -492,32 +492,10 @@ class Matroid:
 
 
 def hereditary_from_matrix(matrix: SbMatrix) -> HereditaryCollection:
-    """Independent column subsets of a matrix, as a hereditary collection.
-
-    Column independence is hereditary, so candidates are grown one element
-    at a time and a subset is tested only when all its one-smaller subsets
-    already passed.  Each candidate is its parent plus one column above the
-    parent's top, so it is generated once, and it is peeled straight on the
-    matrix's column masks as a tuple of column indices.
-    """
-    ground = GroundSet(matrix.col_labels)
-    n = ground.size
-    nz, one = matrix._col_masks
-    family = {0}
-    level = [(0, ())]
-    while level:
-        grown = []
-        for mask, cols in level:
-            for j in range(mask.bit_length(), n):
-                cand = mask | (1 << j)
-                if any(cand ^ (1 << i) not in family for i in cols):
-                    continue
-                idxs = cols + (j,)
-                if not _peel(nz, one, idxs)[1]:
-                    family.add(cand)
-                    grown.append((cand, idxs))
-        level = grown
-    return HereditaryCollection(ground, frozenset(family))
+    """Independent column subsets of a matrix, as a hereditary collection:
+    the sets `sbool._independent_column_sets` grows, over the column labels."""
+    family = frozenset(_independent_column_sets(matrix))
+    return HereditaryCollection(GroundSet(matrix.col_labels), family)
 
 
 def _element_signature(hc: HereditaryCollection, pos: int):

@@ -15,10 +15,13 @@ has a triangular form with plain 1s on the diagonal.  One greedy peel
 (`_peel`) is the only test of independence.  It answers row and column
 independence, nonsingularity (a square matrix whose rows all peel),
 triangular forms and witness rows in polynomial time, and it decides each
-node of rank's search.  The permanent is 1 iff the matrix is nonsingular,
-and otherwise 1v or 0 as its nonzero pattern does or does not hold a
-perfect matching (Kuhn's algorithm, each augmenting path found depth first
-on an explicit stack).
+node of rank's search.  One grower (`_independent_column_sets`) lists
+every independent column set of a matrix from the empty set up, one peel
+per set whose one-smaller subsets all passed; `verify_representation` and
+`hereditary_from_matrix` read it.  The permanent is 1 iff the matrix is
+nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
+hold a perfect matching (Kuhn's algorithm, each augmenting path found depth
+first on an explicit stack).
 
 Rank is a depth-first search over U, the union of the nonzero coordinates
 of the vectors chosen so far, and rests on three facts.
@@ -59,8 +62,9 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 from itertools import chain
+from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .bitops import bits, transpose
@@ -240,6 +244,33 @@ def _peel(nz_masks, one_masks, idxs):
         rounds.append(peeled)
         left = kept
     return rounds, left
+
+
+def _independent_column_sets(matrix) -> set:
+    """The independent column sets of a matrix, as column-index bitmasks.
+
+    Column independence is hereditary, so candidates are grown one column
+    at a time and a set is tested only when all its one-smaller subsets
+    already passed.  Each candidate is its parent plus one column above the
+    parent's top, so it is generated once, and it is peeled straight on the
+    matrix's column masks as a tuple of column indices.
+    """
+    nz, one = matrix._col_masks
+    family = {0}
+    level = [(0, ())]
+    while level:
+        grown = []
+        for mask, cols in level:
+            for j in range(mask.bit_length(), len(nz)):
+                cand = mask | (1 << j)
+                if any(cand ^ (1 << i) not in family for i in cols):
+                    continue
+                idxs = cols + (j,)
+                if not _peel(nz, one, idxs)[1]:
+                    family.add(cand)
+                    grown.append((cand, idxs))
+        level = grown
+    return family
 
 
 def _max_independent(nz_masks, one_masks) -> int:
@@ -486,7 +517,11 @@ class SbMatrix:
         return type(self)(nonzero, ones, self.row_labels, self.col_labels)
 
     def transpose(self):
-        return type(self)(*self._col_masks, self.col_labels, self.row_labels)
+        """The columns as rows; this matrix's rows are the result's column
+        masks, so they are seeded rather than transposed back."""
+        turned = type(self)(*self._col_masks, self.col_labels, self.row_labels)
+        turned.__dict__["_col_masks"] = (self.nonzero, self.ones)
+        return turned
 
     def submatrix(self, rows=None, cols=None):
         """Restriction to the given rows/columns (labels or indices), in order.
@@ -645,9 +680,13 @@ class SbMatrix:
             raise MatrixParseError(str(exc)) from None
 
     def text(self) -> str:
-        """Aligned human-readable grid."""
+        """Aligned human-readable grid.  A column is as wide as its label or
+        its widest token, read off the OR of the rows' ghost masks
+        (nonzero ^ ones): "1v" where some row holds a ghost, otherwise "0"
+        or "1", and no token at all when there are no rows."""
         tokens = self._token_rows()
-        widths = [max([len(c)] + [len(row[j]) for row in tokens]) for j, c in enumerate(self.col_labels)]
+        ghosts = reduce(or_, map(xor, self.nonzero, self.ones), 0)
+        widths = [max(len(c), bool(tokens) + (ghosts >> j & 1)) for j, c in enumerate(self.col_labels)]
         label_w = max((len(s) for s in self.row_labels), default=0)
 
         def line(first: str, cells) -> str:

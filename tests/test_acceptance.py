@@ -114,6 +114,7 @@ def test_04_rank_equals_lattice_height(capsys, pool_reps):
         for m, rep in pool_reps:
             lat = FlatLattice.from_matroid(rep.matroid)
             assert lat.representation_rank() == lat.height
+            assert lat.representation.rank() == lat.height
             assert m.rank == lat.height
             assert rep.matrix.rank() == lat.height
         return f"matrix rank = lattice height = matroid rank on {len(pool_reps)} cases"

@@ -30,6 +30,8 @@ from boolrep import (
     UnknownLabel,
     dedupe_reduce,
     extract_representation,
+    matroid_from_json,
+    matroid_to_json,
     paper_reduce,
     representation_to_json,
     size_bound,
@@ -199,7 +201,7 @@ def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
     def refuse(*args):
         raise AssertionError("a reducer ran the exhaustive check or listed circuits")
 
-    monkeypatch.setattr(extraction, "hereditary_from_matrix", refuse)
+    monkeypatch.setattr(extraction, "_independent_column_sets", refuse)
     monkeypatch.setattr(extraction, "verify_representation", refuse)
     monkeypatch.setattr(HereditaryCollection, "circuit_masks", refuse)
     reduced = []
@@ -210,6 +212,23 @@ def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
         reduced.append(verified_reduce(full))
     monkeypatch.undo()
     assert all(verify_representation(rep, rep.matroid).ok for rep in reduced)
+
+
+def test_verify_builds_only_the_matroids_collection(pool, monkeypatch):
+    """verify compares the matrix's grown mask set with the matroid's
+    independent family directly: the only HereditaryCollection built is
+    the matroid's, once."""
+    built = []
+    check = HereditaryCollection.__post_init__
+    monkeypatch.setattr(
+        HereditaryCollection, "__post_init__", lambda hc: built.append(hc) or check(hc)
+    )
+    for m in pool[:12]:
+        matrix = extract_representation(m).matrix
+        fresh = matroid_from_json(matroid_to_json(m))  # no family cached yet
+        built.clear()
+        assert verify_representation(matrix, fresh).ok
+        assert [hc.family for hc in built] == [fresh.independent_family.family]
 
 
 def test_paper_reduction_holds_from_rank_three_and_fails_at_rank_two(pool):

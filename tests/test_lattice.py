@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from boolrep import (
     InvalidWitness,
     LatticeWitness,
     NotSimple,
+    SbMatrix,
     UnknownLabel,
     ZERO,
     ONE,
@@ -27,6 +29,7 @@ from boolrep import (
     transversal_witness,
     uniform,
 )
+from boolrep import sbool
 
 from conftest import ag32, vamos
 from oracles import (
@@ -483,6 +486,79 @@ def test_representation_spot_row(catalog_lattices):
 def test_full_rank_equals_height(catalog_lattices):
     for lat in catalog_lattices.values():
         assert lat.representation_rank() == lat.height
+        assert lat.representation.rank() == lat.height
+
+
+@st.composite
+def bounded_orders(draw):
+    """A generated order under a new bottom B and over a new top T: a
+    bounded poset, and a lattice about nine times in ten."""
+    names, pairs = draw(generated_orders())
+    n = len(names)
+    bounds = [(n, i) for i in range(n)] + [(i, n + 1) for i in range(n)] + [(n, n + 1)]
+    return names + ("B", "T"), pairs + bounds
+
+
+def lattice_of(order):
+    """The lattice an order closes to, or None when it is none."""
+    names, pairs = order
+    try:
+        return FlatLattice.from_order(names, [(names[a], names[b]) for a, b in pairs])
+    except BoolrepError:
+        return None
+
+
+def fresh_transpose(lat):
+    """The representation's transpose, built from its cells, column by
+    column, with nothing read from the matrix's cached masks."""
+    grid = lat.representation.entries
+    return SbMatrix.of([[row[j] for row in grid] for j in range(lat.size)], lat.names, lat.names)
+
+
+def check_rank_and_witnesses(lat, element_sets):
+    """Full rank is the search's rank and the height; each witness is the
+    peel on a fresh transpose, and valid."""
+    assert lat.representation_rank() == lat.representation.rank() == lat.height
+    transposed = fresh_transpose(lat)
+    for elements in element_sets:
+        witness = lat.witness_for(elements)
+        cols = transposed.witness(elements)
+        if cols is None:
+            assert witness is None
+        else:
+            assert witness == LatticeWitness(tuple(elements), cols)
+            assert lat.is_valid_witness(witness)
+
+
+def small_sets(names, most=3):
+    return [c for k in range(most + 1) for c in combinations(names, k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_orders())
+@example((NAMES[:5], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))  # pentagon
+@example((NAMES[:6], [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)]))  # hexagon
+def test_rank_is_height_and_witnesses_are_the_peel_on_random_orders(order):
+    lat = lattice_of(order)
+    if lat is not None:
+        check_rank_and_witnesses(lat, small_sets(lat.names))
+
+
+def test_rank_is_height_and_witnesses_are_the_peel_on_the_pool(catalog_lattices, pool_lattices):
+    for lat in list(catalog_lattices.values()) + pool_lattices:
+        check_rank_and_witnesses(lat, small_sets(lat.atoms))
+
+
+def test_witness_for_reads_the_rows_without_transposing_back(catalog_lattices, monkeypatch):
+    """The transpose's column masks are the representation's own rows, so
+    a witness query after the first transposes nothing."""
+    lat = catalog_lattices["fivept"]
+    lat.witness_for(lat.atoms[:2])
+    calls = []
+    real = sbool.transpose
+    monkeypatch.setattr(sbool, "transpose", lambda *args: calls.append(args) or real(*args))
+    assert lat.witness_for(lat.atoms[:2]) is not None
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -566,6 +642,31 @@ def test_every_element_query_refuses_a_repeated_element(catalog_lattices):
                     query(elements)
                 assert str(err.value) == f"repeated label in set {tuple(elements)!r}"
         assert lat.elements_independent((element,)) and lat.representation_rank([element]) == 1
+
+
+def test_element_queries_take_names_not_matrix_indices(catalog_lattices):
+    """Every element query resolves names through `index` after the repeat
+    check: an int, which the matrix would read as a row index, and an
+    unknown name raise UnknownLabel naming the element; a repeat raises
+    DuplicateLabels."""
+    for lat in (pentagon(), catalog_lattices["u34"]):
+        first = lat.names[1]
+        queries = (
+            lat.representation_rank,
+            lat.elements_independent,
+            lat.witness_for,
+            lambda xs: lat.is_valid_witness(LatticeWitness(tuple(xs), (lat.bottom,) * len(xs))),
+            lambda xs: lat.is_valid_witness(LatticeWitness(lat.names[-len(xs):], tuple(xs))),
+            lambda xs: lat.witness_to_chain(LatticeWitness(tuple(xs), (lat.bottom,) * len(xs))),
+        )
+        for query in queries:
+            for elements, unknown in (([1, first], 1), ([0], 0), (["zz"], "zz"), ([first, 2], 2)):
+                with pytest.raises(UnknownLabel) as err:
+                    query(elements)
+                assert str(err.value) == f"no lattice element named {unknown!r}"
+            with pytest.raises(DuplicateLabels) as err:
+                query([first, first])
+            assert str(err.value) == f"repeated label in set {(first, first)!r}"
 
 
 @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: {x: 1}], ids=["list", "dict"])

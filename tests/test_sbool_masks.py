@@ -90,6 +90,8 @@ def test_masks_views_and_rearrangements_follow_the_cells(case):
     assert (flipped.row_labels, flipped.col_labels) == (rows, cols)
 
     turned = m.transpose()
+    # the source's rows are seeded as the transpose's column masks
+    assert "_col_masks" in turned.__dict__ and turned._col_masks == (m.nonzero, m.ones)
     assert turned.entries == tuple(map(tuple, columns(grid, len(cols))))
     assert (turned.row_labels, turned.col_labels) == (cols, rows)
     assert turned.transpose() == m
@@ -108,6 +110,9 @@ def test_masks_views_and_rearrangements_follow_the_cells(case):
     back = SbMatrix.from_csv(m.to_csv())
     assert back == m and back._col_masks == expected
     assert m.text() == cell_text(grid, rows, cols)
+    # labels of 0 and 1 characters, so a column's tokens can set its width
+    short = ("", "a", "b", "c", "d", "e")[: len(cols)]
+    assert m.relabeled(col_labels=short).text() == cell_text(grid, rows, short)
 
     if any(GHOST in row for row in grid):
         with pytest.raises(ValueError, match="ghost"):
