@@ -145,7 +145,7 @@ def _certificates(matroid: Matroid, matrix: SbMatrix | None = None):
     bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
     if matrix is not None and _flat_rows(matrix, matroid):
         return bases, []
-    circuits = [tuple(bits(c)) for c in matroid.independent_family.circuit_masks()]
+    circuits = [tuple(bits(c)) for c in matroid.circuit_masks()]
     return bases, circuits
 
 
@@ -332,11 +332,11 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     order.  The matrix's answers are its independent column sets, grown
     one column at a time by `sbool._independent_column_sets`: dependence
     survives adding columns, so a set is tested only when all its
-    one-smaller subsets are independent.  That plain mask set and the
-    matroid's independent family are both sets of ground masks, so the
-    disagreements are their symmetric difference, and only those are
-    sorted; the grown set is downward closed by construction and is not
-    wrapped or checked again.
+    one-smaller subsets are independent.  The matroid's answers are the
+    keys of its extension table (`Matroid.independent_masks`).  Both are
+    sets of ground masks, downward closed by construction, so neither is
+    copied, wrapped or checked again: the disagreements are their
+    symmetric difference, and only those are sorted.
     """
     matrix = rep.matrix if isinstance(rep, Representation) else rep
     ground = matroid.ground
@@ -347,7 +347,7 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     _check_cap(ground)
     if matrix.col_labels != ground.labels:
         matrix = matrix.submatrix(cols=ground.labels)
-    wrong = _independent_column_sets(matrix) ^ matroid.independent_family.family
+    wrong = _independent_column_sets(matrix) ^ matroid.independent_masks
     mismatches = tuple(ground.labels_of(m) for m in sorted(wrong, key=ground.sort_key))
     return VerificationReport(mismatches, 1 << ground.size)
 

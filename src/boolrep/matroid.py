@@ -6,7 +6,13 @@ each independent set I mapped to the elements e with I + e independent.
 Independence is membership in it, rank the greedy algorithm (Edmonds 1971),
 and the span of an independent set, the one closure rule, the complement of
 its extensions (Oxley, *Matroid Theory*, 2nd ed., §1.2-1.4).  Closure,
-flats, loops, simplicity and the basis exchange check read that table.
+flats, loops, simplicity and the basis exchange check read that table, and
+so do the circuits, the minimal dependent sets (§1.1), and the independent
+masks verification compares.  The table is downward closed by
+construction, so a matroid's family becomes a validated
+`HereditaryCollection` only when a caller asks for `independent_family`;
+families that arrive from outside are always validated.  One walk,
+`_circuit_masks`, lists the circuits of either.
 
 The exchange check works on basis bitsets: holds[e] is the set of basis
 indices whose basis contains e, so the bases that avoid a mask C are
@@ -25,7 +31,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, repeat
-from typing import Iterable, Mapping
+from typing import Iterable, KeysView, Mapping
 
 from .bitops import bits, mask_of, transpose
 from .errors import (
@@ -166,6 +172,27 @@ def _validate_downward_closed(ground: GroundSet, family: frozenset) -> None:
                 raise NotDownwardClosed(ground.labels_of(sub), ground.labels_of(mask))
 
 
+def _circuit_masks(ground: GroundSet, family) -> tuple[int, ...]:
+    """Minimal dependent subsets of a downward-closed family of masks (a
+    set of them, or a dict keyed by them), canonically ordered.
+
+    A circuit C minus its largest element is a member, so candidates
+    extend each member only by elements above its top bit, and each
+    circuit is met exactly once.  Minimality then needs only the
+    single-element deletions within the member, because the family is
+    downward closed and the member itself is in it.
+    """
+    found = []
+    for member in family:
+        for i in range(member.bit_length(), ground.size):
+            top = 1 << i
+            if member | top in family:
+                continue
+            if all(member ^ (1 << j) | top in family for j in bits(member)):
+                found.append(member | top)
+    return tuple(sorted(found, key=ground.sort_key))
+
+
 @dataclass(frozen=True)
 class HereditaryCollection:
     """A nonempty, downward-closed family of subsets of the ground set."""
@@ -195,24 +222,8 @@ class HereditaryCollection:
         return tuple(self.ground.labels_of(m) for m in order)
 
     def circuit_masks(self) -> tuple[int, ...]:
-        """Minimal dependent subsets, canonically ordered.
-
-        A circuit C minus its largest element is a member, so candidates
-        extend each member only by elements above its top bit, and each
-        circuit is met exactly once.  Minimality then needs only the
-        single-element deletions within the member, because the family is
-        downward closed and the member itself is in it.
-        """
-        family = self.family
-        found = []
-        for member in family:
-            for i in range(member.bit_length(), self.ground.size):
-                top = 1 << i
-                if member | top in family:
-                    continue
-                if all(member ^ (1 << j) | top in family for j in bits(member)):
-                    found.append(member | top)
-        return tuple(sorted(found, key=self.ground.sort_key))
+        """Minimal dependent subsets, canonically ordered (`_circuit_masks`)."""
+        return _circuit_masks(self.ground, self.family)
 
     def circuits(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self.ground.labels_of(m) for m in self.circuit_masks())
@@ -394,13 +405,27 @@ class Matroid:
         order = sorted(self.bases, key=self.ground.sort_key)
         return tuple(self.ground.labels_of(b) for b in order)
 
+    @property
+    def independent_masks(self) -> KeysView[int]:
+        """The independent sets as masks: a read-only view of the extension
+        table's keys, downward closed by construction."""
+        return self._extensions.keys()
+
     @cached_property
     def independent_family(self) -> HereditaryCollection:
-        """The extension table's keys: a validated hereditary collection."""
+        """The independent sets as a validated `HereditaryCollection`, built
+        and checked once, on first request.  No library path asks for it:
+        verification, the reducers and `circuits` read the table itself
+        (`independent_masks`, `circuit_masks`)."""
         return HereditaryCollection(self.ground, frozenset(self._extensions))
 
+    def circuit_masks(self) -> tuple[int, ...]:
+        """Minimal dependent subsets, canonically ordered, walked on the
+        extension table (`_circuit_masks`)."""
+        return _circuit_masks(self.ground, self._extensions)
+
     def circuits(self) -> tuple[tuple[str, ...], ...]:
-        return self.independent_family.circuits()
+        return tuple(self.ground.labels_of(m) for m in self.circuit_masks())
 
     # -- closure and flats ----------------------------------------------------
 

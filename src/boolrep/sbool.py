@@ -476,7 +476,9 @@ class SbMatrix:
         return _indices(keys, self._col_lookup, self.n_cols, "column")
 
     def entry(self, row, col) -> SBool:
-        return self.entries[self._row_idxs((row,))[0]][self._col_idxs((col,))[0]]
+        """One cell, read off its row's masks: nonzero bit plus ghost bit."""
+        i, j = self._row_idxs((row,))[0], self._col_idxs((col,))[0]
+        return _CELLS[(self.nonzero[i] >> j & 1) + ((self.nonzero[i] & ~self.ones[i]) >> j & 1)]
 
     @cached_property
     def entries(self) -> tuple[tuple[SBool, ...], ...]:

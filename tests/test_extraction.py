@@ -1,6 +1,7 @@
 """Extraction pipeline: full matrix, row reductions, verification, bounds,
 and the max-plus embedding."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boolrep.extraction as extraction
+import boolrep.matroid as matroid_module
 from boolrep import (
     GHOST,
     BoolMatrix,
@@ -40,6 +42,7 @@ from boolrep import (
     verified_reduce,
     verify_representation,
 )
+from boolrep.cli import main
 
 from conftest import read_golden
 from oracles import (
@@ -203,7 +206,7 @@ def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
 
     monkeypatch.setattr(extraction, "_independent_column_sets", refuse)
     monkeypatch.setattr(extraction, "verify_representation", refuse)
-    monkeypatch.setattr(HereditaryCollection, "circuit_masks", refuse)
+    monkeypatch.setattr(matroid_module, "_circuit_masks", refuse)
     reduced = []
     for m in pool:
         full = extract_representation(m)
@@ -214,10 +217,11 @@ def test_reducers_decide_by_certificates_alone(pool, monkeypatch):
     assert all(verify_representation(rep, rep.matroid).ok for rep in reduced)
 
 
-def test_verify_builds_only_the_matroids_collection(pool, monkeypatch):
-    """verify compares the matrix's grown mask set with the matroid's
-    independent family directly: the only HereditaryCollection built is
-    the matroid's, once."""
+def test_verify_builds_no_collection(pool, monkeypatch):
+    """verify compares the matrix's grown mask set with the keys of the
+    matroid's extension table directly: it builds no HereditaryCollection
+    and leaves `independent_family` unbuilt, which still validates once,
+    when asked for."""
     built = []
     check = HereditaryCollection.__post_init__
     monkeypatch.setattr(
@@ -228,7 +232,10 @@ def test_verify_builds_only_the_matroids_collection(pool, monkeypatch):
         fresh = matroid_from_json(matroid_to_json(m))  # no family cached yet
         built.clear()
         assert verify_representation(matrix, fresh).ok
-        assert [hc.family for hc in built] == [fresh.independent_family.family]
+        assert built == [] and "independent_family" not in fresh.__dict__
+        family = fresh.independent_family
+        assert [hc.family for hc in built] == [family.family] == [set(fresh.independent_masks)]
+        assert fresh.independent_family is family and len(built) == 1
 
 
 def test_paper_reduction_holds_from_rank_three_and_fails_at_rank_two(pool):
@@ -419,15 +426,16 @@ def candidate_loop_reduce(rep, matroid):
 
 
 def counting_circuit_lists(monkeypatch):
-    """Patch circuit listing to count its calls; returns the call list."""
+    """Patch the one circuit walk, `matroid._circuit_masks`, to count its
+    calls; returns the call list."""
     calls = []
-    circuit_masks = HereditaryCollection.circuit_masks
+    walk = matroid_module._circuit_masks
 
-    def counted(self):
-        calls.append(self)
-        return circuit_masks(self)
+    def counted(ground, family):
+        calls.append(ground)
+        return walk(ground, family)
 
-    monkeypatch.setattr(HereditaryCollection, "circuit_masks", counted)
+    monkeypatch.setattr(matroid_module, "_circuit_masks", counted)
     return calls
 
 
@@ -507,6 +515,56 @@ def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
             outcomes.add((got[0] is ReductionError, bool(listed)))
     assert {failed for failed, _ in outcomes} == {True, False}
     assert {listed for _, listed in outcomes} == {True, False}
+
+
+def test_a_matroid_answers_from_its_table_without_a_collection(
+    pool, tmp_path, monkeypatch, capsys
+):
+    """No library path builds a HereditaryCollection for a matroid.  With
+    its constructor made to raise, verify, all three reducers (on
+    extractions and on flipped and broken starts, whose circuits are
+    listed), `Matroid.circuits()` and the CLI's `verify`, with and without
+    `--matrix`, and `repr --reduce paper|verified` all still run on the
+    pool, and `circuits()` lists the power-set scan's circuits."""
+    rng = random.Random(59)
+    fresh = [matroid_from_json(matroid_to_json(m)) for m in pool]  # nothing cached
+    files = []
+    for k, m in enumerate(fresh):
+        source, matrix = tmp_path / f"m{k}.json", tmp_path / f"m{k}.csv"
+        source.write_text(matroid_to_json(m), encoding="utf-8")
+        broken = next(broken_copies(extract_representation(m).matrix, rng))
+        matrix.write_text(broken.to_csv(), encoding="utf-8")
+        files.append((str(source), str(matrix)))
+
+    def refuse(self):
+        raise AssertionError("HereditaryCollection built")
+
+    monkeypatch.setattr(HereditaryCollection, "__post_init__", refuse)
+    listed = counting_circuit_lists(monkeypatch)
+    verdicts, codes = set(), set()
+    for m, (source, matrix) in zip(fresh, files):
+        expected = sorted(circuits_scan(m.bases, m.ground.size), key=m.ground.sort_key)
+        assert m.circuits() == tuple(m.ground.labels_of(c) for c in expected)
+        full = extract_representation(m)
+        starts = [full, flipped(full, rng)]
+        starts.extend(Representation(x, "full", m) for x in broken_copies(full.matrix, rng))
+        for rep in starts:
+            verdicts.add(verify_representation(rep, m).ok)
+            dedupe_reduce(rep)
+            for reduce in (paper_reduce, verified_reduce) if m.rank >= 3 else (verified_reduce,):
+                with contextlib.suppress(ReductionError):
+                    reduce(rep)
+        for argv in (
+            ["verify", source],
+            ["verify", source, "--matrix", matrix],
+            ["repr", source, "--reduce", "paper"],
+            ["repr", source, "--reduce", "verified"],
+        ):
+            codes.add((argv[0], main(argv)))
+            capsys.readouterr()
+        assert "independent_family" not in m.__dict__
+    assert verdicts == {True, False} and listed
+    assert codes == {("verify", 0), ("verify", 1), ("repr", 0), ("repr", 2)}
 
 
 @settings(max_examples=300, deadline=None)

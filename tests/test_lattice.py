@@ -238,6 +238,16 @@ def generated_orders(draw):
     return NAMES[:n], pairs
 
 
+@st.composite
+def bounded_orders(draw):
+    """A generated order under a new bottom B and over a new top T: a
+    bounded poset, and a lattice about nine times in ten."""
+    names, pairs = draw(generated_orders())
+    n = len(names)
+    bounds = [(n, i) for i in range(n)] + [(i, n + 1) for i in range(n)] + [(n, n + 1)]
+    return names + ("B", "T"), pairs + bounds
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_orders())
 @example((NAMES[:3], [0b111, 0b011, 0b110]))  # transitivity fails
@@ -249,7 +259,7 @@ def test_validation_agrees_with_the_axiom_oracle_on_raw_relations(order):
 
 
 @settings(max_examples=300, deadline=None)
-@given(generated_orders())
+@given(st.one_of(generated_orders(), bounded_orders()))
 @example((NAMES[:5], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))  # pentagon
 @example((NAMES[:5], [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))  # diamond
 @example((NAMES[:4], [(0, 2), (0, 3), (1, 2), (1, 3)]))  # no meet, no join
@@ -487,16 +497,6 @@ def test_full_rank_equals_height(catalog_lattices):
     for lat in catalog_lattices.values():
         assert lat.representation_rank() == lat.height
         assert lat.representation.rank() == lat.height
-
-
-@st.composite
-def bounded_orders(draw):
-    """A generated order under a new bottom B and over a new top T: a
-    bounded poset, and a lattice about nine times in ten."""
-    names, pairs = draw(generated_orders())
-    n = len(names)
-    bounds = [(n, i) for i in range(n)] + [(i, n + 1) for i in range(n)] + [(n, n + 1)]
-    return names + ("B", "T"), pairs + bounds
 
 
 def lattice_of(order):

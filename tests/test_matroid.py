@@ -9,6 +9,7 @@ from math import factorial, prod
 import pytest
 
 from boolrep import (
+    CATALOG,
     AllLoops,
     DuplicateLabels,
     EmptyFamily,
@@ -35,7 +36,7 @@ from boolrep import (
 )
 from boolrep.partitions import chain_indices
 
-from conftest import _xor_rank, gf2_matroid, random_bool_matrix, random_matrix
+from conftest import _xor_rank, ag32, gf2_matroid, random_bool_matrix, random_matrix, vamos
 from oracles import (
     augmentation_violation_scan,
     basis_exchange_holds,
@@ -184,6 +185,50 @@ def test_circuits_match_power_set_scan():
         # any member list works as the covering sets for the oracle scan
         expected = circuits_scan(sorted(h.family), h.ground.size)
         assert sorted(h.circuit_masks()) == sorted(expected)
+
+
+def ladder_sized():
+    """Matroids of the benchmark ladder's kind, 4 to 15 elements: the
+    catalog, F7, AG(3,2), Vámos, five uniform matroids, two GF(2) rank-4
+    samples, PG(2,3) and PG(3,2)."""
+    return [
+        *(entry.matroid for entry in CATALOG.values()),
+        gf2_matroid(random.Random(7), 7, 3),  # all 7 nonzero vectors: F7
+        ag32(),
+        vamos(),
+        *(uniform(k, n) for k, n in ((3, 8), (4, 8), (3, 10), (4, 10), (3, 12))),
+        gf2_matroid(random.Random(1108), 10, 4),
+        gf2_matroid(random.Random(1473), 12, 4),
+        projective_plane(3),
+        pg32(),
+    ]
+
+
+def test_matroid_circuits_are_walked_on_its_table(pool):
+    """`Matroid.circuit_masks()` walks the extension table: on the pool it
+    equals the power-set scan, in canonical order, and on ladder-sized
+    matroids the walk on the validated `independent_family`."""
+    for m in pool:
+        expected = tuple(sorted(circuits_scan(m.bases, m.ground.size), key=m.ground.sort_key))
+        assert m.circuit_masks() == expected
+        assert m.circuits() == tuple(m.ground.labels_of(c) for c in expected)
+    sizes = set()
+    for m in ladder_sized():
+        fresh = Matroid(m.ground, m.bases)  # no family cached yet
+        assert fresh.circuit_masks() == fresh.independent_family.circuit_masks()
+        sizes.add(fresh.ground.size)
+    assert min(sizes) == 4 and max(sizes) == 15
+
+
+def test_independent_masks_are_the_sets_inside_a_basis(pool):
+    """`independent_masks` holds exactly the masks the oracle accepts, a
+    read-only view that the validated family copies."""
+    for m in pool:
+        is_indep = indep_from_bases(m.bases)
+        expected = {mask for mask in range(1 << m.ground.size) if is_indep(mask)}
+        assert set(m.independent_masks) == expected
+        assert not hasattr(m.independent_masks, "add")
+    assert set(uniform(2, 3).independent_masks) == uniform(2, 3).independent_family.family
 
 
 def test_point_replacement_examples():

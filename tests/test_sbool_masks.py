@@ -5,6 +5,7 @@ pin that the library builds and reads its matrices without touching cells."""
 import contextlib
 import csv
 import io
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from boolrep import (
     FlatLattice,
     ReductionError,
     SbMatrix,
+    UnknownLabel,
     dedupe_reduce,
     extract_representation,
     matroid_to_json,
@@ -122,6 +124,33 @@ def test_masks_views_and_rearrangements_follow_the_cells(case):
     else:
         assert _bit_rows(m) == [[int(v is ONE) for v in row] for row in grid]
         assert BoolMatrix.of(grid, rows, cols).entries == m.entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids(), st.data())
+def test_entry_reads_one_cell_off_its_row_masks(case, data):
+    """With the cell view patched to raise, `entry` agrees with the grid on
+    every cell, each key a label or an index, for both matrix types; keys
+    resolve row first, with the messages they raise everywhere else."""
+    grid, rows, cols = case
+    matrices = [SbMatrix.of(grid, rows, cols)]
+    if not any(GHOST in row for row in grid):
+        matrices.append(BoolMatrix.of(grid, rows, cols))
+    with pytest.MonkeyPatch.context() as mp:
+        # raising=False: where `entries` is a stored field, writing it raises too
+        mp.setattr(SbMatrix, "entries", property(_no_cells), raising=False)
+        for m in matrices:
+            for i, j in product(range(len(rows)), range(len(cols))):
+                row = rows[i] if data.draw(st.booleans()) else i
+                col = cols[j] if data.draw(st.booleans()) else j
+                assert m.entry(row, col) is grid[i][j]
+            with pytest.raises(UnknownLabel, match="^no row labeled 'zz'$"):
+                m.entry("zz", "zz")
+            with pytest.raises(UnknownLabel, match="^row key True is neither"):
+                m.entry(True, 0)
+            if rows:
+                with pytest.raises(UnknownLabel, match=f"^column index {len(cols)} out of range$"):
+                    m.entry(rows[-1], len(cols))
 
 
 @settings(max_examples=300, deadline=None)
