@@ -5,7 +5,9 @@ The pipeline reads the flats of a simple matroid, one row per flat that is
 table cut to the atom rows and transposed, with no lattice built.  The
 matrix has exactly the matroid's independent sets as its independent
 column sets.  Reductions shrink the row set; every reduction is checked
-against the matroid rather than trusted.
+against the matroid rather than trusted, and each checked one ends in the
+same certificate step (`_certified`), which returns the result or raises
+ReductionError naming the first certificate broken.
 
 Four facts about superboolean column independence keep that checking
 cheap.  It is hereditary, so a matrix represents a matroid exactly when
@@ -24,6 +26,20 @@ were a circuit C independent, the first column c its peel removes would
 have a witness row, 1 at c and 0 on C - c.  That row's zero set Z then
 holds C - c but not c; yet Z is closed, so it holds cl(C - c), which
 contains c.
+
+Theorem (`paper_reduce`): for a simple matroid of rank at least 3, the
+extraction's rows of the bottom and of the proper flats of height at least
+2 represent the matroid.  Proof: dropping rows never makes a column set
+independent, so dependent sets stay dependent.  An independent set
+x1..xk keeps a triangular nonsingular submatrix on rows Z1..Zk with x_i
+not in Z_i and x_{i+1..k} in Z_i:
+- Z_k is the bottom;
+- Z_i = cl(x_{i+1..k}) when k - i >= 2, a proper flat of height k - i;
+- Z_{k-1} = cl(x_k, y), where y extends {x_{k-1}, x_k} to an independent
+  triple, which rank at least 3 provides.
+Each Z_i is the bottom or a proper flat of height at least 2, so each is
+kept.  Rank 2 can fail: only the bottom row is left, and it cannot
+separate an independent pair.
 
 `verify_representation` still answers every subset, reading the answers
 off the matrix's independent column sets grown from the empty set, to
@@ -135,15 +151,15 @@ def _flat_rows(matrix: SbMatrix, matroid: Matroid) -> bool:
     return matrix.ones == rows and all(matroid.is_flat_mask(full & ~nz) for nz in rows)
 
 
-def _certificates(matroid: Matroid, matrix: SbMatrix | None = None):
+def _certificates(matroid: Matroid, matrix: SbMatrix):
     """The bases and the circuits as column-index tuples, canonically ordered.
 
-    The circuits are left out when every row of the given matrix is a flat
-    row, since such a matrix calls none of them independent.
+    The circuits are left out when every row of the matrix is a flat row,
+    since such a matrix calls none of them independent.
     """
     ground = matroid.ground
     bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
-    if matrix is not None and _flat_rows(matrix, matroid):
+    if _flat_rows(matrix, matroid):
         return bases, []
     circuits = [tuple(bits(c)) for c in matroid.circuit_masks()]
     return bases, circuits
@@ -171,36 +187,34 @@ def _false_certificate(matrix: SbMatrix, bases, circuits):
     return None
 
 
-def _broken(matroid: Matroid, certificate) -> str:
-    mask = mask_of(certificate)
-    name = matroid.ground.subset_name(mask)
-    if mask in matroid.bases:
-        return f"basis {name} is column-dependent"
-    return f"circuit {name} is column-independent"
+def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, bases, circuits, what: str):
+    """The matrix as the matroid's `mode` representation, once no given
+    basis or circuit is broken (`_false_certificate`); otherwise a
+    ReductionError saying `what` went wrong and naming the first broken
+    certificate.  Every checked reduction ends here.
+    """
+    bad = _false_certificate(matrix, bases, circuits)
+    if bad is not None:
+        mask = mask_of(bad)
+        name = matroid.ground.subset_name(mask)
+        if mask in matroid.bases:
+            raise ReductionError(f"{what}: basis {name} is column-dependent")
+        raise ReductionError(f"{what}: circuit {name} is column-independent")
+    return Representation(matrix, mode, matroid)
 
 
 def paper_reduce(rep: Representation) -> Representation:
     """Keep the bottom row and the rows of proper flats above the atoms.
 
-    For a simple matroid of rank at least 3 the result always represents
-    the matroid.  Dropping rows never makes a column set independent, so
-    dependent sets stay dependent.  An independent set x1..xk keeps a
-    triangular nonsingular submatrix on rows Z1..Zk with x_i not in Z_i
-    and x_{i+1..k} in Z_i:
-
-    - Z_k is the bottom;
-    - Z_i = cl(x_{i+1..k}) when k - i >= 2, a proper flat of height k - i;
-    - Z_{k-1} = cl(x_k, y), where y extends {x_{k-1}, x_k} to an
-      independent triple, which rank at least 3 provides.
-
-    Each Z_i is the bottom or a proper flat of height at least 2, so each
-    is kept.  So a row is kept when its flat is empty, or is not the ground
-    set and has two or more elements: a simple matroid's rank-1 flats are
-    its singletons.  Rank 2 can fail: only the bottom row is left, and it
-    cannot separate an independent pair.  The result is checked on every
-    basis, as the runtime guard of this proof, and on every circuit only
-    when some kept row is not a flat row; a certificate it breaks is a hard
-    error.  Ground sets past `VERIFY_CAP` are refused.
+    A row is kept, by position, when its flat is empty, or is not the
+    ground set and has two or more elements: a simple matroid's rank-1
+    flats are its singletons.  A row that names no flat raises
+    UnknownLabel.  From rank 3 the rows kept from an extraction always
+    represent the matroid (the theorem in the module docstring); at rank 2
+    they never do.  The certificate step checks the result, as the runtime
+    guard of that proof, on every basis and, only when some kept row is
+    not a flat row, on every circuit.  Ground sets past `VERIFY_CAP` are
+    refused.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")
@@ -209,29 +223,26 @@ def paper_reduce(rep: Representation) -> Representation:
     n = matroid.ground.size
     sizes = dict(zip(matroid.flat_names, (f.bit_count() for f in matroid.flat_masks)))
     keep = []
-    for name in rep.provenance:
+    for i, name in enumerate(rep.provenance):
         if name not in sizes:
             raise UnknownLabel(f"no flat named {name!r}")
         if sizes[name] == 0 or 2 <= sizes[name] < n:
-            keep.append(name)
-    keep = tuple(keep)
+            keep.append(i)
     matrix = rep.matrix.submatrix(rows=keep)
-    bad = _false_certificate(matrix, *_certificates(matroid, matrix))
-    if bad is not None:
-        raise ReductionError(
-            f"dropping atom and top rows broke a certificate: {_broken(matroid, bad)}"
-        )
-    return Representation(matrix, "paper", matroid)
+    return _certified(
+        matroid, matrix, "paper", *_certificates(matroid, matrix),
+        "dropping atom and top rows broke a certificate",
+    )
 
 
-def _strip_rows(matrix: BoolMatrix) -> tuple[str, ...]:
-    """Labels of the rows that are neither all zero nor a repeat, read off
-    each row's (nonzero, plain-1) masks: the first label of each nonzero pair."""
+def _strip_rows(matrix: BoolMatrix) -> BoolMatrix:
+    """The matrix without its all-zero and repeated rows, read off each
+    row's (nonzero, plain-1) masks: the first row of each nonzero pair."""
     first = {}
-    for label, nz, one in zip(matrix.row_labels, matrix.nonzero, matrix.ones):
+    for i, (nz, one) in enumerate(zip(matrix.nonzero, matrix.ones)):
         if nz:
-            first.setdefault((nz, one), label)
-    return tuple(first.values())
+            first.setdefault((nz, one), i)
+    return matrix.submatrix(rows=list(first.values()))
 
 
 def dedupe_reduce(rep: Representation) -> Representation:
@@ -241,8 +252,7 @@ def dedupe_reduce(rep: Representation) -> Representation:
     coordinate no matter what, and a duplicate row tracks its twin, so
     column independence is untouched.  No re-verification needed.
     """
-    matrix = rep.matrix.submatrix(rows=_strip_rows(rep.matrix))
-    return Representation(matrix, "dedupe", rep.matroid)
+    return Representation(_strip_rows(rep.matrix), "dedupe", rep.matroid)
 
 
 def _witness_rows(rounds) -> int:
@@ -293,34 +303,28 @@ def verified_reduce(rep: Representation) -> Representation:
     """Greedy row minimization, each drop decided by basis and circuit
     certificates.
 
-    After stripping duplicates and zero rows, each remaining row is dropped
-    whenever the matrix without it still induces exactly the matroid's
-    independent family: every basis stays column-independent and every
-    circuit column-dependent.  A drop never makes a dependent column set
-    independent, so only the circuits the stripped matrix calls independent
-    are rechecked, and none after the first accepted drop.  When every
-    stripped row is a flat row, none is independent, and the circuits are
-    never listed.  A drop clears one bit of the stripped matrix's cached
-    column masks, and only the bases whose last witness used that row are
-    peeled again.  The result is built once and gets the same certificate
-    check, which fails only when no drop was accepted and the starting
-    matrix is no representation.  Ground sets past `VERIFY_CAP` are
-    refused.
+    After stripping duplicates and zero rows, each remaining row, in order,
+    is dropped whenever the matrix without it still induces exactly the
+    matroid's independent family (`_greedy_drops`, on the facts of the
+    module docstring): the bases are checked, and the circuits the stripped
+    matrix calls independent only until the first accepted drop.  When
+    every stripped row is a flat row, the circuits are never listed.  The
+    result goes through the certificate step, which fails only when no drop
+    was accepted and the starting matrix is no representation.  Ground sets
+    past `VERIFY_CAP` are refused.
     """
     matroid = rep.matroid
     _check_cap(matroid.ground)
-    start = rep.matrix.submatrix(rows=_strip_rows(rep.matrix))
+    start = _strip_rows(rep.matrix)
     bases, circuits = _certificates(matroid, start)
     nz, one = start._col_masks
     loose = [c for c in circuits if not _peel(nz, one, c)[1]]
     gone = _greedy_drops(nz, one, start.n_rows, bases, loose)
     matrix = start.submatrix(rows=[i for i in range(start.n_rows) if not gone >> i & 1])
-    bad = _false_certificate(matrix, bases, loose)
-    if bad is not None:
-        raise ReductionError(
-            f"greedy reduction produced a non-representation: {_broken(matroid, bad)}"
-        )
-    return Representation(matrix, "verified", matroid)
+    return _certified(
+        matroid, matrix, "verified", bases, loose,
+        "greedy reduction produced a non-representation",
+    )
 
 
 def verify_representation(rep, matroid: Matroid) -> VerificationReport:

@@ -340,14 +340,9 @@ class FlatLattice:
 
     def representation_rank(self, elements: Iterable[str] | None = None) -> int:
         """Rank of the representation rows for these elements (all by
-        default).  All the rows have rank the height, so that is read with
-        no search.  Theorem (proof in the module docstring): in every finite
-        lattice the representation's rank is the height.  A longest chain
-        gives a triangular square submatrix of that size; and the prefix
-        joins of an independent order strictly increase, since each row's
-        witness column lies above the earlier rows but not above that row,
-        so they form a chain.  The search on the F x F matrix stays the
-        tests' reference."""
+        default).  All the rows have rank the height, by the theorem proved
+        in the module docstring, so that is read with no search.  The search
+        on the F x F matrix stays the tests' reference."""
         if elements is None:
             return self.height
         return self.representation.submatrix(rows=self._element_indices(elements)).rank()
@@ -363,12 +358,17 @@ class FlatLattice:
         dependent.  The peel runs on the columns of the transpose, which
         are the representation's own row masks."""
         rows = _distinct(elements)
-        cols = self.representation.transpose().witness(self._element_indices(rows))
+        cols = self.representation.transpose().witness([self.index(name) for name in rows])
         return None if cols is None else LatticeWitness(rows, cols)
 
-    def is_valid_witness(self, witness: LatticeWitness) -> bool:
+    def _witness_form(self, witness: LatticeWitness):
+        """The witness's column indices, and the triangular form of the
+        square submatrix it names (None when that is singular)."""
         rows, cols = self._element_indices(witness.rows), self._element_indices(witness.cols)
-        return self.representation.submatrix(rows=rows, cols=cols).is_nonsingular()
+        return cols, self.representation.submatrix(rows=rows, cols=cols).triangular_form()
+
+    def is_valid_witness(self, witness: LatticeWitness) -> bool:
+        return self._witness_form(witness)[1] is not None
 
     def chain_witness(self, chain: Sequence[str]) -> LatticeWitness:
         """Witness certifying a strict chain above the bottom: columns are
@@ -393,8 +393,7 @@ class FlatLattice:
         is the meet of the j-th through last reordered columns; strictness
         comes from each diagonal row escaping its own column.
         """
-        rows, cols = self._element_indices(witness.rows), self._element_indices(witness.cols)
-        form = self.representation.submatrix(rows=rows, cols=cols).triangular_form()
+        cols, form = self._witness_form(witness)
         if form is None:
             raise InvalidWitness("the witness submatrix is singular")
         _, col_order = form

@@ -276,15 +276,12 @@ def _independent_column_sets(matrix) -> set:
 def _max_independent(nz_masks, one_masks) -> int:
     """Size of the largest independent sub-collection of the given vectors.
 
-    Depth first over the union of the chosen vectors' nonzero coordinates,
-    on the three facts of the module docstring: a union is peeled again
-    only when reached at a greater depth, the peeled vectors are counted,
-    and the search branches on the stuck core until the upper bound cannot
-    beat the best size found.  The core vectors that leave the most
-    coordinates free go first, since a smaller union admits every order a
-    larger one does.  The steps wait on an explicit stack, each with the
-    bound of the step that pushed it, so the search holds no reference
-    cycle and its memo is freed as soon as it returns.
+    The search of the module docstring, which proves its three facts.  The
+    core vectors that leave the most coordinates free go first, since a
+    smaller union admits every order a larger one does.  The steps wait on
+    an explicit stack, each with the bound of the step that pushed it, so
+    the search holds no reference cycle and its memo is freed as soon as
+    it returns.
     """
     best = 0
     reached = {}  # union -> the greatest depth it was reached at
@@ -608,26 +605,9 @@ class SbMatrix:
         """Maximal number of independent rows.
 
         Equals the maximal number of independent columns and the size of the
-        largest nonsingular square submatrix, so the search runs over the
-        shorter side.  It rests on three facts, proved at more length in the
-        module docstring:
-        - Order: vectors are independent iff some order gives each a plain 1
-          where every earlier vector is 0.  Those coordinates carry a
-          triangular nonsingular submatrix, and the peel of an independent
-          set, read last round first, is such an order.  So the search state
-          is U, the union of the chosen vectors' nonzero coordinates.
-        - Split: at each union, the peel of the viable vectors cut to the
-          coordinates outside U splits them into peeled vectors and a stuck
-          core.  A peeled vector's witness lies outside U and is hit by no
-          stuck vector and no peeled vector placed before it, so the peeled
-          vectors can always go last and count exactly.  The core is
-          dependent, and it is the only part branched on.
-        - Bounds: depth + peeled is exact when the core is empty.  Otherwise
-          one core vector followed by the peeled ones is an order, so
-          depth + peeled + 1 is reached; and the core vectors of an order
-          are independent outside U, so fewer than |core|, and each needs
-          its own plain-1 coordinate outside U, which bounds every branch by
-          depth + peeled + min(|core| - 1, core's plain-1 free coordinates).
+        largest nonsingular square submatrix, so the search
+        (`_max_independent`) runs over the shorter side.  Its order, split
+        and bounds facts are proved in the module docstring.
         """
         masks = self._col_masks if self.n_cols < self.n_rows else (self.nonzero, self.ones)
         return _max_independent(*masks)
@@ -662,7 +642,7 @@ class SbMatrix:
         if not rows:
             raise MatrixParseError("empty matrix text")
         header = rows[0]
-        if not header or header[0] not in ("", None):
+        if header[0] != "":
             raise MatrixParseError("first header field must be empty")
         col_labels = tuple(header[1:])
         token_rows = []
