@@ -43,7 +43,10 @@ separate an independent pair.
 
 `verify_representation` still answers every subset, reading the answers
 off the matrix's independent column sets grown from the empty set, to
-report every disagreement.
+report every disagreement.  The grower decides each set whose one-smaller
+subsets all passed by one peel round carried from its parent, with no
+peel call (the growth lemma in the `sbool` docstring); the reducers'
+certificates are sets given on their own, and each is peeled.
 """
 
 from __future__ import annotations
@@ -257,7 +260,11 @@ def dedupe_reduce(rep: Representation) -> Representation:
 
 def _witness_rows(rounds) -> int:
     """Bitmask of the rows a peel used as witnesses."""
-    return mask_of(j for peeled in rounds for _, j in peeled)
+    rows = 0
+    for peeled in rounds:
+        for _, j in peeled:
+            rows |= 1 << j
+    return rows
 
 
 def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
@@ -336,7 +343,8 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
     order.  The matrix's answers are its independent column sets, grown
     one column at a time by `sbool._independent_column_sets`: dependence
     survives adding columns, so a set is tested only when all its
-    one-smaller subsets are independent.  The matroid's answers are the
+    one-smaller subsets are independent, and then one peel round carried
+    from its parent decides it.  The matroid's answers are the
     keys of its extension table (`Matroid.independent_masks`).  Both are
     sets of ground masks, downward closed by construction, so neither is
     copied, wrapped or checked again: the disagreements are their

@@ -12,13 +12,16 @@ Only this module converts between cells and masks: into masks in `of` and
 Decisions rest on two facts: a set of columns is independent iff some
 square submatrix on it is nonsingular, and a matrix is nonsingular iff it
 has a triangular form with plain 1s on the diagonal.  One greedy peel
-(`_peel`) is the only test of independence.  It answers row and column
-independence, nonsingularity (a square matrix whose rows all peel),
-triangular forms and witness rows in polynomial time, and it decides each
-node of rank's search.  One grower (`_independent_column_sets`) lists
-every independent column set of a matrix from the empty set up, one peel
-per set whose one-smaller subsets all passed; `verify_representation` and
-`hereditary_from_matrix` read it.  The permanent is 1 iff the matrix is
+(`_peel`) is the one test of independence for a set given on its own.  It
+answers row and column independence, nonsingularity (a square matrix whose
+rows all peel), triangular forms and witness rows in polynomial time, and
+it decides each node of rank's search.  One grower
+(`_independent_column_sets`) lists every independent column set of a
+matrix from the empty set up.  It tests a set only when its one-smaller
+subsets all passed, and there one round of the peel decides (the growth
+lemma below), so it carries that round's masks from each set to the next
+and calls no peel; `verify_representation` and `hereditary_from_matrix`
+read it.  The permanent is 1 iff the matrix is
 nonsingular, and otherwise 1v or 0 as its nonzero pattern does or does not
 hold a perfect matching (Kuhn's algorithm, each augmenting path found depth
 first on an explicit stack).
@@ -54,6 +57,20 @@ of the vectors chosen so far, and rests on three facts.
    where the earlier ones are 0, so at most as many as the core's plain-1
    free coordinates.  That gives the one upper bound,
    d + p + min(|C| - 1, |core's plain-1 free coordinates|).
+
+Growth lemma.  If every one-smaller subset of a set T of vectors is
+independent, then T is independent iff some member has a plain 1 on a
+coordinate no other member hits.  Proof: if x has one, T - x is
+independent, so it has an order (fact 1), and x appended to that order
+has a plain 1 where every earlier vector is 0, so T has an order.
+Conversely, the last vector of any order of T has such a coordinate; this
+direction holds without the precondition.  Let `once` be the coordinates
+some member hits, `multi` those at least two hit, and `ones` the OR of the
+members' plain-1 masks.  Plain 1s are nonzero, so such a coordinate exists
+iff `ones & once & ~multi` is nonzero, that is `ones & ~multi`, since
+`ones` lies inside `once`.  This is the first round of `_peel` on T, and on
+this precondition it is the whole answer.  Adding a vector v updates all
+three in O(1): `multi | (once & v)`, `once | v` and `ones | v's plain 1s`.
 """
 
 from __future__ import annotations
@@ -250,25 +267,35 @@ def _independent_column_sets(matrix) -> set:
     """The independent column sets of a matrix, as column-index bitmasks.
 
     Column independence is hereditary, so candidates are grown one column
-    at a time and a set is tested only when all its one-smaller subsets
-    already passed.  Each candidate is its parent plus one column above the
-    parent's top, so it is generated once, and it is peeled straight on the
-    matrix's column masks as a tuple of column indices.
+    at a time, each its parent plus one column above the parent's top, so
+    it is generated once.  Each set carries the coordinates its columns hit
+    at least once, those they hit at least twice and the OR of their plain
+    1s, and a candidate extends all three in O(1).  By the growth lemma of
+    the module docstring, a candidate whose one-smaller subsets all passed
+    is independent iff a plain 1 of it lies on a coordinate hit once: one
+    round of `_peel`, with no peel call.  `_peel` stays the test for a set
+    given on its own.  The one-round test is necessary even without the
+    precondition (the last vector of an order), so it runs before the
+    subset lookups.
     """
     nz, one = matrix._col_masks
     family = {0}
-    level = [(0, ())]
+    level = [(0, (), 0, 0, 0)]  # (set, its columns, once, multi, ones)
     while level:
         grown = []
-        for mask, cols in level:
+        for mask, cols, once, multi, ones in level:
             for j in range(mask.bit_length(), len(nz)):
-                cand = mask | (1 << j)
-                if any(cand ^ (1 << i) not in family for i in cols):
+                cand_multi = multi | (once & nz[j])
+                cand_ones = ones | one[j]
+                if not cand_ones & ~cand_multi:
                     continue
-                idxs = cols + (j,)
-                if not _peel(nz, one, idxs)[1]:
+                cand = mask | (1 << j)
+                for i in cols:
+                    if cand ^ (1 << i) not in family:
+                        break
+                else:
                     family.add(cand)
-                    grown.append((cand, idxs))
+                    grown.append((cand, cols + (j,), once | nz[j], cand_multi, cand_ones))
         level = grown
     return family
 

@@ -155,6 +155,35 @@ def _all_peel(nz_masks, one_masks, idxs):
     return True
 
 
+def _column_masks(grid, n_cols):
+    """Per column of an int grid, the (nonzero, plain-1) row bitmasks."""
+    nz = [sum(1 << i for i, row in enumerate(grid) if row[j]) for j in range(n_cols)]
+    one = [sum(1 << i for i, row in enumerate(grid) if row[j] == 1) for j in range(n_cols)]
+    return nz, one
+
+
+def independent_column_sets_by_peel(grid, n_cols):
+    """Bitmasks of the independent column sets of an int grid with n_cols
+    columns (a grid of no rows has no width of its own), grown from the
+    empty set with a whole greedy peel per candidate whose one-smaller
+    subsets all passed."""
+    nz, one = _column_masks(grid, n_cols)
+    family = {0}
+    level = [(0, ())]
+    while level:
+        grown = []
+        for mask, cols in level:
+            for j in range(mask.bit_length(), n_cols):
+                cand = mask | (1 << j)
+                if any(cand ^ (1 << i) not in family for i in cols):
+                    continue
+                if _all_peel(nz, one, cols + (j,)):
+                    family.add(cand)
+                    grown.append((cand, cols + (j,)))
+        level = grown
+    return family
+
+
 def rank_by_independent_sets(grid):
     """Largest number of independent columns of an int grid, by a
     depth-first search over independent column sets, each extension decided
@@ -162,8 +191,7 @@ def rank_by_independent_sets(grid):
     parent, and a branch ends once its chosen columns plus the viable ones
     left cannot beat the best size found."""
     n_cols = len(grid[0]) if grid else 0
-    nz = [sum(1 << i for i, row in enumerate(grid) if row[j]) for j in range(n_cols)]
-    one = [sum(1 << i for i, row in enumerate(grid) if row[j] == 1) for j in range(n_cols)]
+    nz, one = _column_masks(grid, n_cols)
     best = 0
 
     def extend(chosen, candidates):

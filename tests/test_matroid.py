@@ -35,6 +35,7 @@ from boolrep import (
     verified_reduce,
 )
 from boolrep.partitions import chain_indices
+from boolrep.sbool import _independent_column_sets
 
 from conftest import _xor_rank, ag32, gf2_matroid, random_bool_matrix, random_matrix, vamos
 from oracles import (
@@ -47,6 +48,8 @@ from oracles import (
     flats_scan,
     gaussian_binomial,
     indep_from_bases,
+    independent_column_sets,
+    independent_column_sets_by_peel,
     rank_from_bases,
 )
 
@@ -890,6 +893,76 @@ def test_hereditary_from_matrix_matches_direct_scan():
         for mask in range(1 << m.n_cols):
             labels = tuple(m.col_labels[j] for j in range(m.n_cols) if mask >> j & 1)
             assert (mask in h.family) == m.columns_independent(labels)
+
+
+def _grower_grid(rng, n_rows, n_cols):
+    """An int grid (2 the ghost) with zero, ghost-only and repeated columns
+    among fresh ones drawn at one density.  In half the grids the k-th
+    column, fresh, has a plain 1 on the k-th row of a shuffled order and is
+    mostly 0 on the rows before it, so large independent sets occur."""
+    density = rng.uniform(0.1, 0.5)
+    noise = rng.uniform(0, 0.2) if rng.random() < 0.5 else None
+    order = rng.sample(range(n_rows), n_rows)
+    columns = []
+    for _ in range(n_cols):
+        kind = rng.choice(("fresh",) * 5 + ("zero", "ghost", "copy"))
+        if kind == "copy" and columns:
+            columns.append(rng.choice(columns))
+        elif kind == "zero":
+            columns.append([0] * n_rows)
+        elif kind == "ghost":
+            columns.append([2 if rng.random() < density else 0 for _ in range(n_rows)])
+        else:
+            column = [rng.choice((1, 1, 1, 2)) if rng.random() < density else 0 for _ in range(n_rows)]
+            k = len(columns)
+            if noise is not None and k < n_rows:
+                for r in order[:k]:
+                    if rng.random() >= noise:
+                        column[r] = 0
+                column[order[k]] = 1
+            columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def _grown(grid, n_cols):
+    labels = tuple(map(str, range(n_cols)))
+    return _independent_column_sets(SbMatrix.of(grid, col_labels=labels))
+
+
+def test_grower_matches_the_per_candidate_peel():
+    """2,000 seeded matrices of 0-16 rows and 1-11 columns with zero,
+    ghost-only and repeated columns: the one carried peel round gives the
+    family a whole peel per candidate gives."""
+    rng = random.Random(2029)
+    sizes = Counter()
+    for _ in range(2000):
+        n_rows, n_cols = rng.randint(0, 16), rng.randint(1, 11)
+        grid = _grower_grid(rng, n_rows, n_cols)
+        family = _grown(grid, n_cols)
+        assert family == independent_column_sets_by_peel(grid, n_cols)
+        sizes[max(map(int.bit_count, family))] += 1
+    assert set(range(10)) <= set(sizes)  # largest sets of every size 0 to 9 are met
+
+
+def test_grower_matches_the_definition():
+    """300 seeded matrices of 0-4 rows and 1-6 columns: the grown family
+    is the column sets no nonzero 0/1 combination sends into the ghost
+    ideal."""
+    rng = random.Random(2030)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(0, 4), rng.randint(1, 6)
+        grid = _grower_grid(rng, n_rows, n_cols)
+        expected = independent_column_sets(grid) if n_rows else {0}
+        assert _grown(grid, n_cols) == expected
+
+
+def test_grower_gives_the_independent_sets_of_extractions(pool):
+    """On the extraction of every pool matroid, PG(3,2) and PG(2,5), the
+    grown column sets are the matroid's independent sets."""
+    for m in [*pool, pg32(), pg25()]:
+        matrix = extract_representation(m).matrix
+        assert matrix.col_labels == m.ground.labels
+        assert _independent_column_sets(matrix) == m.independent_masks
 
 
 def test_collections_from_boolean_matrices_satisfy_point_replacement():
