@@ -9,7 +9,7 @@ against the matroid rather than trusted, and each checked one ends in the
 same certificate step (`_certified`), which returns the result or raises
 ReductionError naming the first certificate broken.
 
-Four facts about superboolean column independence keep that checking
+Five facts about superboolean column independence keep that checking
 cheap.  It is hereditary, so a matrix represents a matroid exactly when
 every basis is matrix-independent and every circuit is matrix-dependent;
 those certificates are the reducers' only check, for each row drop and for
@@ -18,14 +18,19 @@ dependent, never the reverse, so a circuit that is dependent once stays
 dependent as rows go.  And the witness rows the peel finds for an
 independent set carry a triangular nonsingular submatrix, which survives
 the deletion of any row outside it, so a drop rechecks only the bases whose
-witness used the dropped row.  Last, a matrix of flat rows alone calls no
-circuit independent, so its circuits need no listing.  A flat row holds no
-ghost and its zero set is closed, as is each row of the extraction (zero
-exactly on its flat), and so each row a reduction of it keeps.  Proof:
-were a circuit C independent, the first column c its peel removes would
-have a witness row, 1 at c and 0 on C - c.  That row's zero set Z then
-holds C - c but not c; yet Z is closed, so it holds cl(C - c), which
-contains c.
+witness used the dropped row.  Once the kept rows R represent the
+matroid, a run S of rows can be tested at once (the run fact): if R - S
+represents it, so does R - S' for every S' inside S, and so a pass that
+drops one row at a time drops each row of S in turn.  Proof: deleting rows
+only shrinks the independent family, so family(R - S) lies in
+family(R - S'), which lies in family(R); the two ends are the matroid's.
+Last, a matrix of flat rows alone calls no circuit independent, so its
+circuits need no listing.  A flat row holds no ghost and its zero set is
+closed, as is each row of the extraction (zero exactly on its flat), and
+so each row a reduction of it keeps.  Proof: were a circuit C
+independent, the first column c its peel removes would have a witness
+row, 1 at c and 0 on C - c.  That row's zero set Z then holds C - c but
+not c; yet Z is closed, so it holds cl(C - c), which contains c.
 
 Theorem (`paper_reduce`): for a simple matroid of rank at least 3, the
 extraction's rows of the bottom and of the proper flats of height at least
@@ -268,13 +273,20 @@ def _witness_rows(rounds) -> int:
 
 
 def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
-    """Bitmask of the rows the greedy pass drops, trying rows in order.
+    """Bitmask of the rows the one-row greedy pass drops, trying rows in
+    order: a row goes when the rows still kept without it represent the
+    matroid, and the last row stays.
 
-    Works on column masks alone: dropping row r clears bit r.  Each basis
-    keeps the witness rows of its last peel, and a drop rechecks only the
-    bases whose witness holds r, since the others keep their triangular
+    Works on column masks alone: dropping rows S clears their bits.  Each
+    basis keeps the witness rows of its last peel, and a test rechecks only
+    the bases whose witness meets S, since the others keep their triangular
     nonsingular submatrix.  The loose circuits are rechecked until the
-    first accepted drop; after it every circuit is dependent for good.
+    first accepted drop; after it every circuit is dependent for good, and
+    the kept rows represent the matroid.  From then on a run S of the next
+    untried rows is tested at once, and all of S goes when every rechecked
+    basis still peels: by the run fact of the module docstring the one-row
+    pass would drop each row of S in turn.  The run doubles after a drop
+    and halves after a failure; a failed one-row test keeps its row.
     """
     witnesses = []
     for basis in bases:
@@ -282,27 +294,37 @@ def _greedy_drops(nz, one, n_rows: int, bases, loose) -> int:
         if stuck:
             return 0  # a dependent basis stays dependent, so no drop is accepted
         witnesses.append(_witness_rows(rounds))
-    gone = 0
-    for r in range(n_rows):
-        if n_rows - gone.bit_count() == 1:
+    gone = r = 0
+    run = 1  # stays 1 while loose circuits remain: it grows only after a drop
+    while r < n_rows:
+        left = n_rows - gone.bit_count()
+        if left == 1:
             break
-        bit = 1 << r
-        keep = ~(gone | bit)
+        run = min(run, left - 1, n_rows - r)
+        span = ((1 << run) - 1) << r
+        keep = ~(gone | span)
         trial_nz = [m & keep for m in nz]
-        trial_one = [m & keep for m in one]
+        trial_one = trial_nz if one is nz else [m & keep for m in one]
         renewed = {}
         for i, basis in enumerate(bases):
-            if witnesses[i] & bit:
+            if witnesses[i] & span:
                 rounds, stuck = _peel(trial_nz, trial_one, basis)
                 if stuck:
                     break
                 renewed[i] = _witness_rows(rounds)
         else:  # every rechecked basis still peels
             if all(_peel(trial_nz, trial_one, c)[1] for c in loose):
-                gone |= bit
+                gone |= span
                 for i, rows in renewed.items():
                     witnesses[i] = rows
                 loose = ()
+                r += run
+                run *= 2
+                continue
+        if run == 1:
+            r += 1  # the row stays
+        else:
+            run //= 2
     return gone
 
 
@@ -314,11 +336,13 @@ def verified_reduce(rep: Representation) -> Representation:
     is dropped whenever the matrix without it still induces exactly the
     matroid's independent family (`_greedy_drops`, on the facts of the
     module docstring): the bases are checked, and the circuits the stripped
-    matrix calls independent only until the first accepted drop.  When
-    every stripped row is a flat row, the circuits are never listed.  The
-    result goes through the certificate step, which fails only when no drop
-    was accepted and the starting matrix is no representation.  Ground sets
-    past `VERIFY_CAP` are refused.
+    matrix calls independent only until the first accepted drop.  After
+    that drop, runs of consecutive rows are tested at once, and the rows
+    dropped are exactly those of the one-row pass.  When every stripped row
+    is a flat row, the circuits are never listed.  The result goes through
+    the certificate step, which fails only when no drop was accepted and
+    the starting matrix is no representation.  Ground sets past
+    `VERIFY_CAP` are refused.
     """
     matroid = rep.matroid
     _check_cap(matroid.ground)

@@ -1,7 +1,7 @@
 """Shared fixtures: catalog objects and seeded random generators."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -113,6 +113,49 @@ def vamos() -> Matroid:
         if (mask := sum(1 << i for i in combo)) not in banned
     )
     return Matroid(GroundSet(tuple(str(i + 1) for i in range(8))), bases)
+
+
+def projective_plane(p):
+    """PG(2,p) for a prime p: the p^2 + p + 1 points of GF(p)^3 up to
+    scalars, each scaled so its first nonzero coordinate is 1; bases are the
+    triples of nonzero determinant mod p."""
+    points = [
+        v for v in product(range(p), repeat=3)
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
+    ]
+
+    def det(a, b, c):
+        return (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        ) % p
+
+    ground = GroundSet(tuple(str(i + 1) for i in range(len(points))))
+    bases = frozenset(
+        (1 << i) | (1 << j) | (1 << k)
+        for i, j, k in combinations(range(len(points)), 3)
+        if det(points[i], points[j], points[k])
+    )
+    return Matroid(ground, bases)
+
+
+def pg25():
+    """PG(2,5): 31 points, 31 lines of 6 points each."""
+    return projective_plane(5)
+
+
+def pg32():
+    """PG(3,2): the 15 nonzero vectors of GF(2)^4, as bitmasks; bases are
+    the 4-sets of GF(2) rank 4."""
+    vectors = range(1, 16)
+    ground = GroundSet(tuple(str(v) for v in vectors))
+    bases = frozenset(
+        sum(1 << i for i in combo)
+        for combo in combinations(range(15), 4)
+        if _xor_rank([vectors[i] for i in combo]) == 4
+    )
+    return Matroid(ground, bases)
 
 
 def line_matroid(rng: random.Random, n: int, tries: int) -> Matroid:

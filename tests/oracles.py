@@ -137,22 +137,32 @@ def rank_by_submatrix(grid):
     return 0
 
 
-def _all_peel(nz_masks, one_masks, idxs):
+def _peel(nz_masks, one_masks, idxs):
     """Greedy peel: remove, round by round, every vector holding a plain 1
-    on a coordinate that exactly one remaining vector hits.  True when
-    every vector is removed, which is independence."""
+    on a coordinate that exactly one remaining vector hits, its lowest such
+    coordinate being its witness.  Returns each round's (vector, witness)
+    pairs and the vectors left when a round removes none; none are left
+    exactly when the vectors are independent."""
     left = list(idxs)
+    rounds = []
     while left:
         once = multi = 0
         for i in left:
             multi |= once & nz_masks[i]
             once |= nz_masks[i]
         free = once & ~multi
-        kept = [i for i in left if not one_masks[i] & free]
-        if len(kept) == len(left):
-            return False
-        left = kept
-    return True
+        lone = {i: one_masks[i] & free for i in left}
+        peeled = [(i, (m & -m).bit_length() - 1) for i, m in lone.items() if m]
+        if not peeled:
+            break
+        rounds.append(peeled)
+        left = [i for i in left if not lone[i]]
+    return rounds, left
+
+
+def _all_peel(nz_masks, one_masks, idxs):
+    """Are the vectors independent: does the greedy peel remove them all?"""
+    return not _peel(nz_masks, one_masks, idxs)[1]
 
 
 def _column_masks(grid, n_cols):
@@ -206,6 +216,59 @@ def rank_by_independent_sets(grid):
 
     extend([], range(n_cols))
     return best
+
+
+# -- the verified reducer's greedy pass, one row at a time -----------------
+
+
+def _witness_rows(rounds) -> int:
+    """Bitmask of the rows a peel used as witnesses."""
+    rows = 0
+    for peeled in rounds:
+        for _, j in peeled:
+            rows |= 1 << j
+    return rows
+
+
+def greedy_drops_one_row_at_a_time(nz, one, n_rows: int, bases, loose) -> int:
+    """Bitmask of the rows the greedy pass drops, trying rows in order.
+
+    The reference for `extraction._greedy_drops`, which tests runs of rows
+    at once: this pass tries each row on its own, with this module's peel.
+    Works on column masks alone: dropping row r clears bit r.  Each basis
+    keeps the witness rows of its last peel, and a drop rechecks only the
+    bases whose witness holds r, since the others keep their triangular
+    nonsingular submatrix.  The loose circuits are rechecked until the
+    first accepted drop; after it every circuit is dependent for good.
+    """
+    witnesses = []
+    for basis in bases:
+        rounds, stuck = _peel(nz, one, basis)
+        if stuck:
+            return 0  # a dependent basis stays dependent, so no drop is accepted
+        witnesses.append(_witness_rows(rounds))
+    gone = 0
+    for r in range(n_rows):
+        if n_rows - gone.bit_count() == 1:
+            break
+        bit = 1 << r
+        keep = ~(gone | bit)
+        trial_nz = [m & keep for m in nz]
+        trial_one = [m & keep for m in one]
+        renewed = {}
+        for i, basis in enumerate(bases):
+            if witnesses[i] & bit:
+                rounds, stuck = _peel(trial_nz, trial_one, basis)
+                if stuck:
+                    break
+                renewed[i] = _witness_rows(rounds)
+        else:  # every rechecked basis still peels
+            if all(_peel(trial_nz, trial_one, c)[1] for c in loose):
+                gone |= bit
+                for i, rows in renewed.items():
+                    witnesses[i] = rows
+                loose = ()
+    return gone
 
 
 # -- matroid-side oracles, working on raw basis masks ---------------------

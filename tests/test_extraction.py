@@ -44,10 +44,12 @@ from boolrep import (
 )
 from boolrep.cli import main
 
-from conftest import read_golden
+import oracles
+from conftest import pg25, pg32, read_golden
 from oracles import (
     circuits_scan,
     flats_scan,
+    greedy_drops_one_row_at_a_time,
     grid_of,
     indep_from_bases,
     independent_column_sets,
@@ -653,6 +655,91 @@ def test_a_witness_survives_deleting_a_row_outside_it(grid):
             assert vectors_independent([tuple(row[j] for row in kept) for j in cols])
             others = [x for x in matrix.row_labels if x != label]
             assert matrix.submatrix(rows=others).columns_independent(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_rows_that_can_go_together_can_go_in_any_part(grid):
+    """The run fact of `extraction`, on every row set S of the grid: when
+    deleting S leaves the independent column sets unchanged, deleting any
+    S' inside S does too.  Row sets are masks; dropping one row of S at a
+    time reaches every S'."""
+    family = independent_column_sets(grid)
+
+    def without(rows):
+        kept = [row for i, row in enumerate(grid) if not rows >> i & 1]
+        return independent_column_sets(kept) if kept else {0}
+
+    can_go = {run for run in range(1 << len(grid)) if without(run) == family}
+    for run in can_go:
+        for i in range(len(grid)):
+            if run >> i & 1:
+                assert run & ~(1 << i) in can_go
+
+
+# -- the batched greedy against the one-row pass ------------------------------------------
+
+
+def greedy_inputs(rep):
+    """What `verified_reduce` hands `_greedy_drops`: the stripped start's
+    column masks and row count, the bases, and the loose circuits."""
+    start = extraction._strip_rows(rep.matrix)
+    bases, circuits = extraction._certificates(rep.matroid, start)
+    nz, one = start._col_masks
+    loose = [c for c in circuits if not extraction._peel(nz, one, c)[1]]
+    return nz, one, start.n_rows, bases, loose
+
+
+def test_batched_greedy_drops_the_rows_of_the_one_row_pass(pool):
+    """The same dropped-row mask as `oracles.greedy_drops_one_row_at_a_time`
+    on every pool extraction, a flipped start and the broken copies of
+    each, where loose circuits force one-row steps, and on the extractions
+    of PG(3,2), PG(2,5) and U(4,16), called directly past the cap."""
+    rng = random.Random(61)
+    starts = []
+    for m in pool:
+        full = extract_representation(m)
+        starts += [full, flipped(full, rng)]
+        starts.extend(Representation(x, "full", m) for x in broken_copies(full.matrix, rng))
+    starts.extend(extract_representation(m) for m in (pg32(), pg25(), uniform(4, 16)))
+    seen = set()
+    for rep in starts:
+        args = greedy_inputs(rep)
+        gone = extraction._greedy_drops(*args)
+        assert gone == greedy_drops_one_row_at_a_time(*args)
+        seen.add((bool(args[4]), gone != 0))
+    assert {(False, True), (True, True)} <= seen
+
+
+def test_batched_greedy_peels_at_most_two_thirds_of_the_one_row_pass(monkeypatch):
+    """A work count, not a timing: the `_peel` calls of one `verified_reduce`
+    of the U(4,10) extraction, with the result unchanged.  The one-row pass
+    makes 1,296 and the runs 742."""
+    calls = []
+
+    def counting(peel):
+        def counted(*args):
+            calls.append(args)
+            return peel(*args)
+        return counted
+
+    monkeypatch.setattr(extraction, "_peel", counting(extraction._peel))
+    monkeypatch.setattr(oracles, "_peel", counting(oracles._peel))
+    full = extract_representation(uniform(4, 10))
+    batched = verified_reduce(full).provenance
+    runs = len(calls)
+    calls.clear()
+    monkeypatch.setattr(extraction, "_greedy_drops", greedy_drops_one_row_at_a_time)
+    assert verified_reduce(full).provenance == batched
+    assert 3 * runs <= 2 * len(calls)
 
 
 # -- verification -----------------------------------------------------------------------

@@ -37,7 +37,10 @@ from boolrep import (
 from boolrep.partitions import chain_indices
 from boolrep.sbool import _independent_column_sets
 
-from conftest import _xor_rank, ag32, gf2_matroid, random_bool_matrix, random_matrix, vamos
+from conftest import (
+    _xor_rank, ag32, gf2_matroid, pg25, pg32, projective_plane, random_bool_matrix, random_matrix,
+    vamos,
+)
 from oracles import (
     augmentation_violation_scan,
     basis_exchange_holds,
@@ -664,49 +667,6 @@ def test_the_extension_table_alone_answers_the_matroid(pool, monkeypatch):
         verified_reduce(rep)
         if rebuilt.rank >= 3:  # below rank 3 the paper's rows cannot suffice
             paper_reduce(rep)
-
-
-def projective_plane(p):
-    """PG(2,p) for a prime p: the p^2 + p + 1 points of GF(p)^3 up to
-    scalars, each scaled so its first nonzero coordinate is 1; bases are the
-    triples of nonzero determinant mod p."""
-    points = [
-        v for v in product(range(p), repeat=3)
-        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1
-    ]
-
-    def det(a, b, c):
-        return (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        ) % p
-
-    ground = GroundSet(tuple(str(i + 1) for i in range(len(points))))
-    bases = frozenset(
-        (1 << i) | (1 << j) | (1 << k)
-        for i, j, k in combinations(range(len(points)), 3)
-        if det(points[i], points[j], points[k])
-    )
-    return Matroid(ground, bases)
-
-
-def pg25():
-    """PG(2,5): 31 points, 31 lines of 6 points each."""
-    return projective_plane(5)
-
-
-def pg32():
-    """PG(3,2): the 15 nonzero vectors of GF(2)^4, as bitmasks; bases are
-    the 4-sets of GF(2) rank 4."""
-    vectors = range(1, 16)
-    ground = GroundSet(tuple(str(v) for v in vectors))
-    bases = frozenset(
-        sum(1 << i for i in combo)
-        for combo in combinations(range(15), 4)
-        if _xor_rank([vectors[i] for i in combo]) == 4
-    )
-    return Matroid(ground, bases)
 
 
 def pg_closed_forms(d, q):
