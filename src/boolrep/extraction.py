@@ -7,7 +7,8 @@ matrix has exactly the matroid's independent sets as its independent
 column sets.  Reductions shrink the row set; every reduction is checked
 against the matroid rather than trusted, and each checked one ends in the
 same certificate step (`_certified`), which returns the result or raises
-ReductionError naming the first certificate broken.
+ReductionError naming the first certificate broken.  It tries
+meet-generation (below) first and peels bases only when that fails.
 
 Five facts about superboolean column independence keep that checking
 cheap.  It is hereditary, so a matrix represents a matroid exactly when
@@ -45,6 +46,19 @@ not in Z_i and x_{i+1..k} in Z_i:
 Each Z_i is the bottom or a proper flat of height at least 2, so each is
 kept.  Rank 2 can fail: only the bottom row is left, and it cannot
 separate an independent pair.
+
+Theorem (meet-generation): a matrix of flat rows whose zero sets include
+every hyperplane represents the matroid.  It rests on the coatomistic
+fact: every flat Z other than E is the intersection of the hyperplanes
+that contain it (Oxley, *Matroid Theory*, 2nd ed., §1.4 and §1.7), since
+for x outside Z a basis of Z plus x extends to a basis B, and cl(B - x)
+is a hyperplane that holds Z and misses x.  Proof: dependent sets stay
+dependent by the flat-row fact.  For an independent set x1..xk, the flat
+cl(x_{i+1..k}) misses x_i, so some hyperplane H_i holds it and misses
+x_i.  Row H_i is 1 at x_i and 0 on x_{i+1..k}, so rows H1..Hk on
+x1..xk form a triangular nonsingular submatrix.  When it applies, the
+certificate step peels nothing; the `paper_reduce` rows apply from rank
+3 on, where every hyperplane is a proper flat of height r - 1 >= 2.
 
 `verify_representation` still answers every subset, reading the answers
 off the matrix's independent column sets grown from the empty set, to
@@ -159,17 +173,16 @@ def _flat_rows(matrix: SbMatrix, matroid: Matroid) -> bool:
     return matrix.ones == rows and all(matroid.is_flat_mask(full & ~nz) for nz in rows)
 
 
-def _certificates(matroid: Matroid, matrix: SbMatrix):
+def _certificates(matroid: Matroid, flat: bool):
     """The bases and the circuits as column-index tuples, canonically ordered.
 
-    The circuits are left out when every row of the matrix is a flat row,
-    since such a matrix calls none of them independent.
+    The circuits are left out when every row of the matrix is a flat row
+    (`flat`, from `_flat_rows`), since such a matrix calls none of them
+    independent.
     """
     ground = matroid.ground
     bases = [tuple(bits(b)) for b in sorted(matroid.bases, key=ground.sort_key)]
-    if _flat_rows(matrix, matroid):
-        return bases, []
-    circuits = [tuple(bits(c)) for c in matroid.circuit_masks()]
+    circuits = [] if flat else [tuple(bits(c)) for c in matroid.circuit_masks()]
     return bases, circuits
 
 
@@ -195,13 +208,22 @@ def _false_certificate(matrix: SbMatrix, bases, circuits):
     return None
 
 
-def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, bases, circuits, what: str):
-    """The matrix as the matroid's `mode` representation, once no given
-    basis or circuit is broken (`_false_certificate`); otherwise a
+def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, flat: bool, what: str,
+               certificates=None):
+    """The matrix as the matroid's `mode` representation, or a
     ReductionError saying `what` went wrong and naming the first broken
     certificate.  Every checked reduction ends here.
+
+    When every row is a flat row (`flat`) and the rows' zero sets hold
+    every hyperplane, the matrix represents the matroid by the
+    meet-generation theorem of the module docstring, and nothing is
+    peeled.  Otherwise no basis or circuit of `certificates` (by default
+    all of `_certificates`) may be broken (`_false_certificate`).
     """
-    bad = _false_certificate(matrix, bases, circuits)
+    full = matroid.ground.full_mask
+    if flat and matroid.hyperplane_masks <= {full & ~nz for nz in matrix.nonzero}:
+        return Representation(matrix, mode, matroid)
+    bad = _false_certificate(matrix, *(certificates or _certificates(matroid, flat)))
     if bad is not None:
         mask = mask_of(bad)
         name = matroid.ground.subset_name(mask)
@@ -220,9 +242,10 @@ def paper_reduce(rep: Representation) -> Representation:
     UnknownLabel.  From rank 3 the rows kept from an extraction always
     represent the matroid (the theorem in the module docstring); at rank 2
     they never do.  The certificate step checks the result, as the runtime
-    guard of that proof, on every basis and, only when some kept row is
-    not a flat row, on every circuit.  Ground sets past `VERIFY_CAP` are
-    refused.
+    guard of that proof: kept flat rows holding every hyperplane pass by
+    meet-generation, which they do from rank 3 on; otherwise every basis
+    is peeled and, only when some kept row is not a flat row, every
+    circuit.  Ground sets past `VERIFY_CAP` are refused.
     """
     if rep.reduction_mode != "full":
         raise ReductionError("can only reduce a full representation")
@@ -238,7 +261,7 @@ def paper_reduce(rep: Representation) -> Representation:
             keep.append(i)
     matrix = rep.matrix.submatrix(rows=keep)
     return _certified(
-        matroid, matrix, "paper", *_certificates(matroid, matrix),
+        matroid, matrix, "paper", _flat_rows(matrix, matroid),
         "dropping atom and top rows broke a certificate",
     )
 
@@ -347,14 +370,15 @@ def verified_reduce(rep: Representation) -> Representation:
     matroid = rep.matroid
     _check_cap(matroid.ground)
     start = _strip_rows(rep.matrix)
-    bases, circuits = _certificates(matroid, start)
+    flat = _flat_rows(start, matroid)
+    bases, circuits = _certificates(matroid, flat)
     nz, one = start._col_masks
     loose = [c for c in circuits if not _peel(nz, one, c)[1]]
     gone = _greedy_drops(nz, one, start.n_rows, bases, loose)
     matrix = start.submatrix(rows=[i for i in range(start.n_rows) if not gone >> i & 1])
     return _certified(
-        matroid, matrix, "verified", bases, loose,
-        "greedy reduction produced a non-representation",
+        matroid, matrix, "verified", flat,
+        "greedy reduction produced a non-representation", (bases, loose),
     )
 
 

@@ -22,10 +22,27 @@ height h, so `representation_rank()` reads it off the heights.
 Each element is held as a bitset over the element list: its up-set (the
 elements above it).  In a partial order the common upper bounds of two
 elements have a least element m exactly when they equal up[m], so one map
-from up-sets decides every join with one set lookup per pair, O(F^2)
-lookups for F elements.  Dually, one map from down-sets (the elements
-below each), built on the first meet, answers every meet, which a bottom
-guarantees (see `FlatLattice`), in O(1).
+from up-sets decides any join with one set lookup.  Dually, one map from
+down-sets (the elements below each), built on the first meet, answers
+every meet, which a bottom guarantees (see `FlatLattice`), in O(1).
+
+Generator lemma: call G generating when every up(x) is the AND of up(g)
+over the g in G below x (over none, every element).  Validation
+(`_generator_pass`) then looks up only the joins x ∨ g for g in G, F·|G|
+lookups for F elements; for a lattice of flats G is the atoms, so F·n
+lookups instead of F²/2.
+- The relation is transitive: take w <= x <= z.  Each g in G below w has
+  up(w) inside up(g), so x is in up(g), so up(x) is inside up(g) and z is
+  in it; so z is in up(w).
+- x ∨ y exists once every x' ∨ g does: with g_1..g_k the members of G
+  below y, joining x with g_1, then g_2, and so on, reaches an element
+  whose up-set is up(x) & up(g_1) & ... & up(g_k) = up(x) & up(y).
+- A lattice passes, with G its join-irreducibles.  Visiting elements by
+  up-set size, largest first, puts all below x before x.  An element that
+  is the join of the elements strictly below it is the join of the
+  join-irreducibles below it, so it is no generator; a join-irreducible x
+  is one, since the elements strictly below it join to its one lower
+  cover, whose up-set holds more than up(x).
 """
 
 from __future__ import annotations
@@ -70,15 +87,17 @@ class FlatLattice:
     """A finite lattice, element i below element j iff bit j of up[i] is set.
 
     Construction validates the full partial-order and lattice axioms on
-    every path, in O(F^2) for F elements: the order axioms by walking each
-    up-set once, then one lookup per pair for its join (exact, as the
-    module docstring shows), then the bottom.  Then every pair a, b has a
+    every path by one generator pass (`_generator_pass`, exact by the
+    generator lemma of the module docstring), F·|G| join lookups for F
+    elements and G generators, and the bottom.  Then every pair a, b has a
     meet: their common lower bounds hold the bottom, and the join of them
     all, built from pairwise joins, lies below a and b, so it is the
-    greatest.  The up-set map stays with the lattice and answers joins;
-    the down-sets and their map are built on the first meet.  When built
-    from a matroid, flat_masks and ground record what the elements are;
-    order-only instances leave both None.
+    greatest.  Only when the pass refuses does the pairwise scan
+    (`_axiom_scan`) run, to name the first failed axiom.  The up-set map
+    stays with the lattice and answers joins; the down-sets and their map
+    are built on the first meet.  When built from a matroid, flat_masks
+    and ground record what the elements are; order-only instances leave
+    both None.
     """
 
     names: tuple[str, ...]
@@ -86,6 +105,7 @@ class FlatLattice:
     flat_masks: tuple[int, ...] | None = None
     ground: GroundSet | None = None
     _up_index: dict = field(init=False, repr=False, compare=False)
+    _joins: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -95,31 +115,12 @@ class FlatLattice:
             raise BoolrepError("order relation size does not match element count")
         if self.flat_masks is not None and len(self.flat_masks) != n:
             raise BoolrepError("flat mask count does not match element count")
-        full = (1 << n) - 1
-        for i, mask in enumerate(self.up):
-            if mask & ~full:
-                raise BoolrepError("order relation points outside the element list")
-            if not mask >> i & 1:
-                raise BoolrepError(f"order not reflexive at {self.names[i]!r}")
-            for j in bits(mask):
-                if i != j and self.up[j] >> i & 1:
-                    raise BoolrepError(
-                        f"order not antisymmetric on {self.names[i]!r}, {self.names[j]!r}"
-                    )
-                if self.up[j] & ~mask:
-                    raise BoolrepError(
-                        f"order not transitive through {self.names[i]!r} <= {self.names[j]!r}"
-                    )
-        up_index = {mask: i for i, mask in enumerate(self.up)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.up[i] & self.up[j] not in up_index:
-                    raise BoolrepError(
-                        f"no join for {self.names[i]!r}, {self.names[j]!r}"
-                    )
-        if full not in up_index:
-            raise BoolrepError("lattice has no bottom element")
-        object.__setattr__(self, "_up_index", up_index)
+        found = _generator_pass(self.up)
+        if found is None:
+            _axiom_scan(self.names, self.up)
+            raise RuntimeError("the generator pass refused a lattice")
+        object.__setattr__(self, "_up_index", found[0])
+        object.__setattr__(self, "_joins", found[1])
 
     # -- construction -------------------------------------------------------
 
@@ -205,17 +206,18 @@ class FlatLattice:
 
     @cached_property
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Per element, the elements immediately above it: the minimal
-        elements of its strict up-set, which is that set cleared of the
-        strict up-sets of its members."""
+        """Per element x, the elements immediately above it: the minimal
+        ones among its joins x ∨ g with the generators g not below it
+        (`_generator_pass`).  Each cover y is such a join: y is the join of
+        the generators below it, so one of them, g, is not below x, and
+        x < x ∨ g <= y.  Every such join lies above x, so above a cover."""
         up = self.up
         out = []
-        for i in range(self.size):
-            strict = up[i] & ~(1 << i)
+        for joins in self._joins:
             higher = 0
-            for j in bits(strict):
-                higher |= up[j] & ~(1 << j)
-            out.append(tuple(bits(strict & ~higher)))
+            for j in joins:
+                higher |= up[j] ^ 1 << j
+            out.append(tuple(sorted(j for j in joins if not higher >> j & 1)))
         return tuple(out)
 
     def _require_flats(self) -> None:
@@ -458,6 +460,85 @@ class FlatLattice:
 
     def __repr__(self):
         return f"<FlatLattice of {self.size} elements, height {self.height}>"
+
+
+def _generator_pass(up: Sequence[int]):
+    """(up-set map, per-element join sets) when up is a lattice's order,
+    else None; the generator lemma in the module docstring proves both
+    directions.
+
+    Bounds, reflexivity and antisymmetry hold when up[i] & down[i] is
+    exactly bit i.  Elements are visited by up-set size, largest first,
+    and the pass refuses at one with an unvisited element below it.  An
+    element becomes a generator when the AND of the up-sets of the
+    generators below it is not its own up-set, and must then lie inside
+    it.  Last, x ∨ g is looked up for every generator g; joins[x] is the
+    set of those other than x itself, the joins with the g not below x.
+    """
+    n = len(up)
+    full = (1 << n) - 1
+    if any(mask & ~full for mask in up):
+        return None
+    down = transpose(up, n)
+    if any(up[i] & down[i] != 1 << i for i in range(n)):
+        return None
+    up_index = {mask: i for i, mask in enumerate(up)}
+    if full not in up_index:
+        return None
+    gens = seen = 0
+    for x in sorted(range(n), key=lambda i: -up[i].bit_count()):
+        bit = 1 << x
+        below = down[x] ^ bit
+        if below & ~seen:
+            return None
+        common = full
+        for g in bits(below & gens):
+            common &= up[g]
+        if common != up[x]:
+            if up[x] & ~common:
+                return None
+            gens |= bit
+        seen |= bit
+    gen_ups = [up[g] for g in bits(gens)]
+    get = up_index.get
+    joins = []
+    for x, mask in enumerate(up):
+        found = {get(mask & g) for g in gen_ups}
+        if None in found:
+            return None
+        found.discard(x)
+        joins.append(found)
+    return up_index, tuple(joins)
+
+
+def _axiom_scan(names: Sequence[str], up: Sequence[int]) -> None:
+    """Raise BoolrepError naming the first failed axiom: the order axioms
+    element by element, then a join for every pair, then the bottom.  Run
+    only to word a refusal of `_generator_pass`, so it costs O(F^2)
+    lookups only on an order that is no lattice."""
+    n = len(names)
+    full = (1 << n) - 1
+    for i, mask in enumerate(up):
+        if mask & ~full:
+            raise BoolrepError("order relation points outside the element list")
+        if not mask >> i & 1:
+            raise BoolrepError(f"order not reflexive at {names[i]!r}")
+        for j in bits(mask):
+            if i != j and up[j] >> i & 1:
+                raise BoolrepError(
+                    f"order not antisymmetric on {names[i]!r}, {names[j]!r}"
+                )
+            if up[j] & ~mask:
+                raise BoolrepError(
+                    f"order not transitive through {names[i]!r} <= {names[j]!r}"
+                )
+    ups = set(up)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if up[i] & up[j] not in ups:
+                raise BoolrepError(f"no join for {names[i]!r}, {names[j]!r}")
+    if full not in ups:
+        raise BoolrepError("lattice has no bottom element")
 
 
 def pentagon() -> FlatLattice:

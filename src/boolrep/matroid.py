@@ -21,8 +21,10 @@ basis b2 breaks exchange for a basis b1 and x in b1 exactly when it avoids
 the completion mask of b1 - x, so the family is a matroid's bases iff no
 basis avoids any completion mask of an (r-1)-set of the table.  Those are
 all the masks there are to check: the table is the downward closure of the
-bases, so each of its (r-1)-sets is b1 - x for some basis b1.  The
-counterexample is built only when the check fails.
+bases, so each of its (r-1)-sets is b1 - x for some basis b1.  They are
+the walk's first level (`_completions`), which the check reads alone, and
+their spans, the complements of their completion masks, are the
+hyperplanes.  The counterexample is built only when the check fails.
 """
 
 from __future__ import annotations
@@ -108,12 +110,17 @@ class GroundSet:
                 raise UnknownLabel(f"no ground element labeled {label!r}") from None
         return mask
 
+    @cached_property
+    def _bit(self) -> dict:
+        return {label: 1 << i for i, label in enumerate(self.labels)}
+
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
 
     def subset_name(self, mask: int) -> str:
         """Brace-delimited name in ground order, e.g. "{1,4}"; "{}" when empty."""
-        return "{" + ",".join(self.labels_of(mask)) + "}"
+        labels = self.labels
+        return "{" + ",".join([labels[i] for i in bits(mask)]) + "}"
 
     @cached_property
     def _bit_format(self) -> str:
@@ -146,9 +153,17 @@ def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
 
 def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
     """Mask of one set given by its labels, for callers and JSON alike: an
-    unknown label raises first, then a repeated one (`_distinct`)."""
+    unknown label raises first, then a repeated one (`_distinct`).  The
+    labels' bits are ORed in one loop; a failed lookup is worded by
+    `GroundSet.mask_of`, and a repeat leaves fewer bits than labels."""
     labels = tuple(labels)
-    mask = ground.mask_of(labels)
+    bit = ground._bit
+    mask = 0
+    try:
+        for label in labels:
+            mask |= bit[label]
+    except (KeyError, TypeError):
+        ground.mask_of(labels)  # raises, naming the label
     if mask.bit_count() != len(labels):
         _distinct(labels)  # raises, naming the set
     return mask
@@ -170,6 +185,20 @@ def _validate_downward_closed(ground: GroundSet, family: frozenset) -> None:
             sub = mask ^ (1 << i)
             if sub not in family:
                 raise NotDownwardClosed(ground.labels_of(sub), ground.labels_of(mask))
+
+
+def _level_below(level) -> dict:
+    """Each mask one element smaller than a member of `level` mapped to
+    the elements that put it back into `level`."""
+    below = {}
+    for mask in level:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            sub = mask ^ low
+            below[sub] = below.get(sub, 0) | low
+            rest ^= low
+    return below
 
 
 def _circuit_masks(ground: GroundSet, family) -> tuple[int, ...]:
@@ -314,21 +343,20 @@ class Matroid:
         I = b1 - x and y a completion of I: an element of its extensions,
         x among them.  A basis b2 fails the exchange for (b1, x) exactly
         when it avoids every completion, that is, lies inside the span of I.
-        The (r-1)-sets of the table are exactly the sets b1 - x, since the
-        table is the downward closure of the bases, so each distinct
-        completion mask C among them is checked once: the bases avoiding C
+        The (r-1)-sets of the table (`_completions`) are exactly the sets
+        b1 - x, since the table is the downward closure of the bases, so
+        each distinct completion mask C among them is checked once: the
+        bases avoiding C
         are every & ~OR(holds[e] for e in C), where holds[e] is the bitset
         of the basis indices whose basis contains e.  Only when some mask
         fails is the counterexample built: the first b1 in canonical order,
         then x ascending, with a failing mask, then the canonically first
         basis b2 avoiding it.
         """
-        rank = self.rank
-        completions = {c for m, c in self._extensions.items() if m.bit_count() == rank - 1}
         holds = transpose(tuple(self.bases), self.ground.size)
         every = (1 << len(self.bases)) - 1
         failing = set()
-        for c in completions:
+        for c in set(self._completions.values()):
             covered = 0
             for e in bits(c):
                 covered |= holds[e]
@@ -339,7 +367,7 @@ class Matroid:
         order = sorted(self.bases, key=self.ground.sort_key)
         for b1 in order:
             for x in bits(b1):
-                c = self._extensions[b1 ^ (1 << x)]
+                c = self._completions[b1 ^ (1 << x)]
                 if c in failing:
                     b2 = next(b for b in order if not b & c)
                     raise ExchangeFails(
@@ -359,24 +387,23 @@ class Matroid:
         return next(iter(self.bases)).bit_count()
 
     @cached_property
+    def _completions(self) -> dict:
+        """The first level of the `_extensions` walk: each (r-1)-set of
+        the table mapped to its completions, the elements that extend it
+        to a basis."""
+        return _level_below(self.bases)
+
+    @cached_property
     def _extensions(self) -> dict:
         """Each independent set I mapped to the mask of the elements e with
         I + e independent: a walk down from the bases, one cardinality at a
         time, each member M giving bit i to M - i for each i in M.  A basis
         maps to 0."""
         ext = dict.fromkeys(self.bases, 0)
-        level = ext
+        level = self._completions
         while level:
-            below = {}
-            for mask in level:
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    sub = mask ^ low
-                    below[sub] = below.get(sub, 0) | low
-                    rest ^= low
-            ext.update(below)
-            level = below
+            ext.update(level)
+            level = _level_below(level)
         return ext
 
     def _greedy_basis(self, mask: int) -> int:
@@ -466,6 +493,13 @@ class Matroid:
         full = self.ground.full_mask
         flats = {full & ~e for e in self._extensions.values()}
         return tuple(sorted(flats, key=self.ground.sort_key))
+
+    @cached_property
+    def hyperplane_masks(self) -> frozenset:
+        """The hyperplanes, the flats of rank r - 1: the spans of the
+        (r-1)-sets, each the complement of its completions (`_completions`)."""
+        full = self.ground.full_mask
+        return frozenset([full & ~c for c in self._completions.values()])
 
     @cached_property
     def flat_names(self) -> tuple[str, ...]:

@@ -184,6 +184,23 @@ def line_matroid(rng: random.Random, n: int, tries: int) -> Matroid:
         return uniform(3, n)
 
 
+def ladder_sized():
+    """Matroids of the benchmark ladder's kind, 4 to 15 elements: the
+    catalog, F7, AG(3,2), Vámos, five uniform matroids, two GF(2) rank-4
+    samples, PG(2,3) and PG(3,2)."""
+    return [
+        *(entry.matroid for entry in CATALOG.values()),
+        gf2_matroid(random.Random(7), 7, 3),  # all 7 nonzero vectors: F7
+        ag32(),
+        vamos(),
+        *(uniform(k, n) for k, n in ((3, 8), (4, 8), (3, 10), (4, 10), (3, 12))),
+        gf2_matroid(random.Random(1108), 10, 4),
+        gf2_matroid(random.Random(1473), 12, 4),
+        projective_plane(3),
+        pg32(),
+    ]
+
+
 @pytest.fixture(scope="session")
 def random_matroids():
     """At least 50 seeded, validated, simple matroids with up to 7 elements."""

@@ -496,6 +496,21 @@ def lattice_axiom_failure(names, up):
     return None
 
 
+def upper_covers_by_upsets(up):
+    """Per element, the elements immediately above it: the minimal
+    elements of its strict up-set, which is that set cleared of the strict
+    up-sets of its members.  The up-set walk `FlatLattice.upper_covers`
+    ran before it read the joins of its generator pass."""
+    out = []
+    for i, mask in enumerate(up):
+        strict = mask & ~(1 << i)
+        higher = 0
+        for j in _positions(strict):
+            higher |= up[j] & ~(1 << j)
+        out.append(tuple(_positions(strict & ~higher)))
+    return tuple(out)
+
+
 def order_closure(n, pairs):
     """Up-set masks of the reflexive transitive closure of (low, high)
     index pairs on n elements, by Warshall's algorithm."""

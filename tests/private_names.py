@@ -5,12 +5,15 @@ reach into it, and why it stays there.  Each rule's tests check both
 ways: every owner names every one of the names, and no other module of
 the package names any.  A module names a name as a variable, an
 attribute, an imported name, a string (as `getattr` would take it) or a
-function it defines.
+function it defines.  `rule_checks` makes the two tests of a rule; each
+`test_*_private` module binds those of one rule under its own names.
 """
 
 import ast
 from pathlib import Path
 from typing import NamedTuple
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "boolrep"
 
@@ -41,7 +44,7 @@ RULES = {
     ),
     "extension table": Rule(
         ("matroid.py",),
-        frozenset({"_extensions", "_span", "_greedy_basis"}),
+        frozenset({"_extensions", "_completions", "_span", "_greedy_basis"}),
         "The matroid's extension table and the helpers that read it are private "
         "to its module, so the table's format can change in one place.  Other "
         "modules ask the public oracle (`closure_mask`, `rank_of_mask`) instead.",
@@ -82,3 +85,24 @@ def names_in(path: Path, names) -> list[tuple[int, str]]:
 def named(path: Path, rule: Rule) -> set[str]:
     """The rule's names that the module names."""
     return {name for _, name in names_in(path, rule.names)}
+
+
+def rule_checks(key: str, each_owner: bool):
+    """The two tests of `RULES[key]`: every owner names every name (one
+    test per owner when `each_owner`, else one for them all), and no other
+    module names any (one test per module)."""
+    rule = RULES[key]
+    if each_owner:
+        @pytest.mark.parametrize("path", rule.owner_paths, ids=lambda p: p.name)
+        def owners(path):
+            assert named(path, rule) == rule.names
+    else:
+        def owners():
+            assert rule.others
+            assert all(named(path, rule) == rule.names for path in rule.owner_paths)
+
+    @pytest.mark.parametrize("path", rule.others, ids=lambda p: p.name)
+    def others(path):
+        assert names_in(path, rule.names) == [], f"{path.name}: {rule.reason}"
+
+    return owners, others

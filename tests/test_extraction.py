@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,7 @@ from oracles import (
     grid_of,
     indep_from_bases,
     independent_column_sets,
+    rank_from_bases,
     vectors_independent,
 )
 
@@ -406,9 +408,8 @@ def test_verified_reduce_matches_the_oracle_loop_on_broken_starts(pool):
 
 def every_certificate(matroid):
     """The reducers' bases and every circuit: `_certificates` lists the
-    circuits for a row of ghosts, which is not a flat row."""
-    ghosts = SbMatrix.of([["1v"] * matroid.ground.size], col_labels=matroid.ground.labels)
-    return extraction._certificates(matroid, ghosts)
+    circuits for rows that are not all flat rows."""
+    return extraction._certificates(matroid, False)
 
 
 def named(matroid, certificate):
@@ -613,6 +614,76 @@ def test_flat_rows_call_no_circuit_independent(pool, data):
             assert not vectors_independent([tuple(row[j] for row in grid) for j in cols])
 
 
+def flat_row_matrix(matroid, flats):
+    """The matrix of one flat row per flat, 1 exactly outside it."""
+    n = matroid.ground.size
+    grid = [[0 if flat >> e & 1 else 1 for e in range(n)] for flat in flats]
+    return SbMatrix.of(grid, col_labels=matroid.ground.labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_flat_rows_holding_every_hyperplane_represent_the_matroid(pool, data):
+    """The meet-generation theorem against brute force: the hyperplanes of
+    the oracles' scan and a random set of other flats, in random order,
+    pass exhaustive verification, and the certificate step accepts them
+    without a peel."""
+    m = data.draw(st.sampled_from(pool))
+    n = m.ground.size
+    flats = flats_scan(m.bases, n)
+    hyperplanes = [f for f in flats if rank_from_bases(m.bases, f) == m.rank - 1]
+    others = data.draw(st.lists(st.sampled_from(flats), unique=True, max_size=6))
+    rows = data.draw(st.permutations(sorted(set(hyperplanes) | set(others))))
+    matrix = flat_row_matrix(m, rows)
+    assert verify_representation(matrix, m).ok
+    with mock.patch.object(extraction, "_peel", side_effect=AssertionError("peeled")):
+        assert extraction._certified(m, matrix, "paper", True, "unused").matrix is matrix
+
+
+def test_paper_reduce_peels_nothing_from_rank_three(pool, monkeypatch):
+    """From rank 3 the paper rows hold every hyperplane, so `paper_reduce`
+    neither peels a basis nor lists a circuit; at rank 2 it falls back to
+    peeling."""
+
+    def refuse(*args):
+        raise AssertionError("paper_reduce peeled or listed circuits")
+
+    monkeypatch.setattr(extraction, "_peel", refuse)
+    monkeypatch.setattr(matroid_module, "_circuit_masks", refuse)
+    checked = 0
+    for m in pool:
+        if m.rank >= 3:
+            paper_reduce(extract_representation(m))
+            checked += 1
+    assert checked == 51
+    with pytest.raises(AssertionError, match="peeled"):
+        paper_reduce(extract_representation(uniform(2, 4)))
+
+
+def test_a_missing_hyperplane_falls_back_to_the_certificates(pool, monkeypatch):
+    """Without one hyperplane's row the step peels the bases, and its
+    verdict is that of every basis and circuit: the matrix, or the
+    ReductionError naming the first broken certificate."""
+    peels = []
+    peel = extraction._peel
+    monkeypatch.setattr(extraction, "_peel", lambda *args: peels.append(1) or peel(*args))
+    verdicts = set()
+    for m in pool:
+        flats = flats_scan(m.bases, m.ground.size)
+        for hyperplane in sorted(m.hyperplane_masks)[:2]:
+            matrix = flat_row_matrix(m, [f for f in flats if f != hyperplane])
+            bad = extraction._false_certificate(matrix, *every_certificate(m))
+            peels.clear()
+            try:
+                got = extraction._certified(m, matrix, "paper", True, "dropped").matrix
+            except ReductionError as exc:
+                got = str(exc)
+            assert peels
+            assert got == (matrix if bad is None else "dropped: " + named(m, bad))
+            verdicts.add(bad is None)
+    assert verdicts == {True, False}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
@@ -692,7 +763,8 @@ def greedy_inputs(rep):
     """What `verified_reduce` hands `_greedy_drops`: the stripped start's
     column masks and row count, the bases, and the loose circuits."""
     start = extraction._strip_rows(rep.matrix)
-    bases, circuits = extraction._certificates(rep.matroid, start)
+    flat = extraction._flat_rows(start, rep.matroid)
+    bases, circuits = extraction._certificates(rep.matroid, flat)
     nz, one = start._col_masks
     loose = [c for c in circuits if not extraction._peel(nz, one, c)[1]]
     return nz, one, start.n_rows, bases, loose

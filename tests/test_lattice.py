@@ -30,8 +30,9 @@ from boolrep import (
     uniform,
 )
 from boolrep import sbool
+import boolrep.lattice as lattice_module
 
-from conftest import ag32, vamos
+from conftest import ag32, ladder_sized, vamos
 from oracles import (
     circuits_scan,
     closure_by_circuits,
@@ -42,6 +43,7 @@ from oracles import (
     order_join,
     order_meet,
     permanent_perms,
+    upper_covers_by_upsets,
 )
 
 
@@ -272,6 +274,53 @@ def test_validation_agrees_with_the_axiom_oracle_after_closure(order):
     _agrees_with_the_axiom_oracle(
         names, up, lambda: FlatLattice.from_order(names, named)
     )
+
+
+def test_upper_covers_agree_with_the_up_set_walk(catalog_lattices, pool_lattices):
+    """Covers read off the generator pass's joins equal the up-set walk's,
+    on the catalog, the pool and matroids of the benchmark ladder's kind."""
+    ladder = [FlatLattice.from_matroid(m) for m in ladder_sized()]
+    for lat in [*catalog_lattices.values(), *pool_lattices, *ladder]:
+        assert lat.upper_covers == upper_covers_by_upsets(lat.up)
+    assert max(lat.size for lat in ladder) == 177  # U(4,10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    raw_orders(),
+    st.one_of(generated_orders(), bounded_orders()).map(
+        lambda order: (order[0], order_closure(len(order[0]), order[1]))
+    ),
+))
+def test_upper_covers_agree_with_the_up_set_walk_on_random_orders(order):
+    names, up = order
+    try:
+        lat = FlatLattice(names, tuple(up))
+    except BoolrepError:
+        return
+    assert lat.upper_covers == upper_covers_by_upsets(lat.up)
+
+
+def test_from_matroid_never_runs_the_pairwise_scan(pool, monkeypatch):
+    """On a lattice of flats the generator pass accepts on its own: the
+    pairwise scan, which only words a refusal, never runs."""
+
+    def refuse(names, up):
+        raise AssertionError("the pairwise scan ran")
+
+    monkeypatch.setattr(lattice_module, "_axiom_scan", refuse)
+    for m in pool:
+        FlatLattice.from_matroid(m)
+    with pytest.raises(AssertionError, match="pairwise scan"):
+        FlatLattice.from_order(("a", "b"), [])  # no bottom: the pass refuses
+
+
+def test_a_refusal_the_scan_does_not_word_is_an_internal_error(monkeypatch):
+    """Were the pass to refuse an order the scan accepts, construction
+    raises RuntimeError, never a lattice."""
+    monkeypatch.setattr(lattice_module, "_axiom_scan", lambda names, up: None)
+    with pytest.raises(RuntimeError, match="generator pass"):
+        FlatLattice.from_order(("a", "b"), [])
 
 
 def test_flat_lattice_agrees_with_the_flats_on_the_pool(pool):

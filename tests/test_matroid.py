@@ -7,10 +7,12 @@ from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolrep import (
-    CATALOG,
     AllLoops,
+    BoolrepError,
     DuplicateLabels,
     EmptyFamily,
     ExchangeFails,
@@ -34,12 +36,13 @@ from boolrep import (
     uniform,
     verified_reduce,
 )
+from boolrep.matroid import _distinct, _set_mask
 from boolrep.partitions import chain_indices
 from boolrep.sbool import _independent_column_sets
 
 from conftest import (
-    _xor_rank, ag32, gf2_matroid, pg25, pg32, projective_plane, random_bool_matrix, random_matrix,
-    vamos,
+    _xor_rank, ag32, gf2_matroid, ladder_sized, pg25, pg32, projective_plane, random_bool_matrix,
+    random_matrix, vamos,
 )
 from oracles import (
     augmentation_violation_scan,
@@ -191,23 +194,6 @@ def test_circuits_match_power_set_scan():
         # any member list works as the covering sets for the oracle scan
         expected = circuits_scan(sorted(h.family), h.ground.size)
         assert sorted(h.circuit_masks()) == sorted(expected)
-
-
-def ladder_sized():
-    """Matroids of the benchmark ladder's kind, 4 to 15 elements: the
-    catalog, F7, AG(3,2), Vámos, five uniform matroids, two GF(2) rank-4
-    samples, PG(2,3) and PG(3,2)."""
-    return [
-        *(entry.matroid for entry in CATALOG.values()),
-        gf2_matroid(random.Random(7), 7, 3),  # all 7 nonzero vectors: F7
-        ag32(),
-        vamos(),
-        *(uniform(k, n) for k, n in ((3, 8), (4, 8), (3, 10), (4, 10), (3, 12))),
-        gf2_matroid(random.Random(1108), 10, 4),
-        gf2_matroid(random.Random(1473), 12, 4),
-        projective_plane(3),
-        pg32(),
-    ]
 
 
 def test_matroid_circuits_are_walked_on_its_table(pool):
@@ -590,6 +576,17 @@ def test_is_flat_mask_matches_power_set_scan(pool):
     for m in pool:
         flats = set(flats_scan(sorted(m.bases), m.ground.size))
         assert {s for s in range(1 << m.ground.size) if m.is_flat_mask(s)} == flats
+
+
+def test_hyperplanes_are_the_flats_of_rank_one_less(pool):
+    """`hyperplane_masks` holds exactly the flats of the power-set scan
+    whose rank is r - 1, on the pool and on a non-simple matroid."""
+    parallel = Matroid.from_bases(GroundSet.of("abcl"), [("a", "c"), ("b", "c")])
+    for m in [*pool, parallel]:
+        flats = flats_scan(sorted(m.bases), m.ground.size)
+        expected = {f for f in flats if rank_from_bases(m.bases, f) == m.rank - 1}
+        assert m.hyperplane_masks == expected
+    assert parallel.hyperplane_masks == {0b1011, 0b1100}  # {a,b,l} and {c,l}
 
 
 def test_flats_require_simple():
@@ -1035,3 +1032,25 @@ def test_json_rejects_repeated_label_in_a_set():
     for data in cases:
         with pytest.raises(MatroidParseError, match="repeated label"):
             matroid_from_json(json.dumps(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "d", "z", ["a"]]), max_size=6))
+def test_set_mask_sums_bits_and_words_each_error_as_the_checked_path(labels):
+    """`_set_mask` gives the mask, or the error type and message, of the
+    per-label lookup followed by `_distinct`, on sets with unknown,
+    repeated and unhashable labels."""
+    ground = GroundSet.of("abcd")
+
+    def outcome(build):
+        try:
+            return build()
+        except BoolrepError as exc:
+            return type(exc), str(exc)
+
+    def checked():
+        mask = ground.mask_of(labels)
+        _distinct(labels)
+        return mask
+
+    assert outcome(lambda: _set_mask(ground, labels)) == outcome(checked)
