@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .bitops import bits
 from .catalog import CATALOG
@@ -32,18 +31,25 @@ from .extraction import (
 )
 from .lattice import FlatLattice
 from .matroid import Matroid, matroid_from_json, matroid_to_json
-from .partitions import DEFAULT_CHAIN_LIMIT, chain_indices
+from .partitions import DEFAULT_CHAIN_LIMIT, _fold_chains
 from .sbool import SbMatrix, _bit_rows
 
 __all__ = ["main", "run"]
 
 
-def _read_text(path: str, error: type[BoolrepError]) -> str:
+def _read_text(path: str, error: type[BoolrepError], newline: str | None = None) -> str:
     """A file's text; bytes that are not UTF-8 raise `error`."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_matrix(path: str) -> SbMatrix:
+    """A matrix CSV file, read untranslated (`newline=""`, as the csv
+    module asks), so that a quoted "\\r" in a label comes back as written."""
+    return SbMatrix.from_csv(_read_text(path, MatrixParseError, newline=""))
 
 
 def _example(name: str) -> Matroid:
@@ -134,7 +140,7 @@ def _cmd_repr(args) -> int:
 def _cmd_verify(args) -> int:
     matroid = _load_matroid(args.source, args.file)
     if args.matrix is not None:
-        subject = SbMatrix.from_csv(_read_text(args.matrix, MatrixParseError))
+        subject = _read_matrix(args.matrix)
     else:
         matroid = _ensure_simple(matroid)
         subject = extract_representation(matroid)
@@ -149,14 +155,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    """One line per maximal chain.  Each flat and each cover edge is
-    formatted once, from its mask; a line joins the pieces along its chain,
-    and equals the rendering of `partition_of_chain` for that chain.  JSON
-    quotes each ground label once: `json.dumps` of a list of strings is its
-    items' dumps joined by ", " inside brackets."""
+    """One line per maximal chain, equal to the rendering of
+    `partition_of_chain` for that chain.  Each distinct flat or block mask
+    is named once; each flat and cover edge gets its piece of text, its
+    separator included, once; and the walk folds the line's two halves,
+    the flats so far and the blocks so far, so each walk node appends one
+    piece to each and a chain costs one concatenation.  JSON quotes each
+    ground label once: `json.dumps` of a list of strings is its items'
+    dumps joined by ", " inside brackets."""
     matroid = _ensure_simple(_load_matroid(args.source, args.file))
     lattice = FlatLattice.from_matroid(matroid)
-    chains = chain_indices(lattice, args.limit)
     ground = lattice.ground
     if args.format == "json":
         quoted = [json.dumps(label) for label in ground.labels]
@@ -164,33 +172,36 @@ def _cmd_partitions(args) -> int:
         def name(mask: int) -> str:
             return "[" + ", ".join([quoted[i] for i in bits(mask)]) + "]"
 
-        flats = [name(mask) for mask in lattice.flat_masks]
         head, flat_sep, middle, block_sep, tail = (
             '{"chain": [', ", ", '], "blocks": [', ", ", "]}\n"
         )
     else:
         name = ground.subset_name
-        flats = lattice.names
         head, flat_sep, middle, block_sep, tail = "", " < ", "  |  ", " / ", "\n"
-    blocks = [{j: name(mask) for j, mask in row.items()} for row in lattice.cover_blocks]
+    flats, edges, bottom = lattice.flat_masks, lattice.cover_blocks, lattice.bottom_index
+    named = {m: name(m) for m in {*flats, *(m for row in edges for m in row.values())}}
+    flat_pieces = [flat_sep + named[m] for m in flats]
+    block_pieces = [
+        {j: (block_sep if i != bottom else "") + named[m] for j, m in row.items()}
+        for i, row in enumerate(edges)
+    ]
+
+    def step(halves, i, j):
+        return halves[0] + flat_pieces[j], halves[1] + block_pieces[i][j]
+
+    start = (head + named[flats[bottom]], middle)
     write = sys.stdout.write
     count = 0
-    for chain in chains:
+    for chain_flats, chain_blocks in _fold_chains(lattice, start, step, args.limit):
         count += 1
-        write(
-            head
-            + flat_sep.join([flats[i] for i in chain])
-            + middle
-            + block_sep.join([blocks[a][b] for a, b in zip(chain, chain[1:])])
-            + tail
-        )
+        write(chain_flats + chain_blocks + tail)
     if args.format != "json":
         print(f"chains: {count}")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    matrix = SbMatrix.from_csv(_read_text(args.matrix_file, MatrixParseError))
+    matrix = _read_matrix(args.matrix_file)
     print(matrix.rank())
     return 0
 

@@ -440,8 +440,8 @@ class TropicalMatrix:
         return BoolMatrix.of(rows, self.row_labels, self.col_labels)
 
     def to_csv(self) -> str:
-        tokens = (["0" if v == 0.0 else "-inf" for v in row] for row in self.entries)
-        return _labeled_csv(self.row_labels, self.col_labels, tokens)
+        cells = [",".join(["0" if v == 0.0 else "-inf" for v in row]) for row in self.entries]
+        return _labeled_csv(self.row_labels, self.col_labels, cells)
 
 
 def tropicalize(rep) -> TropicalMatrix:

@@ -24,7 +24,11 @@ all the masks there are to check: the table is the downward closure of the
 bases, so each of its (r-1)-sets is b1 - x for some basis b1.  They are
 the walk's first level (`_completions`), which the check reads alone, and
 their spans, the complements of their completion masks, are the
-hyperplanes.  The counterexample is built only when the check fails.
+hyperplanes.  A basis avoiding the completion mask C of an (r-1)-set I
+lies in E - C, which holds I, and misses some element of I, since I + y
+for y outside C is not a basis; so it fits only when n - |C| > r.  Only
+those masks are tested, and the bitsets are built only when one is left.
+The counterexample is built only when the check fails.
 """
 
 from __future__ import annotations
@@ -345,18 +349,25 @@ class Matroid:
         when it avoids every completion, that is, lies inside the span of I.
         The (r-1)-sets of the table (`_completions`) are exactly the sets
         b1 - x, since the table is the downward closure of the bases, so
-        each distinct completion mask C among them is checked once: the
-        bases avoiding C
-        are every & ~OR(holds[e] for e in C), where holds[e] is the bitset
-        of the basis indices whose basis contains e.  Only when some mask
-        fails is the counterexample built: the first b1 in canonical order,
-        then x ascending, with a failing mask, then the canonically first
-        basis b2 avoiding it.
+        each distinct completion mask C among them is checked once.  A
+        basis avoiding C lies in E - C, which holds I, and misses some
+        element of I (else it is I + y with y a completion, in C), so it
+        fits only when n - |C| > r: the other masks are skipped, and the
+        basis bitsets are built only when some mask is left.  The bases
+        avoiding C are every & ~OR(holds[e] for e in C), where holds[e] is
+        the bitset of the basis indices whose basis contains e.  Only when
+        some mask fails is the counterexample built: the first b1 in
+        canonical order, then x ascending, with a failing mask, then the
+        canonically first basis b2 avoiding it.
         """
+        room = self.ground.size - self.rank
+        avoidable = [c for c in set(self._completions.values()) if c.bit_count() < room]
+        if not avoidable:
+            return
         holds = transpose(tuple(self.bases), self.ground.size)
         every = (1 << len(self.bases)) - 1
         failing = set()
-        for c in set(self._completions.values()):
+        for c in avoidable:
             covered = 0
             for e in bits(c):
                 covered |= holds[e]

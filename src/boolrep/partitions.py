@@ -5,13 +5,16 @@ into blocks Q_i = F_i minus F_{i-1}.  Partial transversals of these blocks
 are exactly the subsets whose atoms are independent in the lattice
 representation; the witness construction makes one direction explicit.
 
-Cost model.  Chains are walked once, depth first, as tuples of element
-indices (`chain_indices`); `maximal_chains` only maps them to names.  The
-lattice caches each cover edge's block `F_j − F_i` as a mask
-(`FlatLattice.cover_blocks`), so a chain costs O(rank) lookups and labels
-are made only where text or a partition is produced.  Every
-`ChainPartition`, including those returned here, is checked by its one
-constructor in O(n) for n ground elements.
+Cost model.  Chains are walked once, depth first (`_fold_chains`): a
+value is folded down each cover edge from the bottom, and each chain
+yields the value folded to the top.  `chain_indices` folds index tuples,
+and `maximal_chains` only maps them to names; the `partitions` command
+folds the two halves of its line, so each walk node adds its flat's and
+its edge's text once and a chain costs one concatenation.  The lattice
+caches each cover edge's block `F_j − F_i` as a mask
+(`FlatLattice.cover_blocks`), and labels are made only where text or a
+partition is produced.  Every `ChainPartition`, including those returned
+here, is checked by its one constructor in O(n) for n ground elements.
 """
 
 from __future__ import annotations
@@ -99,31 +102,38 @@ def chain_indices(
 ) -> Iterator[tuple[int, ...]]:
     """All bottom-to-top cover chains as element-index tuples, in
     lexicographic order, with the limit rules of `maximal_chains`."""
+    return _fold_chains(lattice, (lattice.bottom_index,), lambda path, _, j: path + (j,), limit)
+
+
+def _fold_chains(lattice: FlatLattice, start, step, limit: int) -> Iterator:
+    """For each maximal chain, in lexicographic order, the value folded
+    along it: `start` at the bottom, then `step(value, i, j)` down each
+    cover edge i -> j.  A step is taken once per chain prefix, however
+    many chains share it.  A negative limit raises at once; the walk
+    raises on the chain after the first `limit`."""
     if limit < 0:
         raise BoolrepError(f"chain limit must be nonnegative, got {limit}")
-    return _walk(lattice.upper_covers, lattice.bottom_index, lattice.top_index, limit)
+    return _walk(lattice.upper_covers, lattice.bottom_index, lattice.top_index, limit, start, step)
 
 
-def _walk(covers, bottom: int, top: int, limit: int) -> Iterator[tuple[int, ...]]:
-    # path holds the chain below the element being tried; pending holds,
-    # per path length, the covers still to try, so len(pending) == len(path) + 1
+def _walk(covers, bottom: int, top: int, limit: int, start, step) -> Iterator:
+    # Each stack entry is an element to visit and the value folded to it;
+    # covers are pushed last first, so they are visited in order.  An
+    # element the top covers has no other cover (any other would lie
+    # strictly between them), so its chain ends there and the top is
+    # never pushed; only a one-element lattice visits its top.
     count = 0
-    path: list[int] = []
-    pending = [iter((bottom,))]
-    while pending:
-        j = next(pending[-1], None)
-        if j is None:
-            pending.pop()
-            if path:
-                path.pop()
-        elif j == top:
-            count += 1
-            if count > limit:
-                raise ChainLimitExceeded(f"more than {limit} maximal chains")
-            yield (*path, j)
-        else:
-            path.append(j)
-            pending.append(iter(covers[j]))
+    stack = [(bottom, start)]
+    while stack:
+        i, value = stack.pop()
+        ups = covers[i]
+        if i != top and ups[0] != top:
+            stack.extend([(j, step(value, i, j)) for j in reversed(ups)])
+            continue
+        count += 1
+        if count > limit:
+            raise ChainLimitExceeded(f"more than {limit} maximal chains")
+        yield value if i == top else step(value, i, top)
 
 
 def maximal_chains(

@@ -82,6 +82,7 @@ from enum import Enum
 from functools import cached_property, reduce, total_ordering
 from itertools import chain
 from operator import or_, xor
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .bitops import bits, transpose
@@ -382,14 +383,21 @@ def _bit_rows(matrix) -> list[list[int]]:
     return [list("".join(row).encode().translate(_BITS)) for row in matrix._token_rows()]
 
 
-def _labeled_csv(row_labels, col_labels, token_rows) -> str:
+def _labeled_csv(row_labels, col_labels, cell_rows) -> str:
     """Labeled CSV, the layout `SbMatrix.from_csv` reads: a header row of an
-    empty field and the column labels, then each row's label and tokens."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    empty field and the column labels, then each row's label and cells.
+    Each row's cells come as one string, already joined by ","; each line
+    is its label field, as the csv module quotes it, and that string.  The
+    csv writer hands each row to `write` whole, and its line terminator is
+    "\\r\\n", so that it quotes a label holding "\\r" as well as one holding
+    "\\n"; each line then ends in "\\n".  A row with no cells is its label
+    alone, quoted when empty."""
+    fields = []
+    writer = csv.writer(SimpleNamespace(write=fields.append), lineterminator="\r\n")
     writer.writerow(["", *col_labels])
-    writer.writerows([label, *row] for label, row in zip(row_labels, token_rows))
-    return out.getvalue()
+    cell = [""] if col_labels else []  # "label,\r\n" or "label\r\n"
+    writer.writerows([label, *cell] for label in row_labels)
+    return "".join([field[:-2] + cells + "\n" for field, cells in zip(fields, ["", *cell_rows])])
 
 
 def _check_axes(n_rows: int, row_labels, col_labels, widths=()) -> None:
@@ -509,17 +517,19 @@ class SbMatrix:
         """The cells row by row, a read-only view of the masks."""
         return tuple(tuple(map(_FROM_TOKEN.__getitem__, row)) for row in self._token_rows())
 
-    def _token_rows(self) -> list[list[str]]:
-        """Each row's tokens: the nonzero mask's bits as "0" and "1", then
-        "1v" written over each ghost.
+    def _token_rows(self) -> list:
+        """Each row's tokens, column 0 first: the nonzero mask's digit
+        string, and with ghosts a list of its digits with "1v" written over
+        each ghost.
 
         A sentinel bit at position n_cols pads each mask's string to
         n_cols + 1 characters; the reverse slice drops it and reads from
         bit 0 up, so a width-0 row is empty (format(0, "00b") would be "0").
         """
         top = 1 << self.n_cols
-        rows = [list(format(m | top, "b")[:0:-1]) for m in self.nonzero]
+        rows = [format(m | top, "b")[:0:-1] for m in self.nonzero]
         if self.ones != self.nonzero:
+            rows = [list(row) for row in rows]
             for row, nz, one in zip(rows, self.nonzero, self.ones):
                 for j in bits(nz ^ one):
                     row[j] = "1v"
@@ -658,12 +668,15 @@ class SbMatrix:
     def to_csv(self) -> str:
         """Labeled CSV: header row of column labels, first field of each row
         its label, entries rendered 0 / 1 / 1v."""
-        return _labeled_csv(self.row_labels, self.col_labels, self._token_rows())
+        cells = [",".join(row) for row in self._token_rows()]
+        return _labeled_csv(self.row_labels, self.col_labels, cells)
 
     @classmethod
     def from_csv(cls, text: str):
         try:
-            rows = [r for r in csv.reader(io.StringIO(text)) if r]
+            # untranslated lines, as the csv module asks: it ends a record at
+            # "\n", "\r" or "\r\n" and keeps either inside a quoted field
+            rows = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
         except csv.Error as exc:  # e.g. a field past the csv module's size limit
             raise MatrixParseError(f"bad CSV: {exc}") from None
         if not rows:

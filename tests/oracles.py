@@ -6,6 +6,8 @@ agreement with the library is a genuine two-implementation check and not a
 tautology.
 """
 
+import csv
+import io
 from itertools import combinations, permutations
 
 # token -> int encoding shared by all oracle helpers
@@ -216,6 +218,21 @@ def rank_by_independent_sets(grid):
 
     extend([], range(n_cols))
     return best
+
+
+# -- labeled CSV, one csv field per cell -------------------------------------
+
+
+def labeled_csv(row_labels, col_labels, token_rows) -> str:
+    """The labeled CSV layout written field by field by the csv module: a
+    header row of an empty field and the column labels, then each row's
+    label and tokens.  Its line terminator is "\\n", so a label holding a
+    bare "\\r" is left unquoted; the library quotes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *col_labels])
+    writer.writerows([label, *row] for label, row in zip(row_labels, token_rows))
+    return out.getvalue()
 
 
 # -- the verified reducer's greedy pass, one row at a time -----------------

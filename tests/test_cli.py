@@ -25,7 +25,7 @@ from boolrep import (
 )
 from boolrep.cli import main
 
-from conftest import read_golden, vamos
+from conftest import ladder_sized, read_golden, vamos
 from oracles import flats_scan
 
 
@@ -311,6 +311,32 @@ def test_partitions_lines_match_partition_of_chain_on_labels_json_escapes(capsys
 
 
 @pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_partitions_lines_match_partition_of_chain_on_the_ladder(capsys, tmp_path, fmt):
+    for i, matroid in enumerate(ladder_sized()):
+        path = tmp_path / f"rung{i}.json"
+        path.write_text(matroid_to_json(matroid))
+        code, out, err = run_cli(capsys, "partitions", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        lines = _partition_lines(FlatLattice.from_matroid(matroid), fmt)
+        assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("matroid", [CATALOG["k4"].matroid, uniform(3, 5)], ids=["k4", "u35"])
+def test_partitions_write_every_line_before_any_cap(capsys, tmp_path, matroid, fmt):
+    """Under every limit below the chain count, the lines of the chains
+    before the cap are written, then the command exits 3."""
+    path = tmp_path / "m.json"
+    path.write_text(matroid_to_json(matroid))
+    lines = _partition_lines(FlatLattice.from_matroid(matroid), fmt)
+    chains = len(lines) - (fmt == "pretty")
+    for limit in range(chains):
+        code, out, err = run_cli(capsys, "partitions", str(path), "--limit", str(limit), "--format", fmt)
+        assert (code, err) == (3, f"error: more than {limit} maximal chains\n")
+        assert out == "".join(line + "\n" for line in lines[:limit])
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
 def test_partitions_write_the_chains_found_before_the_cap(capsys, catalog_lattices, fmt):
     code, out, err = run_cli(capsys, "partitions", "example:k4", "--limit", "3", "--format", fmt)
     assert code == 3
@@ -363,6 +389,15 @@ def test_rank_of_csv(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(path))
     assert code == 0
     assert out == "2\n"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_matrix_csv_reads_with_any_line_ending(capsys, tmp_path, ending):
+    """Matrix CSV is read untranslated, and the csv module ends a record at
+    any of the three line endings."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(ending.join([",x,y", "a,1,0", "b,0,1", ""]).encode())
+    assert run_cli(capsys, "rank", str(path)) == (0, "2\n", "")
 
 
 def test_rank_sees_ghost_entries(capsys, tmp_path):
@@ -421,8 +456,9 @@ def test_loads_matroid_from_json_file(capsys, tmp_path):
         (["lattice", "--format", "csv"], ",{}\n{},0\n"),
         (["verify"], "ok: 1 subsets agree\n"),
         (["partitions", "--format", "json"], '{"chain": [[]], "blocks": []}\n'),
+        (["partitions"], "{}  |  \nchains: 1\n"),
     ],
-    ids=["repr", "repr-verified", "lattice", "verify", "partitions"],
+    ids=["repr", "repr-verified", "lattice", "verify", "partitions", "partitions-pretty"],
 )
 def test_empty_ground_set(capsys, tmp_path, argv, expected):
     """The rank-0 matroid on no elements: one flat, the empty set; its
@@ -430,6 +466,28 @@ def test_empty_ground_set(capsys, tmp_path, argv, expected):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"ground": [], "bases": [[]]}))
     assert run_cli(capsys, *argv, str(path)) == (0, expected, "")
+
+
+def test_csv_output_reads_back_through_the_cli(capsys, tmp_path):
+    """Labels holding a quote, a newline, a carriage return, a space or a
+    non-ASCII character survive the CLI's own CSV: `repr` output verifies,
+    and `lattice` output has the lattice's rank."""
+    labels = ['q"t', "n\nl", "a\rb", "c\r", "sp ace", "é☃"]
+    matroid = Matroid(GroundSet.of(labels), uniform(3, 6).bases)
+    path = tmp_path / "m.json"
+    path.write_text(matroid_to_json(matroid), encoding="utf-8")
+    lattice = FlatLattice.from_matroid(matroid)
+    for argv, check, expected in (
+        (["repr", "--format", "csv"], "verify", f"ok: {2 ** len(labels)} subsets agree\n"),
+        (["lattice", "--format", "csv"], "rank", f"{lattice.height}\n"),
+    ):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        csv_path = tmp_path / f"{argv[0]}.csv"
+        csv_path.write_bytes(out.encode())
+        check_argv = [check, str(path), "--matrix", str(csv_path)] if check == "verify" else [check, str(csv_path)]
+        assert run_cli(capsys, *check_argv) == (0, expected, "")
+        assert "a\rb" in out
 
 
 def test_repeated_label_in_a_basis_exits_2(capsys, tmp_path):

@@ -31,6 +31,7 @@ from boolrep import (
 )
 from boolrep import sbool
 import boolrep.lattice as lattice_module
+from boolrep import partitions
 
 from conftest import ag32, ladder_sized, vamos
 from oracles import (
@@ -39,6 +40,7 @@ from oracles import (
     geometric_lattice_oracle,
     grid_of,
     lattice_axiom_failure,
+    maximal_chains_by_order,
     order_closure,
     order_join,
     order_meet,
@@ -299,6 +301,26 @@ def test_upper_covers_agree_with_the_up_set_walk_on_random_orders(order):
     except BoolrepError:
         return
     assert lat.upper_covers == upper_covers_by_upsets(lat.up)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(generated_orders(), bounded_orders()))
+@example((NAMES[:5], [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]))  # pentagon: chains of two lengths
+@example((NAMES[:1], []))  # one element: its one chain is the bottom
+def test_chain_fold_agrees_with_the_order_oracle_on_random_lattices(order):
+    """The walk folds each chain's cover edges in order from the bottom,
+    on lattices whose maximal chains differ in length too."""
+    names, pairs = order
+    try:
+        lat = FlatLattice.from_order(names, [(names[a], names[b]) for a, b in pairs])
+    except BoolrepError:
+        return
+    chains = maximal_chains_by_order(lat)
+    edges = list(partitions._fold_chains(lat, (), lambda path, i, j: path + ((i, j),), 10**6))
+    assert [tuple(lat.names[j] for _, j in e) for e in edges] == [c[1:] for c in chains]
+    assert all(e[0][0] == lat.bottom_index for e in edges if e)
+    assert all(a[1] == b[0] for e in edges for a, b in zip(e, e[1:]))
+    assert list(maximal_chains(lat)) == chains
 
 
 def test_from_matroid_never_runs_the_pairwise_scan(pool, monkeypatch):

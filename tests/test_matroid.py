@@ -36,6 +36,7 @@ from boolrep import (
     uniform,
     verified_reduce,
 )
+from boolrep import matroid as matroid_module
 from boolrep.matroid import _distinct, _set_mask
 from boolrep.partitions import chain_indices
 from boolrep.sbool import _independent_column_sets
@@ -443,6 +444,23 @@ def test_exchange_check_matches_the_basis_scan():
             assert found == exchange_counterexample_scan(bases)
             verdicts[found is None] += 1
     assert verdicts[True] >= 24 and verdicts[False] >= 30
+
+
+@pytest.mark.parametrize(
+    "build, bases", [(lambda: uniform(4, 10), 210), (lambda: projective_plane(2), 28)], ids=["u410", "fano"]
+)
+def test_masks_no_basis_can_avoid_build_no_bitsets(monkeypatch, build, bases):
+    """A basis avoiding the completion mask C of an (r-1)-set I lies in
+    E - C and misses an element of I, so it needs n - |C| > r.  In U(4,10)
+    each C has n - r + 1 elements and in the Fano plane n - r (each pair's
+    line leaves 4 completions): no mask is tested and the basis bitsets
+    are never built."""
+
+    def refuse(*args):
+        raise AssertionError("basis bitsets built")
+
+    monkeypatch.setattr(matroid_module, "transpose", refuse)
+    assert len(build().bases) == bases
 
 
 def test_basis_sets_canonical():

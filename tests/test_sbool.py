@@ -21,6 +21,7 @@ from boolrep import (
     NonSquareError,
     SBool,
     SbMatrix,
+    TropicalMatrix,
     UnknownLabel,
     as_sbool,
 )
@@ -34,6 +35,7 @@ from oracles import (
     brute_col_rank,
     brute_row_rank,
     grid_of,
+    labeled_csv,
     permanent_dp,
     permanent_perms,
     rank_by_independent_sets,
@@ -758,6 +760,58 @@ def test_csv_quotes_labels_as_the_csv_module_does():
     writer.writerow([rows[0], "1", "0", "1v"])
     writer.writerow([rows[1], "1v", "1", "0"])
     assert m.to_csv() == out.getvalue()
+    assert SbMatrix.from_csv(m.to_csv()) == m
+
+
+# Labels the csv module must quote or keep: a comma, a quote, a newline,
+# spaces, the two-character string "", the empty label and non-ASCII.
+csv_label = st.one_of(
+    st.just('""'),
+    st.text(st.sampled_from([",", '"', "\n", " ", "a", "b", "é", "☃"]), max_size=4),
+)
+
+
+@st.composite
+def labeled_grids(draw):
+    """Labels and a grid of 0 / 1 / 2 (the ghost) on 0 to 4 rows and 0 to
+    4 columns, ghost-free half the time."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(csv_label, min_size=n_rows, max_size=n_rows, unique=True))
+    cols = draw(st.lists(csv_label, min_size=n_cols, max_size=n_cols, unique=True))
+    cell = st.integers(0, 2) if draw(st.booleans()) else st.integers(0, 1)
+    grid = draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return rows, cols, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_grids())
+def test_csv_writer_matches_the_field_by_field_writer(case):
+    """Each row joined from its digits gives the bytes of the csv module
+    writing every cell as a field, with no rows, with no columns (each row
+    its label alone) and with ghosts, and reads back."""
+    rows, cols, grid = case
+    m = SbMatrix.of(grid, rows, cols)
+    text = m.to_csv()
+    assert text == labeled_csv(rows, cols, [[("0", "1", "1v")[v] for v in row] for row in grid])
+    assert SbMatrix.from_csv(text) == m
+    trop = TropicalMatrix(
+        tuple(tuple(0.0 if v else float("-inf") for v in row) for row in grid), tuple(rows), tuple(cols)
+    )
+    tokens = [["0" if v else "-inf" for v in row] for row in grid]
+    text = trop.to_csv()
+    assert text == labeled_csv(rows, cols, tokens)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["", *cols], *([label, *row] for label, row in zip(rows, tokens))
+    ]
+    # no label holds a digit or "-", so only the cells are rewritten
+    assert BoolMatrix.from_csv(text.replace("0", "1").replace("-inf", "0")) == trop.to_boolean()
+
+
+def test_csv_quotes_a_label_holding_a_carriage_return():
+    """The csv module leaves a bare "\\r" unquoted under a "\\n" line
+    terminator; the writer quotes it, on both axes, so it reads back."""
+    m = SbMatrix.of([[1, 0], [0, "1v"]], row_labels=("a\rb", "c"), col_labels=("x\r", "y"))
+    assert m.to_csv() == ',"x\r",y\n"a\rb",1,0\nc,0,1v\n'
     assert SbMatrix.from_csv(m.to_csv()) == m
 
 
