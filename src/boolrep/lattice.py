@@ -24,7 +24,9 @@ elements above it).  In a partial order the common upper bounds of two
 elements have a least element m exactly when they equal up[m], so one map
 from up-sets decides any join with one set lookup.  Dually, one map from
 down-sets (the elements below each), built on the first meet, answers
-every meet, which a bottom guarantees (see `FlatLattice`), in O(1).
+every meet, which a bottom guarantees (see `FlatLattice`), in O(1).  The
+down-sets, the visiting order and the generators come from validation
+(`_generator_pass`) and are kept: nothing is sorted or transposed twice.
 
 Generator lemma: call G generating when every up(x) is the AND of up(g)
 over the g in G below x (over none, every element).  Validation
@@ -93,11 +95,13 @@ class FlatLattice:
     meet: their common lower bounds hold the bottom, and the join of them
     all, built from pairwise joins, lies below a and b, so it is the
     greatest.  Only when the pass refuses does the pairwise scan
-    (`_axiom_scan`) run, to name the first failed axiom.  The up-set map
-    stays with the lattice and answers joins; the down-sets and their map
-    are built on the first meet.  When built from a matroid, flat_masks
-    and ground record what the elements are; order-only instances leave
-    both None.
+    (`_axiom_scan`) run, to name the first failed axiom.  What the pass
+    computed stays with the lattice: the up-set map answers joins, the
+    down-sets meets (their map is built on the first meet), the visiting
+    order puts the bottom first and the top last, and the generators
+    decide `is_geometric`.  When built from a matroid, flat_masks and
+    ground record what the elements are; order-only instances leave both
+    None.
     """
 
     names: tuple[str, ...]
@@ -106,6 +110,9 @@ class FlatLattice:
     ground: GroundSet | None = None
     _up_index: dict = field(init=False, repr=False, compare=False)
     _joins: tuple = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)
+    _down: tuple = field(init=False, repr=False, compare=False)
+    _gens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -119,8 +126,8 @@ class FlatLattice:
         if found is None:
             _axiom_scan(self.names, self.up)
             raise RuntimeError("the generator pass refused a lattice")
-        object.__setattr__(self, "_up_index", found[0])
-        object.__setattr__(self, "_joins", found[1])
+        for name, value in zip(("_up_index", "_joins", "_order", "_down", "_gens"), found):
+            object.__setattr__(self, name, value)
 
     # -- construction -------------------------------------------------------
 
@@ -185,13 +192,16 @@ class FlatLattice:
         except (KeyError, TypeError):
             raise UnknownLabel(f"no lattice element named {name!r}") from None
 
-    @cached_property
+    @property
     def bottom_index(self) -> int:
-        return self._up_index[(1 << self.size) - 1]
+        """First in the visiting order: its up-set holds every element."""
+        return self._order[0]
 
-    @cached_property
+    @property
     def top_index(self) -> int:
-        return self._join_of_set(range(self.size))
+        """Last in the visiting order: the one element whose up-set is
+        itself, while every other's holds the top as well."""
+        return self._order[-1]
 
     @property
     def bottom(self) -> str:
@@ -268,18 +278,13 @@ class FlatLattice:
         raise UnknownLabel(f"no atom for ground element {element!r}")
 
     @cached_property
-    def _topological(self) -> tuple[int, ...]:
-        """Elements by up-set size, largest first, so each follows
-        everything below it: an element strictly below another has a
-        strictly larger up-set."""
-        return tuple(sorted(range(self.size), key=lambda i: -self.up[i].bit_count()))
-
-    @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain from the bottom, per element: one
-        relaxation over the upper covers, in `_topological` order."""
+        relaxation over the upper covers, in the visiting order of
+        `_generator_pass`, which puts each element after everything below
+        it."""
         heights = [0] * self.size
-        for i in self._topological:
+        for i in self._order:
             for j in self.upper_covers[i]:
                 heights[j] = max(heights[j], heights[i] + 1)
         return tuple(heights)
@@ -293,17 +298,17 @@ class FlatLattice:
 
     # -- meets and joins --------------------------------------------------------
 
-    @cached_property
+    @property
     def down(self) -> tuple[int, ...]:
         """Per element, its down-set: the elements below it."""
-        return tuple(transpose(self.up, self.size))
+        return self._down
 
     @cached_property
     def _down_index(self) -> dict:
-        return {mask: i for i, mask in enumerate(self.down)}
+        return {mask: i for i, mask in enumerate(self._down)}
 
     def _meet_index(self, i: int, j: int) -> int:
-        return self._down_index[self.down[i] & self.down[j]]
+        return self._down_index[self._down[i] & self._down[j]]
 
     def _join_index(self, i: int, j: int) -> int:
         return self._up_index[self.up[i] & self.up[j]]
@@ -313,12 +318,6 @@ class FlatLattice:
 
     def join(self, first: str, second: str) -> str:
         return self.names[self._join_index(self.index(first), self.index(second))]
-
-    def _join_of_set(self, idxs: Iterable[int]) -> int:
-        common = (1 << self.size) - 1
-        for i in idxs:
-            common &= self.up[i]
-        return self._up_index[common]
 
     # -- matrices and rank --------------------------------------------------------
 
@@ -415,31 +414,26 @@ class FlatLattice:
 
     @cached_property
     def is_geometric(self) -> bool:
-        """The semimodular height inequality h(a) + h(d) ≥ h(a ∨ d) + h(a ∧ d)
-        for every pair, and every element a join of atoms.  A geometric
-        lattice is also graded (Oxley, *Matroid Theory*, 2nd ed., §1.7), which
-        the inequality forces when h is the longest-chain height.
+        """Semimodular and atomistic (Oxley, *Matroid Theory*, 2nd ed., §1.7).
 
-        Lemma: then every cover a ⋖ b has h(b) = h(a) + 1.  Proof: take a cover
-        a ⋖ b with h(b) ≥ h(a) + 2 and h(b) least.  A longest chain to b ends
-        in some c ⋖ b with h(c) = h(b) − 1.  So c ≠ a, and c ≰ a, since
-        c < a < b would contradict c ⋖ b.  Let m = a ∧ c < c, and pick d with
-        m ⋖ d ≤ c.  Any cover x ⋖ y with y ≤ c has h(y) ≤ h(c) < h(b), so by
-        the choice of b it rises by exactly 1; hence h(d) = h(m) + 1.  Also
-        d ≰ a (else d ≤ a ∧ c = m), so a < a ∨ d ≤ b gives a ∨ d = b, and
-        m ≤ a ∧ d ≤ a ∧ c gives a ∧ d = m.  The inequality then gives
-        h(a) + h(m) + 1 ≥ h(b) + h(m), so h(b) ≤ h(a) + 1, a contradiction."""
-        n = self.size
-        h = self.heights
-        for i in range(n):
-            for j in range(i + 1, n):
-                if h[i] + h[j] < h[self._join_index(i, j)] + h[self._meet_index(i, j)]:
-                    return False
-        atom_mask = mask_of(self.atom_indices)
-        for i in range(n):
-            if self._join_of_set(bits(self.down[i] & atom_mask)) != i:
-                return False
-        return True
+        Semimodular is checked by Birkhoff's cover condition: any two
+        distinct upper covers of one element join to an element covering
+        both.  In a finite lattice this is equivalent to being graded with
+        h(a) + h(b) ≥ h(a ∨ b) + h(a ∧ b) (Stanley, *Enumerative
+        Combinatorics* I, 2nd ed., Prop. 3.3.2).  The condition is
+        symmetric in the two covers, so each ordered pair tests one side.
+
+        Atomistic holds exactly when every generator is an atom.  Each
+        element is the join of the generators below it (generator lemma),
+        so if all are atoms it is a join of atoms.  Conversely, a generator
+        that is a join of atoms strictly below it would not be a generator.
+        """
+        covers = self.upper_covers
+        cover_masks = [mask_of(ups) for ups in covers]
+        return self._gens == mask_of(self.atom_indices) and all(
+            cover_masks[y] >> self._join_index(y, z) & 1
+            for ups in covers for y in ups for z in ups if y != z
+        )
 
     # -- export ---------------------------------------------------------------------
 
@@ -463,9 +457,10 @@ class FlatLattice:
 
 
 def _generator_pass(up: Sequence[int]):
-    """(up-set map, per-element join sets) when up is a lattice's order,
-    else None; the generator lemma in the module docstring proves both
-    directions.
+    """(up-set map, per-element join sets, visiting order, down-sets,
+    generator mask) when up is a lattice's order, else None; the generator
+    lemma in the module docstring proves both directions.  The lattice
+    keeps all five.
 
     Bounds, reflexivity and antisymmetry hold when up[i] & down[i] is
     exactly bit i.  Elements are visited by up-set size, largest first,
@@ -479,14 +474,15 @@ def _generator_pass(up: Sequence[int]):
     full = (1 << n) - 1
     if any(mask & ~full for mask in up):
         return None
-    down = transpose(up, n)
+    down = tuple(transpose(up, n))
     if any(up[i] & down[i] != 1 << i for i in range(n)):
         return None
     up_index = {mask: i for i, mask in enumerate(up)}
     if full not in up_index:
         return None
     gens = seen = 0
-    for x in sorted(range(n), key=lambda i: -up[i].bit_count()):
+    order = tuple(sorted(range(n), key=lambda i: -up[i].bit_count()))
+    for x in order:
         bit = 1 << x
         below = down[x] ^ bit
         if below & ~seen:
@@ -508,7 +504,7 @@ def _generator_pass(up: Sequence[int]):
             return None
         found.discard(x)
         joins.append(found)
-    return up_index, tuple(joins)
+    return up_index, tuple(joins), order, down, gens
 
 
 def _axiom_scan(names: Sequence[str], up: Sequence[int]) -> None:

@@ -14,6 +14,7 @@ from boolrep import (
     BoolrepError,
     DuplicateLabels,
     FlatLattice,
+    GroundSet,
     InvalidWitness,
     LatticeWitness,
     NotSimple,
@@ -166,6 +167,23 @@ def test_atom_of_needs_a_matroid_lattice():
         two_chain().atom_of("B")
 
 
+def test_atom_of_refuses_an_element_with_no_singleton_atom():
+    # a hand-built flats lattice whose one atom is {1,2}: neither element
+    # has its own singleton flat
+    lat = FlatLattice(("{}", "{1,2}"), (0b11, 0b10), (0b00, 0b11), GroundSet.of("12"))
+    with pytest.raises(UnknownLabel, match="^no atom for ground element '1'$"):
+        lat.atom_of("1")
+
+
+def test_construction_refuses_repeated_names_and_a_wrong_up_set_count():
+    with pytest.raises(DuplicateLabels, match="^repeated lattice element name$"):
+        FlatLattice(("a", "a"), (0b11, 0b10))
+    with pytest.raises(
+        BoolrepError, match="^order relation size does not match element count$"
+    ):
+        FlatLattice(("a", "b"), (0b11,))
+
+
 def test_flat_masks_must_match_the_element_count(u34):
     lat = FlatLattice.from_matroid(u34)
     with pytest.raises(BoolrepError, match="flat mask count"):
@@ -257,6 +275,13 @@ def bounded_orders(draw):
 @example((NAMES[:3], [0b111, 0b011, 0b110]))  # transitivity fails
 @example((NAMES[:2], [0b11, 0b11]))  # antisymmetry fails
 @example((NAMES[:2], [0b01, 0b110]))  # points outside the list
+# The next two reach the generator pass's two transitivity refusals, an
+# element visited before something below it and a generator outside the
+# AND of the generators below it; the raw strategy rarely draws either.
+# The pass's other checks refuse both inputs too, so these pin agreement
+# with the oracle here and do not catch the loss of one check alone.
+@example((NAMES[:4], [0b1001, 0b1111, 0b0101, 0b1000]))  # visited too early
+@example((NAMES[:4], [0b1111, 0b0110, 0b1100, 0b1000]))  # generator escapes
 def test_validation_agrees_with_the_axiom_oracle_on_raw_relations(order):
     names, up = order
     _agrees_with_the_axiom_oracle(names, up, lambda: FlatLattice(names, tuple(up)))
@@ -368,6 +393,14 @@ def test_flat_lattice_agrees_with_the_flats_on_the_pool(pool):
             .relabeled(col_labels=m.ground.labels)
         )
         assert extract_representation(m).matrix == by_atoms
+
+
+def test_down_sets_read_the_order_the_other_way(catalog_lattices, pool_lattices):
+    for lat in [pentagon(), *catalog_lattices.values(), *pool_lattices]:
+        n = lat.size
+        assert lat.down == tuple(
+            sum(1 << i for i in range(n) if lat.up[i] >> j & 1) for j in range(n)
+        )
 
 
 def test_leq_and_index(catalog_lattices):
@@ -509,6 +542,7 @@ def test_pentagon_shape():
     p = pentagon()
     assert p.size == 5
     assert p.height == 3
+    assert repr(p) == "<FlatLattice of 5 elements, height 3>"
     assert p.element_height("c") == 1
     assert p.element_height("b") == 2
     assert sorted(interval_chain_lengths(p, "B", "T")) == [2, 3]

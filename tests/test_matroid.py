@@ -977,6 +977,34 @@ def test_isomorphism_recovers_a_relabeling(fivept):
     assert image == remapped
 
 
+def graph_complex(edges):
+    """The 1-dimensional complex of a graph on the labels a..f: the empty
+    set, every vertex of an edge, and the edges."""
+    vertices = sorted(set("".join(edges)))
+    return hc("abcdef", [[]] + [[v] for v in vertices] + [list(e) for e in edges])
+
+
+def test_isomorphism_rejects_unequal_signatures():
+    # same ground and member count, but the path's inner vertices lie on
+    # two edges and the star's centre on three
+    path, star = graph_complex(["ab", "bc", "cd"]), graph_complex(["ab", "ac", "ad"])
+    assert len(path.family) == len(star.family)
+    assert find_isomorphism(path, star) is None
+
+
+def test_isomorphism_rejects_equal_signatures_when_no_bijection_fits():
+    # every vertex of both lies on two edges, but a hexagon is connected
+    hexagon = graph_complex(["ab", "bc", "cd", "de", "ef", "fa"])
+    triangles = graph_complex(["ab", "bc", "ca", "de", "ef", "fd"])
+    signatures = [
+        sorted(matroid_module._element_signature(c, i) for i in range(6))
+        for c in (hexagon, triangles)
+    ]
+    assert signatures[0] == signatures[1]
+    assert find_isomorphism(hexagon, triangles) is None
+    assert find_isomorphism(hexagon, hexagon) is not None
+
+
 def test_isomorphism_caps_ground_size():
     h = uniform(1, 9).independent_family
     with pytest.raises(GroundTooLarge):

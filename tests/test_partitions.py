@@ -219,6 +219,12 @@ def test_chain_partition_validates_block_shape():
             chain=("{}", "{1}", "E"),
             blocks=(("1",),),
         )
+    with pytest.raises(BoolrepError, match="^empty partition block$"):
+        ChainPartition(
+            ground=ground,
+            chain=("{}", "{1,2}", "E"),
+            blocks=(("1", "2"), ()),
+        )
 
 
 def test_block_index_of(catalog_lattices):
