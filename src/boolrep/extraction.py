@@ -186,50 +186,38 @@ def _certificates(matroid: Matroid, flat: bool):
     return bases, circuits
 
 
-def _false_certificate(matrix: SbMatrix, bases, circuits):
-    """The first basis the matrix calls column-dependent; failing that, the
-    first circuit it calls column-independent; otherwise None.
-
-    Columns are the ground elements in order, and certificates are
-    column-index tuples, peeled straight on the matrix's column masks.
-    With all bases and circuits given, None means exactly that the matrix
-    represents the matroid, since column independence is hereditary:
-    - an independent set lies in a basis, whose subsets are all independent;
-    - a dependent set holds a circuit, whose supersets are all dependent;
-    - and each certificate is itself a subset the two must agree on.
-    """
-    nz, one = matrix._col_masks
-    for basis in bases:
-        if _peel(nz, one, basis)[1]:
-            return basis
-    for circuit in circuits:
-        if not _peel(nz, one, circuit)[1]:
-            return circuit
-    return None
-
-
-def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, flat: bool, what: str,
-               certificates=None):
+def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, what: str, certificates=None):
     """The matrix as the matroid's `mode` representation, or a
     ReductionError saying `what` went wrong and naming the first broken
     certificate.  Every checked reduction ends here.
 
-    When every row is a flat row (`flat`) and the rows' zero sets hold
-    every hyperplane, the matrix represents the matroid by the
+    When the rows' zero sets hold every hyperplane and every row is a flat
+    row (`_flat_rows`), the matrix represents the matroid by the
     meet-generation theorem of the module docstring, and nothing is
-    peeled.  Otherwise no basis or circuit of `certificates` (by default
-    all of `_certificates`) may be broken (`_false_certificate`).
+    peeled; the cheaper subset test goes first.  Otherwise each basis of
+    `certificates` (by default all of `_certificates` for these rows) is
+    peeled, then each circuit: the first basis the matrix calls
+    column-dependent, or failing that the first circuit it
+    calls column-independent, is the one named.  With all bases and
+    circuits given, passing means exactly that the matrix represents the
+    matroid, since column independence is hereditary:
+    - an independent set lies in a basis, whose subsets are all independent;
+    - a dependent set holds a circuit, whose supersets are all dependent;
+    - and each certificate is itself a subset the two must agree on.
     """
     full = matroid.ground.full_mask
-    if flat and matroid.hyperplane_masks <= {full & ~nz for nz in matrix.nonzero}:
+    held = matroid.hyperplane_masks <= {full & ~nz for nz in matrix.nonzero}
+    if held and _flat_rows(matrix, matroid):
         return Representation(matrix, mode, matroid)
-    bad = _false_certificate(matrix, *(certificates or _certificates(matroid, flat)))
-    if bad is not None:
-        mask = mask_of(bad)
-        name = matroid.ground.subset_name(mask)
-        if mask in matroid.bases:
-            raise ReductionError(f"{what}: basis {name} is column-dependent")
-        raise ReductionError(f"{what}: circuit {name} is column-independent")
+    bases, circuits = certificates or _certificates(matroid, _flat_rows(matrix, matroid))
+    nz, one = matrix._col_masks
+    name = matroid.ground.subset_name
+    for basis in bases:
+        if _peel(nz, one, basis)[1]:
+            raise ReductionError(f"{what}: basis {name(mask_of(basis))} is column-dependent")
+    for circuit in circuits:
+        if not _peel(nz, one, circuit)[1]:
+            raise ReductionError(f"{what}: circuit {name(mask_of(circuit))} is column-independent")
     return Representation(matrix, mode, matroid)
 
 
@@ -260,10 +248,7 @@ def paper_reduce(rep: Representation) -> Representation:
         if sizes[name] == 0 or 2 <= sizes[name] < n:
             keep.append(i)
     matrix = rep.matrix.submatrix(rows=keep)
-    return _certified(
-        matroid, matrix, "paper", _flat_rows(matrix, matroid),
-        "dropping atom and top rows broke a certificate",
-    )
+    return _certified(matroid, matrix, "paper", "dropping atom and top rows broke a certificate")
 
 
 def _strip_rows(matrix: BoolMatrix) -> BoolMatrix:
@@ -363,22 +348,22 @@ def verified_reduce(rep: Representation) -> Representation:
     that drop, runs of consecutive rows are tested at once, and the rows
     dropped are exactly those of the one-row pass.  When every stripped row
     is a flat row, the circuits are never listed.  The result goes through
-    the certificate step, which fails only when no drop was accepted and
-    the starting matrix is no representation.  Ground sets past
-    `VERIFY_CAP` are refused.
+    the certificate step, on the bases and loose circuits held here; the
+    step tries meet-generation on the kept rows first, and fails only when
+    no drop was accepted and the starting matrix is no representation.
+    Ground sets past `VERIFY_CAP` are refused.
     """
     matroid = rep.matroid
     _check_cap(matroid.ground)
     start = _strip_rows(rep.matrix)
-    flat = _flat_rows(start, matroid)
-    bases, circuits = _certificates(matroid, flat)
+    bases, circuits = _certificates(matroid, _flat_rows(start, matroid))
     nz, one = start._col_masks
     loose = [c for c in circuits if not _peel(nz, one, c)[1]]
     gone = _greedy_drops(nz, one, start.n_rows, bases, loose)
     matrix = start.submatrix(rows=[i for i in range(start.n_rows) if not gone >> i & 1])
     return _certified(
-        matroid, matrix, "verified", flat,
-        "greedy reduction produced a non-representation", (bases, loose),
+        matroid, matrix, "verified", "greedy reduction produced a non-representation",
+        (bases, loose),
     )
 
 
@@ -414,7 +399,14 @@ def verify_representation(rep, matroid: Matroid) -> VerificationReport:
 
 def size_bound(matroid: Matroid) -> int:
     """Binomial-sum ceiling on the rows any lattice-derived representation
-    needs: subsets of the ground set of size at most the rank."""
+    needs: subsets of the ground set of size at most the rank.
+
+    The hyperplane count is a proved and much lower bound: the hyperplane
+    rows alone represent the matroid (meet-generation, in the module
+    docstring), so no representation needs more rows than
+    `Matroid.hyperplane_masks` holds.  Hyperplanes against this ceiling on
+    the catalog: u34 6 / 15, fivept 6 / 26, k4 7 / 42, w3 9 / 42.
+    """
     n = matroid.ground.size
     return sum(math.comb(n, i) for i in range(matroid.rank + 1))
 

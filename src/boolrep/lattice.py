@@ -101,7 +101,7 @@ class FlatLattice:
     order puts the bottom first and the top last, and the generators
     decide `is_geometric`.  When built from a matroid, flat_masks and
     ground record what the elements are; order-only instances leave both
-    None.
+    None, and one without the other is refused.
     """
 
     names: tuple[str, ...]
@@ -120,6 +120,8 @@ class FlatLattice:
             raise DuplicateLabels("repeated lattice element name")
         if len(self.up) != n:
             raise BoolrepError("order relation size does not match element count")
+        if (self.flat_masks is None) != (self.ground is None):
+            raise BoolrepError("flat masks and a ground set come together or not at all")
         if self.flat_masks is not None and len(self.flat_masks) != n:
             raise BoolrepError("flat mask count does not match element count")
         found = _generator_pass(self.up)
@@ -271,7 +273,7 @@ class FlatLattice:
     def atom_of(self, element: str) -> str:
         """Name of the atom that is this ground element's singleton flat."""
         self._require_flats()
-        mask = 1 << self.ground.index(element)
+        mask = self.ground.mask_of((element,))
         for i in self.atom_indices:
             if self.flat_masks[i] == mask:
                 return self.names[i]

@@ -92,31 +92,24 @@ class GroundSet:
         return (1 << len(self.labels)) - 1
 
     @cached_property
-    def _index(self) -> dict:
-        return {label: i for i, label in enumerate(self.labels)}
+    def _bit(self) -> dict:
+        return {label: 1 << i for i, label in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         """Position of a label; an unknown or unhashable one raises UnknownLabel."""
-        try:
-            return self._index[label]
-        except (KeyError, TypeError):
-            raise UnknownLabel(f"no ground element labeled {label!r}") from None
+        return self.mask_of((label,)).bit_length() - 1
 
     def mask_of(self, labels: Iterable[str]) -> int:
         """Mask of the given labels, one lookup each; a label listed twice
         counts once."""
-        index = self._index
+        bit = self._bit
         mask = 0
         for label in labels:
             try:
-                mask |= 1 << index[label]
+                mask |= bit[label]
             except (KeyError, TypeError):
                 raise UnknownLabel(f"no ground element labeled {label!r}") from None
         return mask
-
-    @cached_property
-    def _bit(self) -> dict:
-        return {label: 1 << i for i, label in enumerate(self.labels)}
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bits(mask))
@@ -157,17 +150,11 @@ def _distinct(labels: Iterable[str]) -> tuple[str, ...]:
 
 def _set_mask(ground: GroundSet, labels: Iterable[str]) -> int:
     """Mask of one set given by its labels, for callers and JSON alike: an
-    unknown label raises first, then a repeated one (`_distinct`).  The
-    labels' bits are ORed in one loop; a failed lookup is worded by
-    `GroundSet.mask_of`, and a repeat leaves fewer bits than labels."""
+    unknown or unhashable label raises first (`GroundSet.mask_of`), then a
+    repeated one (`_distinct`), since a repeat leaves fewer bits than
+    labels."""
     labels = tuple(labels)
-    bit = ground._bit
-    mask = 0
-    try:
-        for label in labels:
-            mask |= bit[label]
-    except (KeyError, TypeError):
-        ground.mask_of(labels)  # raises, naming the label
+    mask = ground.mask_of(labels)
     if mask.bit_count() != len(labels):
         _distinct(labels)  # raises, naming the set
     return mask

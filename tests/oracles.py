@@ -288,6 +288,27 @@ def greedy_drops_one_row_at_a_time(nz, one, n_rows: int, bases, loose) -> int:
     return gone
 
 
+# -- the certificate check, on an int grid ------------------------------------
+
+
+def first_false_certificate(grid, n_cols, bases, circuits):
+    """The first basis the grid calls column-dependent; failing that, the
+    first circuit it calls column-independent; otherwise None.
+
+    The reference for the peel loops of `extraction._certified`: bases
+    and circuits are column-index tuples, each peeled on the int grid's
+    column masks with this module's peel.
+    """
+    nz, one = _column_masks(grid, n_cols)
+    for basis in bases:
+        if not _all_peel(nz, one, basis):
+            return basis
+    for circuit in circuits:
+        if _all_peel(nz, one, circuit):
+            return circuit
+    return None
+
+
 # -- matroid-side oracles, working on raw basis masks ---------------------
 
 

@@ -536,6 +536,11 @@ def test_non_simple_input_is_simplified_with_a_warning(capsys, tmp_path):
     assert code == 0
     assert err.startswith("warning: input matroid is not simple; simplified (")
     assert out.splitlines()[0] == ",{},{1}"
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"ground": ["a", "b", "c", "d"], "bases": [["a", "b"], ["a", "c"]]}))
+    code, out, err = run_cli(capsys, "lattice", str(path), "--format", "csv")
+    assert code == 0
+    assert err == "warning: input matroid is not simple; simplified (dropped loops d; merged c->b)\n"
 
 
 def test_verify_rejects_oversized_ground(capsys, tmp_path):

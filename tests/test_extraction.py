@@ -49,6 +49,7 @@ import oracles
 from conftest import pg25, pg32, read_golden
 from oracles import (
     circuits_scan,
+    first_false_certificate,
     flats_scan,
     greedy_drops_one_row_at_a_time,
     grid_of,
@@ -407,9 +408,18 @@ def test_verified_reduce_matches_the_oracle_loop_on_broken_starts(pool):
 
 
 def every_certificate(matroid):
-    """The reducers' bases and every circuit: `_certificates` lists the
-    circuits for rows that are not all flat rows."""
-    return extraction._certificates(matroid, False)
+    """Every basis and every circuit as column-index tuples, each list in
+    canonical order, the circuits from the oracles' power-set scan."""
+    ground = matroid.ground
+
+    def positions(mask):
+        return tuple(i for i in range(ground.size) if mask >> i & 1)
+
+    circuits = circuits_scan(matroid.bases, ground.size)
+    return (
+        [positions(b) for b in sorted(matroid.bases, key=ground.sort_key)],
+        [positions(c) for c in sorted(circuits, key=ground.sort_key)],
+    )
 
 
 def named(matroid, certificate):
@@ -423,19 +433,20 @@ def named(matroid, certificate):
 
 def candidate_loop_reduce(rep, matroid):
     """The loop before the column-mask one: build each candidate matrix and
-    check every basis and loose circuit on it.  Returns the kept row
-    labels, or the error type and message."""
+    check every basis and loose circuit on it with the oracles' peel.
+    Returns the kept row labels, or the error type and message."""
     bases, circuits = every_certificate(matroid)
+    n = matroid.ground.size
     matrix = extraction._strip_rows(rep.matrix)
     loose = [c for c in circuits if matrix.columns_independent(c)]
     for label in matrix.row_labels:
         if matrix.n_rows == 1:
             break
         candidate = matrix.submatrix(rows=tuple(x for x in matrix.row_labels if x != label))
-        if extraction._false_certificate(candidate, bases, loose) is None:
+        if first_false_certificate(grid_of(candidate), n, bases, loose) is None:
             matrix = candidate
             loose = []
-    bad = extraction._false_certificate(matrix, bases, loose)
+    bad = first_false_certificate(grid_of(matrix), n, bases, loose)
     if bad is not None:
         return ReductionError, (
             "greedy reduction produced a non-representation: " + named(matroid, bad)
@@ -510,6 +521,7 @@ def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
         if m.rank < 3:
             continue
         full = extract_representation(m)
+        certificates = every_certificate(m)
         starts = [full, flipped(full, rng)]
         starts.extend(
             Representation(matrix, "full", m)
@@ -517,7 +529,7 @@ def test_paper_reduce_lists_circuits_only_for_rows_that_are_not_flat_rows(
         )
         for rep in starts:
             kept = rep.matrix.submatrix(rows=paper_rows(rep))
-            bad = extraction._false_certificate(kept, *every_certificate(m))
+            bad = first_false_certificate(grid_of(kept), m.ground.size, *certificates)
             expected = paper_rows(rep) if bad is None else (
                 ReductionError,
                 "dropping atom and top rows broke a certificate: " + named(m, bad),
@@ -637,7 +649,7 @@ def test_flat_rows_holding_every_hyperplane_represent_the_matroid(pool, data):
     matrix = flat_row_matrix(m, rows)
     assert verify_representation(matrix, m).ok
     with mock.patch.object(extraction, "_peel", side_effect=AssertionError("peeled")):
-        assert extraction._certified(m, matrix, "paper", True, "unused").matrix is matrix
+        assert extraction._certified(m, matrix, "paper", "unused").matrix is matrix
 
 
 def test_paper_reduce_peels_nothing_from_rank_three(pool, monkeypatch):
@@ -670,12 +682,13 @@ def test_a_missing_hyperplane_falls_back_to_the_certificates(pool, monkeypatch):
     verdicts = set()
     for m in pool:
         flats = flats_scan(m.bases, m.ground.size)
+        certificates = every_certificate(m)
         for hyperplane in sorted(m.hyperplane_masks)[:2]:
             matrix = flat_row_matrix(m, [f for f in flats if f != hyperplane])
-            bad = extraction._false_certificate(matrix, *every_certificate(m))
+            bad = first_false_certificate(grid_of(matrix), m.ground.size, *certificates)
             peels.clear()
             try:
-                got = extraction._certified(m, matrix, "paper", True, "dropped").matrix
+                got = extraction._certified(m, matrix, "paper", "dropped").matrix
             except ReductionError as exc:
                 got = str(exc)
             assert peels
@@ -887,9 +900,10 @@ def paper_rows(rep):
 
 
 def test_certificates_agree_with_exhaustive_verification(pool):
-    """The reducers' certificate check finds a broken certificate exactly
-    when exhaustive verification finds a mismatch, and the one it finds is
-    the first mismatched basis, or with none, the first mismatched circuit."""
+    """The certificate step, given every basis and circuit, passes exactly
+    when exhaustive verification finds no mismatch.  Otherwise its message
+    names the first mismatched basis, or with none, the first mismatched
+    circuit, as the kind it is."""
     rng = random.Random(23)
     outcomes = set()
     for m in pool:
@@ -900,17 +914,21 @@ def test_certificates_agree_with_exhaustive_verification(pool):
             *broken_copies(full.matrix, rng),
             flipped(full, rng).matrix,
         )
-        bases, circuits = every_certificate(m)
+        certificates = every_certificate(m)
         for matrix in starts:
             report = verify_representation(matrix, m)
-            found = extraction._false_certificate(matrix, bases, circuits)
+            try:
+                got = extraction._certified(m, matrix, "paper", "broken", certificates).matrix
+            except ReductionError as exc:
+                got = str(exc)
             outcomes.add(report.ok)
-            if found is None:
-                assert report.ok
+            if report.ok:
+                assert got is matrix
                 continue
             bad_bases = [s for s in report.mismatches if m.ground.mask_of(s) in m.bases]
-            expected = bad_bases[0] if bad_bases else report.mismatches[0]
-            assert m.ground.labels_of(sum(1 << i for i in found)) == expected
+            first = m.ground.mask_of(bad_bases[0] if bad_bases else report.mismatches[0])
+            certificate = [i for i in range(m.ground.size) if first >> i & 1]
+            assert got == "broken: " + named(m, certificate)
     assert outcomes == {True, False}
 
 

@@ -190,6 +190,14 @@ def test_flat_masks_must_match_the_element_count(u34):
         FlatLattice(lat.names, lat.up, lat.flat_masks[:-1], lat.ground)
 
 
+def test_flat_masks_and_a_ground_set_come_together(u34):
+    """Either one alone is refused when built, not later by a reader."""
+    lat = FlatLattice.from_matroid(u34)
+    for masks, ground in ((lat.flat_masks, None), (None, lat.ground)):
+        with pytest.raises(BoolrepError, match="^flat masks and a ground set come together"):
+            FlatLattice(lat.names, lat.up, masks, ground)
+
+
 def test_from_order_rejects_broken_posets():
     with pytest.raises(BoolrepError):
         FlatLattice.from_order(("a", "b"), [])  # two bottoms, no meet
@@ -543,6 +551,7 @@ def test_pentagon_shape():
     assert p.size == 5
     assert p.height == 3
     assert repr(p) == "<FlatLattice of 5 elements, height 3>"
+    assert repr(p.representation) == "<BoolMatrix 5x5>"
     assert p.element_height("c") == 1
     assert p.element_height("b") == 2
     assert sorted(interval_chain_lengths(p, "B", "T")) == [2, 3]

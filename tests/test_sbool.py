@@ -65,11 +65,15 @@ def small_matrix(max_rows=4, max_cols=4):
 def test_addition_matches_table():
     for a, b in product(SCALARS, repeat=2):
         assert CODE[a + b] == ADD[CODE[a], CODE[b]]
+    with pytest.raises(TypeError):
+        ONE + 1
 
 
 def test_multiplication_matches_table():
     for a, b in product(SCALARS, repeat=2):
         assert CODE[a * b] == MUL[CODE[a], CODE[b]]
+    with pytest.raises(TypeError):
+        ONE * 1
 
 
 def test_one_plus_one_is_ghost():
@@ -102,6 +106,8 @@ def test_total_order():
     assert GHOST > ONE > ZERO
     assert sorted([GHOST, ZERO, ONE]) == [ZERO, ONE, GHOST]
     assert max(SCALARS) is GHOST
+    with pytest.raises(TypeError):
+        ONE < 1
 
 
 def test_ghost_ideal_membership():
@@ -147,6 +153,12 @@ def test_empty_aggregates():
     assert sb_sum([ONE, ONE]) is GHOST
     assert sb_product([ONE, GHOST, ONE]) is GHOST
 
+    def zero_then_raise():
+        yield ZERO
+        raise AssertionError("sb_product read past a ZERO")
+
+    assert sb_product(zero_then_raise()) is ZERO
+
 
 # -- matrix construction ------------------------------------------------------
 
@@ -158,6 +170,7 @@ def test_of_defaults_and_entry_access():
     assert m.col_labels == ("c1", "c2")
     assert m.entry("r2", "c1") is GHOST
     assert m.entry(0, 1) is ZERO
+    assert repr(SbMatrix.of([[1, 0]])) == "<SbMatrix 1x2>"
     with pytest.raises(UnknownLabel):
         m.entry("r3", "c1")
     with pytest.raises(UnknownLabel):
