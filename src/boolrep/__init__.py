@@ -3,123 +3,20 @@
 Every finite matroid has a boolean matrix representation built from its
 lattice of flats; this package constructs it, reduces it, and verifies it
 against brute-force oracles at desk scale.
+
+Each module's `__all__` declares what the package exports from it, and
+the package's `__all__` joins those lists.
 """
 
-from .catalog import CATALOG, CatalogEntry, example_5pt, k4, uniform, whirl_w3
-from .errors import (
-    AllLoops,
-    AmbiguousLabel,
-    BoolrepError,
-    ChainLimitExceeded,
-    DuplicateLabels,
-    EmptyFamily,
-    ExchangeFails,
-    GroundTooLarge,
-    InvalidWitness,
-    LabelMismatch,
-    MatrixParseError,
-    MatroidParseError,
-    NonSquareError,
-    NotDownwardClosed,
-    NotSimple,
-    ReductionError,
-    UnequalBasisSizes,
-    UnknownLabel,
-)
-from .extraction import (
-    Representation,
-    TropicalMatrix,
-    VerificationReport,
-    dedupe_reduce,
-    extract_representation,
-    paper_reduce,
-    representation_to_json,
-    size_bound,
-    tropicalize,
-    verified_reduce,
-    verify_representation,
-)
-from .lattice import FlatLattice, LatticeWitness, pentagon
-from .matroid import (
-    GroundSet,
-    HereditaryCollection,
-    Matroid,
-    find_isomorphism,
-    hereditary_from_matrix,
-    matroid_from_json,
-    matroid_to_json,
-)
-from .partitions import (
-    DEFAULT_CHAIN_LIMIT,
-    ChainPartition,
-    exists_transversal_partition,
-    is_partial_transversal,
-    maximal_chains,
-    partition_of_chain,
-    transversal_bases,
-    transversal_witness,
-)
+from .catalog import *
+from .errors import *
+from .extraction import *
+from .lattice import *
+from .matroid import *
+from .partitions import *
 from .sbool import GHOST, ONE, ZERO, BoolMatrix, SBool, SbMatrix, as_sbool
 
-__all__ = [
-    "SBool",
-    "ZERO",
-    "ONE",
-    "GHOST",
-    "as_sbool",
-    "SbMatrix",
-    "BoolMatrix",
-    "GroundSet",
-    "HereditaryCollection",
-    "Matroid",
-    "hereditary_from_matrix",
-    "find_isomorphism",
-    "matroid_from_json",
-    "matroid_to_json",
-    "FlatLattice",
-    "LatticeWitness",
-    "pentagon",
-    "DEFAULT_CHAIN_LIMIT",
-    "ChainPartition",
-    "maximal_chains",
-    "partition_of_chain",
-    "is_partial_transversal",
-    "transversal_bases",
-    "exists_transversal_partition",
-    "transversal_witness",
-    "Representation",
-    "VerificationReport",
-    "TropicalMatrix",
-    "extract_representation",
-    "paper_reduce",
-    "dedupe_reduce",
-    "verified_reduce",
-    "verify_representation",
-    "size_bound",
-    "tropicalize",
-    "representation_to_json",
-    "CATALOG",
-    "CatalogEntry",
-    "uniform",
-    "example_5pt",
-    "k4",
-    "whirl_w3",
-    "BoolrepError",
-    "NonSquareError",
-    "UnknownLabel",
-    "DuplicateLabels",
-    "MatrixParseError",
-    "MatroidParseError",
-    "EmptyFamily",
-    "NotDownwardClosed",
-    "UnequalBasisSizes",
-    "ExchangeFails",
-    "AllLoops",
-    "AmbiguousLabel",
-    "NotSimple",
-    "GroundTooLarge",
-    "ChainLimitExceeded",
-    "InvalidWitness",
-    "LabelMismatch",
-    "ReductionError",
-]
+__all__ = (
+    sbool.__all__ + matroid.__all__ + lattice.__all__ + partitions.__all__
+    + extraction.__all__ + catalog.__all__ + errors.__all__
+)

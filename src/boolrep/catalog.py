@@ -7,7 +7,7 @@ from itertools import combinations
 
 from .matroid import GroundSet, Matroid
 
-__all__ = ["CatalogEntry", "CATALOG", "uniform", "example_5pt", "k4", "whirl_w3"]
+__all__ = ["CATALOG", "CatalogEntry", "uniform", "example_5pt", "k4", "whirl_w3"]
 
 
 def uniform(k: int, n: int) -> Matroid:

@@ -1,5 +1,26 @@
 """Exceptions shared across the library."""
 
+__all__ = [
+    "BoolrepError",
+    "NonSquareError",
+    "UnknownLabel",
+    "DuplicateLabels",
+    "MatrixParseError",
+    "MatroidParseError",
+    "EmptyFamily",
+    "NotDownwardClosed",
+    "UnequalBasisSizes",
+    "ExchangeFails",
+    "AllLoops",
+    "AmbiguousLabel",
+    "NotSimple",
+    "GroundTooLarge",
+    "ChainLimitExceeded",
+    "InvalidWitness",
+    "LabelMismatch",
+    "ReductionError",
+]
+
 
 class BoolrepError(Exception):
     """Base class for all library errors."""

@@ -83,7 +83,6 @@ from .sbool import (
 )
 
 __all__ = [
-    "VERIFY_CAP",
     "Representation",
     "VerificationReport",
     "TropicalMatrix",
@@ -194,22 +193,23 @@ def _certified(matroid: Matroid, matrix: SbMatrix, mode: str, what: str, certifi
     When the rows' zero sets hold every hyperplane and every row is a flat
     row (`_flat_rows`), the matrix represents the matroid by the
     meet-generation theorem of the module docstring, and nothing is
-    peeled; the cheaper subset test goes first.  Otherwise each basis of
-    `certificates` (by default all of `_certificates` for these rows) is
-    peeled, then each circuit: the first basis the matrix calls
-    column-dependent, or failing that the first circuit it
-    calls column-independent, is the one named.  With all bases and
-    circuits given, passing means exactly that the matrix represents the
-    matroid, since column independence is hereditary:
+    peeled; the cheaper subset test goes first, and the rows are
+    classified at most once.  Otherwise each basis of `certificates` (by
+    default all of `_certificates` for these rows) is peeled, then each
+    circuit: the first basis the matrix calls column-dependent, or failing
+    that the first circuit it calls column-independent, is the one named.
+    With all bases and circuits given, passing means exactly that the
+    matrix represents the matroid, since column independence is hereditary:
     - an independent set lies in a basis, whose subsets are all independent;
     - a dependent set holds a circuit, whose supersets are all dependent;
     - and each certificate is itself a subset the two must agree on.
     """
     full = matroid.ground.full_mask
     held = matroid.hyperplane_masks <= {full & ~nz for nz in matrix.nonzero}
-    if held and _flat_rows(matrix, matroid):
+    flat = (held or not certificates) and _flat_rows(matrix, matroid)
+    if held and flat:
         return Representation(matrix, mode, matroid)
-    bases, circuits = certificates or _certificates(matroid, _flat_rows(matrix, matroid))
+    bases, circuits = certificates or _certificates(matroid, flat)
     nz, one = matrix._col_masks
     name = matroid.ground.subset_name
     for basis in bases:

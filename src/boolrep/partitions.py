@@ -30,7 +30,6 @@ from .matroid import GroundSet, _distinct
 __all__ = [
     "DEFAULT_CHAIN_LIMIT",
     "ChainPartition",
-    "chain_indices",
     "maximal_chains",
     "partition_of_chain",
     "is_partial_transversal",

@@ -94,8 +94,6 @@ __all__ = [
     "ONE",
     "GHOST",
     "as_sbool",
-    "sb_sum",
-    "sb_product",
     "SbMatrix",
     "BoolMatrix",
 ]

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from boolrep import (
     partition_of_chain,
     uniform,
 )
-from boolrep.cli import main
+from boolrep.cli import main, run
 
 from conftest import ladder_sized, read_golden, vamos
 from oracles import flats_scan
@@ -611,6 +612,21 @@ def test_module_runs_as_a_script():
     done = script("example", "u34")
     assert (done.returncode, done.stdout) == (0, matroid_to_json(CATALOG["u34"].matroid) + "\n")
     assert script("frobnicate").returncode == 2
+
+
+def test_the_console_entry_points_run_in_process(capsys, monkeypatch):
+    """`run()`, the `boolrep` script, and the module's `__main__` guard,
+    here in process rather than as a subprocess."""
+    expected = matroid_to_json(CATALOG["u34"].matroid) + "\n"
+    monkeypatch.setattr(sys, "argv", ["boolrep", "example", "u34"])
+    with pytest.raises(SystemExit) as done:
+        run()
+    assert (done.value.code, capsys.readouterr().out) == (0, expected)
+    # the module is already imported, so runpy warns before running it again
+    with pytest.warns(RuntimeWarning, match="'boolrep.cli' found in sys.modules"):
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("boolrep.cli", run_name="__main__")
+    assert (done.value.code, capsys.readouterr().out) == (0, expected)
 
 
 # Malformed input files, each of which once ended in a traceback.

@@ -1,6 +1,7 @@
 """Extraction pipeline: full matrix, row reductions, verification, bounds,
 and the max-plus embedding."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -24,6 +25,7 @@ from boolrep import (
     GroundTooLarge,
     HereditaryCollection,
     LabelMismatch,
+    Matroid,
     ONE,
     ZERO,
     ReductionError,
@@ -46,7 +48,7 @@ from boolrep import (
 from boolrep.cli import main
 
 import oracles
-from conftest import pg25, pg32, read_golden
+from conftest import ladder_sized, pg25, pg32, read_golden
 from oracles import (
     circuits_scan,
     first_false_certificate,
@@ -697,6 +699,28 @@ def test_a_missing_hyperplane_falls_back_to_the_certificates(pool, monkeypatch):
     assert verdicts == {True, False}
 
 
+def test_the_certificate_step_classifies_its_rows_once(k4m, monkeypatch):
+    """Rows whose zero sets hold every hyperplane but include one that is
+    no flat are classified once, for meet-generation, and that answer
+    decides whether the circuits are listed: K4's extraction with its
+    bottom row's zero set made {1,2}."""
+    full = extract_representation(k4m)
+    ground = k4m.ground
+    rows = list(full.matrix.nonzero)
+    rows[full.provenance.index("{}")] = ground.full_mask & ~ground.mask_of(("1", "2"))
+    rows = tuple(rows)
+    start = Representation(BoolMatrix(rows, rows, full.provenance, ground.labels), "full", k4m)
+    calls = []
+    flat_rows = extraction._flat_rows
+    monkeypatch.setattr(extraction, "_flat_rows", lambda *args: calls.append(1) or flat_rows(*args))
+    with pytest.raises(
+        ReductionError,
+        match=r"^dropping atom and top rows broke a certificate: circuit \{1,2,4\} is column-independent$",
+    ):
+        paper_reduce(start)
+    assert len(calls) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
@@ -825,6 +849,42 @@ def test_batched_greedy_peels_at_most_two_thirds_of_the_one_row_pass(monkeypatch
     monkeypatch.setattr(extraction, "_greedy_drops", greedy_drops_one_row_at_a_time)
     assert verified_reduce(full).provenance == batched
     assert 3 * runs <= 2 * len(calls)
+
+
+# Upper bounds on the `_peel` calls of one `verified_reduce` of each ladder
+# rung within the cap, in `ladder_sized()` order: u34, fivept, k4, w3, F7,
+# AG(3,2), Vámos, U(3,8), U(4,8), U(3,10), U(4,10), U(3,12), then the GF(2)
+# samples on 10 and 12 elements.  A change that lowers a count may lower
+# its bound; none raises one.
+VERIFIED_PEEL_BOUNDS = (18, 31, 65, 109, 108, 279, 406, 172, 278, 355, 742, 595, 553, 1315)
+
+
+def test_reducers_stay_within_their_work_bounds_on_the_ladder(monkeypatch):
+    """A work gate: calls counted, not timed, so host noise cannot blur it.
+    On a fresh extraction of each ladder rung within the cap, `paper_reduce`
+    peels nothing and classifies its rows once, `verified_reduce` classifies
+    them once and peels at most its bound, and neither lists circuits."""
+    counts = collections.Counter()
+
+    def counting(key, function):
+        def counted(*args):
+            counts[key] += 1
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(extraction, "_peel", counting("peels", extraction._peel))
+    monkeypatch.setattr(extraction, "_flat_rows", counting("flat rows", extraction._flat_rows))
+    monkeypatch.setattr(Matroid, "circuit_masks", counting("circuits", Matroid.circuit_masks))
+    rungs = [m for m in ladder_sized() if m.ground.size <= extraction.VERIFY_CAP]
+    assert len(rungs) == len(VERIFIED_PEEL_BOUNDS)
+    for m, bound in zip(rungs, VERIFIED_PEEL_BOUNDS):
+        counts.clear()
+        paper_reduce(extract_representation(m))
+        assert counts == {"flat rows": 1}, (m.ground.size, m.rank, counts)
+        counts.clear()
+        verified_reduce(extract_representation(m))
+        assert counts["flat rows"] == 1 and counts["circuits"] == 0, (m.ground.size, counts)
+        assert counts["peels"] <= bound, (m.ground.size, m.rank, counts["peels"], bound)
 
 
 # -- verification -----------------------------------------------------------------------
