@@ -24,15 +24,20 @@ elements above it).  In a partial order the common upper bounds of two
 elements have a least element m exactly when they equal up[m], so one map
 from up-sets decides any join with one set lookup.  Dually, one map from
 down-sets (the elements below each), built on the first meet, answers
-every meet, which a bottom guarantees (see `FlatLattice`), in O(1).  The
-down-sets, the visiting order and the generators come from validation
-(`_generator_pass`) and are kept: nothing is sorted or transposed twice.
+every meet, which a bottom guarantees (see `FlatLattice`), in O(1).  A
+lattice built directly keeps what validation (`_generator_pass`) computed,
+its covers, down-sets, visiting order and generators, so nothing is
+sorted or transposed twice.  A lattice of flats is not validated: the
+flats of a simple matroid form a geometric lattice (Oxley, *Matroid
+Theory*, 2nd ed., §1.7), the matroid's exchange check is the validation,
+and its cover walk (`Matroid.flat_covers`) gives the covers, one table
+read per cover edge.  Its down-sets are one transpose on the first meet.
 
 Generator lemma: call G generating when every up(x) is the AND of up(g)
 over the g in G below x (over none, every element).  Validation
 (`_generator_pass`) then looks up only the joins x ∨ g for g in G, F·|G|
-lookups for F elements; for a lattice of flats G is the atoms, so F·n
-lookups instead of F²/2.
+lookups for F elements; for a lattice of flats built directly G is the
+atoms, so F·n lookups instead of F²/2.
 - The relation is transitive: take w <= x <= z.  Each g in G below w has
   up(w) inside up(g), so x is in up(g), so up(x) is inside up(g) and z is
   in it; so z is in up(w).
@@ -86,32 +91,35 @@ class LatticeWitness:
 
 @dataclass(frozen=True)
 class FlatLattice:
-    """A finite lattice, element i below element j iff bit j of up[i] is set.
+    """A finite lattice, element i below element j iff bit j of up[i] is
+    set; `upper_covers[i]` lists, sorted, the elements immediately above i.
 
-    Construction validates the full partial-order and lattice axioms on
-    every path by one generator pass (`_generator_pass`, exact by the
-    generator lemma of the module docstring), F·|G| join lookups for F
+    Direct construction and `from_order` validate the full partial-order
+    and lattice axioms by one generator pass (`_generator_pass`, exact by
+    the generator lemma of the module docstring), F·|G| join lookups for F
     elements and G generators, and the bottom.  Then every pair a, b has a
     meet: their common lower bounds hold the bottom, and the join of them
     all, built from pairwise joins, lies below a and b, so it is the
     greatest.  Only when the pass refuses does the pairwise scan
     (`_axiom_scan`) run, to name the first failed axiom.  What the pass
-    computed stays with the lattice: the up-set map answers joins, the
-    down-sets meets (their map is built on the first meet), the visiting
-    order puts the bottom first and the top last, and the generators
-    decide `is_geometric`.  When built from a matroid, flat_masks and
-    ground record what the elements are; order-only instances leave both
-    None, and one without the other is refused.
+    computed stays with the lattice: the upper covers, the up-set map,
+    which answers joins, the down-sets, which answer meets (their map is
+    built on the first meet), the visiting order, which puts the bottom
+    first and the top last, and the generators, which decide
+    `is_geometric`.  `from_matroid` runs no pass: the flats of a simple
+    matroid form a lattice by theorem, and the matroid's cover walk gives
+    the covers; the up-set map and the down-sets are then built on first
+    use.  When built from a matroid, flat_masks and ground record what the
+    elements are; order-only instances leave both None, and one without
+    the other is refused.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
     flat_masks: tuple[int, ...] | None = None
     ground: GroundSet | None = None
-    _up_index: dict = field(init=False, repr=False, compare=False)
-    _joins: tuple = field(init=False, repr=False, compare=False)
+    upper_covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _order: tuple = field(init=False, repr=False, compare=False)
-    _down: tuple = field(init=False, repr=False, compare=False)
     _gens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,35 +136,51 @@ class FlatLattice:
         if found is None:
             _axiom_scan(self.names, self.up)
             raise RuntimeError("the generator pass refused a lattice")
-        for name, value in zip(("_up_index", "_joins", "_order", "_down", "_gens"), found):
-            object.__setattr__(self, name, value)
+        # the pass built the join map and the down-sets too, so it fills
+        # in their cached properties
+        _keep(self, **dict(zip(("_up_index", "upper_covers", "_order", "down", "_gens"), found)))
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_matroid(cls, matroid: Matroid) -> "FlatLattice":
         """The flats of a simple matroid by containment, named by
-        `Matroid.flat_names`, e.g. "{1,4}".
+        `Matroid.flat_names`, e.g. "{1,4}", built from the cover walk
+        (`Matroid.flat_covers`) with no generator pass.
 
-        The result is a geometric lattice whose atoms are the singleton
+        The flats form a geometric lattice whose atoms are the singleton
         flats and whose maximal chains all have rank + 1 elements (Oxley,
-        *Matroid Theory*, 2nd ed., §1.7).  Neither is checked at run time:
-        both are theorems for every simple matroid, `Matroid` checks basis
-        exchange when built, and `flat_masks` raises `NotSimple` otherwise.
+        *Matroid Theory*, 2nd ed., §1.7).  None of this is checked at run
+        time: it is a theorem for every simple matroid, `Matroid` checks
+        basis exchange when built, and `flat_masks` raises `NotSimple`
+        otherwise.  Each up-set is the flat's own bit ORed with its
+        covers' up-sets, one OR per cover edge, from the largest flat
+        down.  The visiting order is the canonical flat order: a cover is
+        a larger set, so everything below a flat comes before it, the
+        empty flat first and the ground set last.  The generators are the
+        atoms, a geometric lattice's join-irreducibles.  The join map and
+        the down-sets are built on first use.
         """
-        names = matroid.flat_names
         flats = matroid.flat_masks
-        # holds[e]: the flats containing element e; a flat's up-set is the
-        # AND of holds[e] over its elements, O(total flat size) in all
-        holds = transpose(flats, matroid.ground.size)
-        full = (1 << len(flats)) - 1
-        up = []
-        for flat in flats:
-            mask = full
-            for e in bits(flat):
-                mask &= holds[e]
-            up.append(mask)
-        return cls(names, tuple(up), flats, matroid.ground)
+        covers = matroid.flat_covers
+        up = [0] * len(flats)
+        for i in reversed(range(len(flats))):
+            mask = 1 << i
+            for j in covers[i]:
+                mask |= up[j]
+            up[i] = mask
+        lattice = object.__new__(cls)
+        _keep(
+            lattice,
+            names=matroid.flat_names,
+            up=tuple(up),
+            flat_masks=flats,
+            ground=matroid.ground,
+            upper_covers=covers,
+            _order=tuple(range(len(flats))),
+            _gens=mask_of(covers[0]),
+        )
+        return lattice
 
     @classmethod
     def from_order(
@@ -216,22 +240,6 @@ class FlatLattice:
     def leq(self, low: str, high: str) -> bool:
         return bool(self.up[self.index(low)] >> self.index(high) & 1)
 
-    @cached_property
-    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """Per element x, the elements immediately above it: the minimal
-        ones among its joins x ∨ g with the generators g not below it
-        (`_generator_pass`).  Each cover y is such a join: y is the join of
-        the generators below it, so one of them, g, is not below x, and
-        x < x ∨ g <= y.  Every such join lies above x, so above a cover."""
-        up = self.up
-        out = []
-        for joins in self._joins:
-            higher = 0
-            for j in joins:
-                higher |= up[j] ^ 1 << j
-            out.append(tuple(sorted(j for j in joins if not higher >> j & 1)))
-        return tuple(out)
-
     def _require_flats(self) -> None:
         if self.ground is None or self.flat_masks is None:
             raise BoolrepError("this lattice does not come from a matroid")
@@ -282,9 +290,9 @@ class FlatLattice:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain from the bottom, per element: one
-        relaxation over the upper covers, in the visiting order of
-        `_generator_pass`, which puts each element after everything below
-        it."""
+        relaxation over the upper covers, in the visiting order, which puts
+        each element after everything below it.  For a lattice of flats
+        these are the ranks."""
         heights = [0] * self.size
         for i in self._order:
             for j in self.upper_covers[i]:
@@ -300,17 +308,22 @@ class FlatLattice:
 
     # -- meets and joins --------------------------------------------------------
 
-    @property
+    @cached_property
+    def _up_index(self) -> dict:
+        return {mask: i for i, mask in enumerate(self.up)}
+
+    @cached_property
     def down(self) -> tuple[int, ...]:
         """Per element, its down-set: the elements below it."""
-        return self._down
+        return tuple(transpose(self.up, self.size))
 
     @cached_property
     def _down_index(self) -> dict:
-        return {mask: i for i, mask in enumerate(self._down)}
+        return {mask: i for i, mask in enumerate(self.down)}
 
     def _meet_index(self, i: int, j: int) -> int:
-        return self._down_index[self._down[i] & self._down[j]]
+        down = self.down
+        return self._down_index[down[i] & down[j]]
 
     def _join_index(self, i: int, j: int) -> int:
         return self._up_index[self.up[i] & self.up[j]]
@@ -459,18 +472,21 @@ class FlatLattice:
 
 
 def _generator_pass(up: Sequence[int]):
-    """(up-set map, per-element join sets, visiting order, down-sets,
-    generator mask) when up is a lattice's order, else None; the generator
-    lemma in the module docstring proves both directions.  The lattice
-    keeps all five.
+    """(up-set map, upper covers, visiting order, down-sets, generator
+    mask) when up is a lattice's order, else None; the generator lemma in
+    the module docstring proves both directions.  The lattice keeps all
+    five.
 
     Bounds, reflexivity and antisymmetry hold when up[i] & down[i] is
     exactly bit i.  Elements are visited by up-set size, largest first,
     and the pass refuses at one with an unvisited element below it.  An
     element becomes a generator when the AND of the up-sets of the
     generators below it is not its own up-set, and must then lie inside
-    it.  Last, x ∨ g is looked up for every generator g; joins[x] is the
-    set of those other than x itself, the joins with the g not below x.
+    it.  Last, x ∨ g is looked up for every generator g.  The upper
+    covers of x are the minimal ones among its joins with the g not below
+    it: each cover y is the join of the generators below it, so one of
+    them, g, is not below x, and x < x ∨ g <= y; and every such join lies
+    above x, so above a cover.
     """
     n = len(up)
     full = (1 << n) - 1
@@ -499,14 +515,24 @@ def _generator_pass(up: Sequence[int]):
         seen |= bit
     gen_ups = [up[g] for g in bits(gens)]
     get = up_index.get
-    joins = []
+    covers = []
     for x, mask in enumerate(up):
-        found = {get(mask & g) for g in gen_ups}
-        if None in found:
+        joins = {get(mask & g) for g in gen_ups}
+        if None in joins:
             return None
-        found.discard(x)
-        joins.append(found)
-    return up_index, tuple(joins), order, down, gens
+        joins.discard(x)
+        higher = 0
+        for j in joins:
+            higher |= up[j] ^ 1 << j
+        covers.append(tuple(sorted(j for j in joins if not higher >> j & 1)))
+    return up_index, tuple(covers), order, down, gens
+
+
+def _keep(lattice: FlatLattice, **values) -> None:
+    """Set each value on the frozen lattice; one named after a cached
+    property is kept as its answer."""
+    for name, value in values.items():
+        object.__setattr__(lattice, name, value)
 
 
 def _axiom_scan(names: Sequence[str], up: Sequence[int]) -> None:

@@ -29,6 +29,17 @@ lies in E - C, which holds I, and misses some element of I, since I + y
 for y outside C is not a basis; so it fits only when n - |C| > r.  Only
 those masks are tested, and the bitsets are built only when one is left.
 The counterexample is built only when the check fails.
+
+The cover walk (`flat_covers`) reads each flat's upper covers off the
+table, one read per cover (Oxley, §1.4).  For a flat F and e outside it,
+cl(F + e) covers F: a flat G with F < G <= cl(F + e) holds some g outside
+F, and g in cl(F + e) - cl(F) puts e in cl(F + g), inside G, so G holds
+cl(F + e).  And every cover G of F equals cl(F + e) for each e in G - F,
+since F < cl(F + e) <= G.  So the blocks G - F of the covers partition
+E - F (axiom F3).  With I an independent set spanning F, cl(F + e) is the
+span of the independent set I + e, one table read; the walk takes the
+lowest element not yet covered, reads its cover and removes that cover's
+block, until no element is left.
 """
 
 from __future__ import annotations
@@ -493,6 +504,35 @@ class Matroid:
         return tuple(sorted(flats, key=self.ground.sort_key))
 
     @cached_property
+    def flat_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per flat, in `flat_masks` order, the sorted indices of the flats
+        covering it, one table read per cover (the cover walk of the
+        module docstring).  Each flat F is spanned by the first table key
+        whose extensions are E - F, all of them picked by one dict built
+        from the table; the span of that key plus the lowest element not
+        yet covered is the next cover, and its block leaves the elements
+        still to cover."""
+        flats = self.flat_masks
+        full = self.ground.full_mask
+        ext = self._extensions
+        # the first key per extension mask: reversed, later keys are
+        # overwritten by earlier ones
+        spanning = dict(zip(reversed(ext.values()), reversed(ext.keys())))
+        where = {flat: i for i, flat in enumerate(flats)}
+        out = []
+        for flat in flats:
+            rest = full ^ flat
+            independent = spanning[rest]
+            covers = []
+            while rest:
+                cover = full & ~ext[independent | (rest & -rest)]  # its span
+                covers.append(where[cover])
+                rest &= ~cover
+            covers.sort()
+            out.append(tuple(covers))
+        return tuple(out)
+
+    @cached_property
     def hyperplane_masks(self) -> frozenset:
         """The hyperplanes, the flats of rank r - 1: the spans of the
         (r-1)-sets, each the complement of its completions (`_completions`)."""
@@ -601,13 +641,38 @@ def matroid_to_json(matroid: Matroid) -> str:
     )
 
 
+def _json_masks(ground: GroundSet, raw) -> frozenset | None:
+    """The masks of a list of label lists, one `GroundSet._bit` lookup per
+    label, or None at the first thing that is no list or at an unknown,
+    unhashable or repeated label: `matroid_from_json`'s checks then word
+    the first fault."""
+    if not isinstance(raw, list):
+        return None
+    bit = ground._bit
+    masks = set()
+    try:
+        for labels in raw:
+            if not isinstance(labels, list):
+                return None
+            mask = 0
+            for label in labels:
+                mask |= bit[label]
+            if mask.bit_count() != len(labels):
+                return None
+            masks.add(mask)
+    except (KeyError, TypeError):
+        return None
+    return frozenset(masks)
+
+
 def matroid_from_json(text: str) -> Matroid:
     """Load {"ground": [...], "bases": [[...]]} or {"ground", "independent"}.
 
     An explicit independent family must be exactly the downward closure of
-    its maximum-cardinality members.  Each set is read by `_set_mask`, so an
-    unknown or repeated label raises MatroidParseError naming the key;
-    anything else is rejected rather than silently reinterpreted.
+    its maximum-cardinality members.  Each set is read by `_json_masks`,
+    and on any fault every set again by `_set_mask`, so an unknown or
+    repeated label raises MatroidParseError naming the key; anything else
+    is rejected rather than silently reinterpreted.
     """
     try:
         data = json.loads(text)
@@ -626,6 +691,9 @@ def matroid_from_json(text: str) -> Matroid:
 
     def collect(key):
         raw = data[key]
+        masks = _json_masks(ground, raw)
+        if masks is not None:
+            return masks
         if not (
             isinstance(raw, list)
             and all(isinstance(s, list) for s in raw)

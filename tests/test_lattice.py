@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolrep import (
+    CATALOG,
     AmbiguousLabel,
     BoolrepError,
     DuplicateLabels,
@@ -17,6 +18,7 @@ from boolrep import (
     GroundSet,
     InvalidWitness,
     LatticeWitness,
+    Matroid,
     NotSimple,
     SbMatrix,
     UnknownLabel,
@@ -311,13 +313,73 @@ def test_validation_agrees_with_the_axiom_oracle_after_closure(order):
     )
 
 
+def direct(lat):
+    """The same lattice built by its constructor, through the generator pass."""
+    return FlatLattice(lat.names, lat.up, lat.flat_masks, lat.ground)
+
+
 def test_upper_covers_agree_with_the_up_set_walk(catalog_lattices, pool_lattices):
-    """Covers read off the generator pass's joins equal the up-set walk's,
-    on the catalog, the pool and matroids of the benchmark ladder's kind."""
+    """Covers equal the up-set walk's on the catalog, the pool and matroids
+    of the benchmark ladder's kind: read off the matroid's cover walk
+    (`from_matroid`), and off the generator pass's joins when each ladder
+    lattice is built directly."""
     ladder = [FlatLattice.from_matroid(m) for m in ladder_sized()]
-    for lat in [*catalog_lattices.values(), *pool_lattices, *ladder]:
+    built = [*ladder, *map(direct, ladder)]
+    for lat in [*catalog_lattices.values(), *pool_lattices, *built]:
         assert lat.upper_covers == upper_covers_by_upsets(lat.up)
     assert max(lat.size for lat in ladder) == 177  # U(4,10)
+
+
+def test_from_matroid_agrees_with_direct_construction(pool):
+    """A lattice of flats read off the cover walk equals the one the
+    generator pass validates, on the catalog, the pool, the ladder and the
+    empty ground set; on the pool every meet and join agrees too."""
+    empty = Matroid(GroundSet(()), frozenset({0}))
+    small = {id(m) for m in pool}
+    matroids = [*(e.matroid for e in CATALOG.values()), *pool, *ladder_sized(), empty]
+    for m in matroids:
+        walked = FlatLattice.from_matroid(m)
+        passed = direct(walked)
+        assert walked == passed
+        for attr in ("up", "upper_covers", "bottom", "top", "heights", "atoms", "down",
+                     "is_geometric"):
+            assert getattr(walked, attr) == getattr(passed, attr), attr
+        if id(m) in small:
+            for a in walked.names:
+                for b in walked.names:
+                    assert walked.meet(a, b) == passed.meet(a, b)
+                    assert walked.join(a, b) == passed.join(a, b)
+    assert walked.size == 1 and walked.heights == (0,)
+
+
+def test_from_matroid_runs_no_generator_pass(monkeypatch):
+    """A work gate: calls counted, not timed.  On each ladder rung
+    `from_matroid` runs neither the generator pass nor the pairwise scan,
+    and its meets, joins and `is_geometric` run neither afterwards, while
+    direct construction and `from_order` run the pass once each."""
+    calls = []
+    generator_pass = lattice_module._generator_pass
+
+    def counted(up):
+        calls.append(len(up))
+        return generator_pass(up)
+
+    def refuse(names, up):
+        raise AssertionError("the pairwise scan ran")
+
+    monkeypatch.setattr(lattice_module, "_generator_pass", counted)
+    monkeypatch.setattr(lattice_module, "_axiom_scan", refuse)
+    for m in ladder_sized():
+        lat = FlatLattice.from_matroid(m)
+        assert lat.is_geometric
+        assert lat.meet(lat.top, lat.bottom) == lat.bottom
+        assert lat.join(lat.top, lat.bottom) == lat.top
+        assert calls == []
+        direct(lat)
+        assert calls == [lat.size]
+        calls.clear()
+    pentagon()
+    assert calls == [5]
 
 
 @settings(max_examples=300, deadline=None)
@@ -357,15 +419,16 @@ def test_chain_fold_agrees_with_the_order_oracle_on_random_lattices(order):
 
 
 def test_from_matroid_never_runs_the_pairwise_scan(pool, monkeypatch):
-    """On a lattice of flats the generator pass accepts on its own: the
-    pairwise scan, which only words a refusal, never runs."""
+    """The pairwise scan, which only words a refusal, never runs on a
+    lattice of flats: `from_matroid` validates nothing, and the generator
+    pass accepts the same lattice on its own when it is built directly."""
 
     def refuse(names, up):
         raise AssertionError("the pairwise scan ran")
 
     monkeypatch.setattr(lattice_module, "_axiom_scan", refuse)
     for m in pool:
-        FlatLattice.from_matroid(m)
+        direct(FlatLattice.from_matroid(m))
     with pytest.raises(AssertionError, match="pairwise scan"):
         FlatLattice.from_order(("a", "b"), [])  # no bottom: the pass refuses
 

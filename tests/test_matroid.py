@@ -1,6 +1,8 @@
 """Hereditary collections, matroid axioms, closure, flats, simplification."""
 
+import functools
 import json
+import operator
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -58,6 +60,7 @@ from oracles import (
     independent_column_sets,
     independent_column_sets_by_peel,
     rank_from_bases,
+    upper_covers_by_upsets,
 )
 
 
@@ -607,6 +610,29 @@ def test_hyperplanes_are_the_flats_of_rank_one_less(pool):
     assert parallel.hyperplane_masks == {0b1011, 0b1100}  # {a,b,l} and {c,l}
 
 
+def test_flat_covers_are_the_covers_of_containment(pool):
+    """The cover walk gives each flat the minimal flats strictly above it,
+    by the oracles' up-set walk over containment, and their blocks
+    partition the elements outside it; on the pool, the ladder and the
+    empty ground set."""
+    empty = Matroid(GroundSet(()), frozenset({0}))
+    for m in [*pool, *ladder_sized(), empty]:
+        flats = m.flat_masks
+        up = [sum(1 << j for j, g in enumerate(flats) if not f & ~g) for f in flats]
+        assert m.flat_covers == upper_covers_by_upsets(up)
+        for f, covers in zip(flats, m.flat_covers):
+            blocks = [flats[j] & ~f for j in covers]
+            assert all(blocks)
+            assert sum(blocks) == functools.reduce(operator.or_, blocks, 0) == m.ground.full_mask & ~f
+    assert empty.flat_covers == ((),)
+
+
+def test_flat_covers_require_simple():
+    parallel = Matroid.from_bases(GroundSet.of("ab"), [("a",), ("b",)])
+    with pytest.raises(NotSimple):
+        parallel.flat_covers
+
+
 def test_flats_require_simple():
     g = GroundSet.of("ab")
     parallel = Matroid.from_bases(g, [("a",), ("b",)])
@@ -1078,6 +1104,54 @@ def test_json_rejects_repeated_label_in_a_set():
     for data in cases:
         with pytest.raises(MatroidParseError, match="repeated label"):
             matroid_from_json(json.dumps(data))
+
+
+LABEL = st.sampled_from(["a", "b", "c", "a", "b", "c", "z", "", 1, None])
+JSON_SETS = st.one_of(
+    st.lists(st.lists(st.sampled_from("abc"), max_size=3, unique=True), min_size=1, max_size=6),
+    st.lists(st.lists(LABEL, max_size=4), max_size=5),
+    st.lists(
+        st.one_of(st.lists(LABEL, max_size=3), LABEL, st.lists(st.lists(LABEL, max_size=2)),
+                  st.dictionaries(st.sampled_from("ab"), st.lists(LABEL, max_size=2))),
+        max_size=4,
+    ),
+    st.sampled_from([{}, {"a": ["a"]}, "ab", 1, None]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["bases", "independent"]), JSON_SETS)
+def test_the_loaders_fast_path_agrees_with_its_checks(key, sets):
+    """`matroid_from_json` gives the matroid, or the error type and
+    message, of its checked path (`_set_mask` per set) on sets that are
+    well formed, not lists, or hold unknown, repeated, empty, unhashable
+    or non-string labels."""
+    text = json.dumps({"ground": ["a", "b", "c"], key: sets})
+
+    def outcome():
+        try:
+            return matroid_from_json(text)
+        except BoolrepError as exc:
+            return type(exc), str(exc)
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matroid_module, "_json_masks", lambda ground, raw: None)
+        assert outcome() == fast
+
+
+def test_the_loader_reads_well_formed_sets_without_the_checks(monkeypatch):
+    """Each ladder rung loads by one `_bit` lookup per label: the checked
+    path (`_set_mask`) never runs."""
+
+    def refuse(ground, labels):
+        raise AssertionError("the checked path ran")
+
+    monkeypatch.setattr(matroid_module, "_set_mask", refuse)
+    for m in ladder_sized():
+        assert matroid_from_json(matroid_to_json(m)) == m
+    independent = {"ground": ["a", "b"], "independent": [[], ["a"], ["b"], ["a", "b"]]}
+    assert matroid_from_json(json.dumps(independent)).rank == 2
 
 
 @settings(max_examples=300, deadline=None)
