@@ -113,8 +113,8 @@ def _cmd_lattice(args) -> int:
     else:
         print(f"elements: {lattice.size}")
         print(f"height: {lattice.height}")
-        for name in lattice.names:
-            print(f"{name} height {lattice.element_height(name)}")
+        for name, height in zip(lattice.names, lattice.heights):
+            print(f"{name} height {height}")
         sys.stdout.write(matrix.text())
     return 0
 

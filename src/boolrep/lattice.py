@@ -24,14 +24,14 @@ elements above it).  In a partial order the common upper bounds of two
 elements have a least element m exactly when they equal up[m], so one map
 from up-sets decides any join with one set lookup.  Dually, one map from
 down-sets (the elements below each), built on the first meet, answers
-every meet, which a bottom guarantees (see `FlatLattice`), in O(1).  A
-lattice built directly keeps what validation (`_generator_pass`) computed,
-its covers, down-sets, visiting order and generators, so nothing is
-sorted or transposed twice.  A lattice of flats is not validated: the
-flats of a simple matroid form a geometric lattice (Oxley, *Matroid
-Theory*, 2nd ed., §1.7), the matroid's exchange check is the validation,
-and its cover walk (`Matroid.flat_covers`) gives the covers, one table
-read per cover edge.  Its down-sets are one transpose on the first meet.
+every meet, which a bottom guarantees (see `FlatLattice`), in O(1).  The
+up-sets are all a lattice stores: its covers, bottom, top, heights and
+down-sets are read off them on first use, and validation
+(`_generator_pass`) only answers yes or no.  A lattice of flats is not
+validated: the flats of a simple matroid form a geometric lattice
+(Oxley, *Matroid Theory*, 2nd ed., §1.7), the matroid's exchange check
+is the validation, and its cover walk (`Matroid.flat_covers`) gives the
+covers, one table read per cover edge.
 
 Generator lemma: call G generating when every up(x) is the AND of up(g)
 over the g in G below x (over none, every element).  Validation
@@ -54,7 +54,8 @@ atoms, so F·n lookups instead of F²/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -101,26 +102,20 @@ class FlatLattice:
     meet: their common lower bounds hold the bottom, and the join of them
     all, built from pairwise joins, lies below a and b, so it is the
     greatest.  Only when the pass refuses does the pairwise scan
-    (`_axiom_scan`) run, to name the first failed axiom.  What the pass
-    computed stays with the lattice: the upper covers, the up-set map,
-    which answers joins, the down-sets, which answer meets (their map is
-    built on the first meet), the visiting order, which puts the bottom
-    first and the top last, and the generators, which decide
-    `is_geometric`.  `from_matroid` runs no pass: the flats of a simple
-    matroid form a lattice by theorem, and the matroid's cover walk gives
-    the covers; the up-set map and the down-sets are then built on first
-    use.  When built from a matroid, flat_masks and ground record what the
-    elements are; order-only instances leave both None, and one without
-    the other is refused.
+    (`_axiom_scan`) run, to name the first failed axiom.  The pass keeps
+    nothing: the upper covers, the up-set map, which answers joins, and
+    the down-sets, which answer meets, are each built from the up-sets on
+    first use.  `from_matroid` runs no pass: the flats of a simple matroid
+    form a lattice by theorem, and the matroid's cover walk seeds the
+    covers.  When built from a matroid, flat_masks and ground record what
+    the elements are; order-only instances leave both None, and one
+    without the other is refused.
     """
 
     names: tuple[str, ...]
     up: tuple[int, ...]
     flat_masks: tuple[int, ...] | None = None
     ground: GroundSet | None = None
-    upper_covers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _order: tuple = field(init=False, repr=False, compare=False)
-    _gens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
@@ -132,13 +127,9 @@ class FlatLattice:
             raise BoolrepError("flat masks and a ground set come together or not at all")
         if self.flat_masks is not None and len(self.flat_masks) != n:
             raise BoolrepError("flat mask count does not match element count")
-        found = _generator_pass(self.up)
-        if found is None:
+        if not _generator_pass(self.up):
             _axiom_scan(self.names, self.up)
             raise RuntimeError("the generator pass refused a lattice")
-        # the pass built the join map and the down-sets too, so it fills
-        # in their cached properties
-        _keep(self, **dict(zip(("_up_index", "upper_covers", "_order", "down", "_gens"), found)))
 
     # -- construction -------------------------------------------------------
 
@@ -155,11 +146,8 @@ class FlatLattice:
         basis exchange when built, and `flat_masks` raises `NotSimple`
         otherwise.  Each up-set is the flat's own bit ORed with its
         covers' up-sets, one OR per cover edge, from the largest flat
-        down.  The visiting order is the canonical flat order: a cover is
-        a larger set, so everything below a flat comes before it, the
-        empty flat first and the ground set last.  The generators are the
-        atoms, a geometric lattice's join-irreducibles.  The join map and
-        the down-sets are built on first use.
+        down.  The walk's covers are kept as `upper_covers`; everything
+        else is read off the up-sets on first use, as for any lattice.
         """
         flats = matroid.flat_masks
         covers = matroid.flat_covers
@@ -170,15 +158,12 @@ class FlatLattice:
                 mask |= up[j]
             up[i] = mask
         lattice = object.__new__(cls)
-        _keep(
-            lattice,
+        lattice.__dict__.update(
             names=matroid.flat_names,
             up=tuple(up),
             flat_masks=flats,
             ground=matroid.ground,
             upper_covers=covers,
-            _order=tuple(range(len(flats))),
-            _gens=mask_of(covers[0]),
         )
         return lattice
 
@@ -218,16 +203,31 @@ class FlatLattice:
         except (KeyError, TypeError):
             raise UnknownLabel(f"no lattice element named {name!r}") from None
 
+    @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """Per element x, sorted, the elements immediately above it: the
+        minimal elements of its strict up-set, those above no other
+        member of it."""
+        up = self.up
+        covers = []
+        for x, mask in enumerate(up):
+            strict = mask ^ 1 << x
+            higher = 0
+            for y in bits(strict):
+                higher |= up[y] ^ 1 << y
+            covers.append(tuple(bits(strict & ~higher)))
+        return tuple(covers)
+
     @property
     def bottom_index(self) -> int:
-        """First in the visiting order: its up-set holds every element."""
-        return self._order[0]
+        """The element whose up-set holds every element."""
+        return self.up.index((1 << self.size) - 1)
 
     @property
     def top_index(self) -> int:
-        """Last in the visiting order: the one element whose up-set is
-        itself, while every other's holds the top as well."""
-        return self._order[-1]
+        """The element with no upper cover: any other has the top in its
+        strict up-set, so a minimal element there."""
+        return self.upper_covers.index(())
 
     @property
     def bottom(self) -> str:
@@ -241,7 +241,7 @@ class FlatLattice:
         return bool(self.up[self.index(low)] >> self.index(high) & 1)
 
     def _require_flats(self) -> None:
-        if self.ground is None or self.flat_masks is None:
+        if self.ground is None:
             raise BoolrepError("this lattice does not come from a matroid")
 
     @cached_property
@@ -290,11 +290,12 @@ class FlatLattice:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of the longest chain from the bottom, per element: one
-        relaxation over the upper covers, in the visiting order, which puts
-        each element after everything below it.  For a lattice of flats
-        these are the ranks."""
+        relaxation over the upper covers, in order of up-set size, largest
+        first, which puts each element after everything below it.  For a
+        lattice of flats these are the ranks."""
+        up = self.up
         heights = [0] * self.size
-        for i in self._order:
+        for i in sorted(range(self.size), key=lambda i: -up[i].bit_count()):
             for j in self.upper_covers[i]:
                 heights[j] = max(heights[j], heights[i] + 1)
         return tuple(heights)
@@ -438,14 +439,24 @@ class FlatLattice:
         Combinatorics* I, 2nd ed., Prop. 3.3.2).  The condition is
         symmetric in the two covers, so each ordered pair tests one side.
 
-        Atomistic holds exactly when every generator is an atom.  Each
-        element is the join of the generators below it (generator lemma),
-        so if all are atoms it is a join of atoms.  Conversely, a generator
-        that is a join of atoms strictly below it would not be a generator.
+        Atomistic holds exactly when every element with one lower cover
+        covers the bottom.  In a finite lattice the join-irreducibles, the
+        elements x above the bottom that are no join a ∨ b of a, b < x,
+        are the elements with exactly one lower cover: everything strictly
+        below such an x lies below that cover, and so does any join of such
+        elements; while two lower covers c, d of x join to x, since
+        c < c ∨ d <= x (d is not below c, or d < c < x).  Every element is
+        the join of the join-irreducibles below it, by induction up the
+        order: the bottom is the empty join, and any other element is one
+        or is a ∨ b for smaller a and b.  So if every join-irreducible is an
+        atom, every element is a join of atoms; conversely a join of atoms
+        that is join-irreducible equals one of them.
         """
         covers = self.upper_covers
         cover_masks = [mask_of(ups) for ups in covers]
-        return self._gens == mask_of(self.atom_indices) and all(
+        lower = Counter(y for ups in covers for y in ups)
+        atoms = cover_masks[self.bottom_index]
+        return all(atoms >> y & 1 for y, count in lower.items() if count == 1) and all(
             cover_masks[y] >> self._join_index(y, z) & 1
             for ups in covers for y in ups for z in ups if y != z
         )
@@ -471,68 +482,44 @@ class FlatLattice:
         return f"<FlatLattice of {self.size} elements, height {self.height}>"
 
 
-def _generator_pass(up: Sequence[int]):
-    """(up-set map, upper covers, visiting order, down-sets, generator
-    mask) when up is a lattice's order, else None; the generator lemma in
-    the module docstring proves both directions.  The lattice keeps all
-    five.
+def _generator_pass(up: Sequence[int]) -> bool:
+    """True when up is a lattice's order, else False; the generator lemma
+    in the module docstring proves both directions.  Nothing it computes
+    is kept: the lattice reads what it needs off its up-sets.
 
     Bounds, reflexivity and antisymmetry hold when up[i] & down[i] is
     exactly bit i.  Elements are visited by up-set size, largest first,
     and the pass refuses at one with an unvisited element below it.  An
     element becomes a generator when the AND of the up-sets of the
     generators below it is not its own up-set, and must then lie inside
-    it.  Last, x ∨ g is looked up for every generator g.  The upper
-    covers of x are the minimal ones among its joins with the g not below
-    it: each cover y is the join of the generators below it, so one of
-    them, g, is not below x, and x < x ∨ g <= y; and every such join lies
-    above x, so above a cover.
+    it.  Last, x ∨ g is looked up for every generator g.
     """
     n = len(up)
     full = (1 << n) - 1
     if any(mask & ~full for mask in up):
-        return None
-    down = tuple(transpose(up, n))
+        return False
+    down = transpose(up, n)
     if any(up[i] & down[i] != 1 << i for i in range(n)):
-        return None
-    up_index = {mask: i for i, mask in enumerate(up)}
-    if full not in up_index:
-        return None
+        return False
+    ups = set(up)
+    if full not in ups:
+        return False
     gens = seen = 0
-    order = tuple(sorted(range(n), key=lambda i: -up[i].bit_count()))
-    for x in order:
+    for x in sorted(range(n), key=lambda i: -up[i].bit_count()):
         bit = 1 << x
         below = down[x] ^ bit
         if below & ~seen:
-            return None
+            return False
         common = full
         for g in bits(below & gens):
             common &= up[g]
         if common != up[x]:
             if up[x] & ~common:
-                return None
+                return False
             gens |= bit
         seen |= bit
     gen_ups = [up[g] for g in bits(gens)]
-    get = up_index.get
-    covers = []
-    for x, mask in enumerate(up):
-        joins = {get(mask & g) for g in gen_ups}
-        if None in joins:
-            return None
-        joins.discard(x)
-        higher = 0
-        for j in joins:
-            higher |= up[j] ^ 1 << j
-        covers.append(tuple(sorted(j for j in joins if not higher >> j & 1)))
-    return up_index, tuple(covers), order, down, gens
-
-
-def _keep(lattice: FlatLattice, **values) -> None:
-    """Set each value on the frozen lattice; one named after a cached
-    property is kept as its answer."""
-    for name, value in values.items():
-        object.__setattr__(lattice, name, value)
+    return all(mask & g in ups for mask in up for g in gen_ups)
 
 
 def _axiom_scan(names: Sequence[str], up: Sequence[int]) -> None:

@@ -151,7 +151,7 @@ def maximal_chains(
 
 
 def _require_flats(lattice: FlatLattice) -> None:
-    if lattice.ground is None or lattice.flat_masks is None:
+    if lattice.ground is None:
         raise BoolrepError("partitions need a lattice built from a matroid")
 
 

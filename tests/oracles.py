@@ -537,8 +537,10 @@ def lattice_axiom_failure(names, up):
 def upper_covers_by_upsets(up):
     """Per element, the elements immediately above it: the minimal
     elements of its strict up-set, which is that set cleared of the strict
-    up-sets of its members.  The up-set walk `FlatLattice.upper_covers`
-    ran before it read the joins of its generator pass."""
+    up-sets of its members.  `FlatLattice.upper_covers` reads a directly
+    built lattice's covers by the same rule, so the tests check this one
+    against `order_covers`, the definition of a cover, on small lattices
+    too."""
     out = []
     for i, mask in enumerate(up):
         strict = mask & ~(1 << i)

@@ -45,6 +45,7 @@ from oracles import (
     lattice_axiom_failure,
     maximal_chains_by_order,
     order_closure,
+    order_covers,
     order_join,
     order_meet,
     permanent_perms,
@@ -219,6 +220,7 @@ def test_the_empty_order_has_no_bottom():
         FlatLattice.from_order((), [])
     with pytest.raises(BoolrepError, match="^lattice has no bottom element$"):
         FlatLattice((), ())
+    assert lattice_module._generator_pass(()) is False
 
 
 NAMES = tuple("abcdefg")
@@ -226,7 +228,8 @@ NAMES = tuple("abcdefg")
 
 def _agrees_with_the_axiom_oracle(names, up, build):
     """build() raises exactly when the oracle names a failure, with the
-    oracle's message; an accepted lattice has the oracle's meets and joins.
+    oracle's message, and the generator pass answers False there and True
+    otherwise; an accepted lattice has the oracle's meets and joins.
     The oracle checks meets last, and the library not at all, so this also
     checks that every pair has a meet once all have joins and a bottom."""
     expected = lattice_axiom_failure(names, up)
@@ -234,9 +237,11 @@ def _agrees_with_the_axiom_oracle(names, up, build):
         lat = build()
     except BoolrepError as exc:
         assert str(exc) == expected
+        assert lattice_module._generator_pass(up) is False
         return
     assert expected is None
     assert lat.up == tuple(up)
+    assert lattice_module._generator_pass(up) is True
     for i in range(len(names)):
         for j in range(len(names)):
             assert lat._meet_index(i, j) == order_meet(up, i, j)
@@ -320,14 +325,25 @@ def direct(lat):
 
 def test_upper_covers_agree_with_the_up_set_walk(catalog_lattices, pool_lattices):
     """Covers equal the up-set walk's on the catalog, the pool and matroids
-    of the benchmark ladder's kind: read off the matroid's cover walk
-    (`from_matroid`), and off the generator pass's joins when each ladder
-    lattice is built directly."""
+    of the benchmark ladder's kind, read off the matroid's cover walk
+    (`from_matroid`) and off the up-sets when each ladder lattice is built
+    directly; and on the named and 400 seeded random lattices, which are
+    not all geometric, where the covers also match their definition.  On
+    all of them the bottom is the element whose up-set is full and the top
+    the one whose up-set is itself."""
     ladder = [FlatLattice.from_matroid(m) for m in ladder_sized()]
     built = [*ladder, *map(direct, ladder)]
-    for lat in [*catalog_lattices.values(), *pool_lattices, *built]:
+    small = [pentagon(), diamond(), hexagon(), three_chain(), two_chain(),
+             *random_lattices(random.Random(20261018), 400)]
+    for lat in [*catalog_lattices.values(), *pool_lattices, *built, *small]:
         assert lat.upper_covers == upper_covers_by_upsets(lat.up)
+        full = (1 << lat.size) - 1
+        assert [i for i, mask in enumerate(lat.up) if mask == full] == [lat.bottom_index]
+        assert [i for i, mask in enumerate(lat.up) if mask == 1 << i] == [lat.top_index]
+    for lat in small:
+        assert list(map(list, lat.upper_covers)) == order_covers(lat.up)
     assert max(lat.size for lat in ladder) == 177  # U(4,10)
+    assert {lat.is_geometric for lat in small} == {True, False}
 
 
 def test_from_matroid_agrees_with_direct_construction(pool):
@@ -382,6 +398,20 @@ def test_from_matroid_runs_no_generator_pass(monkeypatch):
     assert calls == [5]
 
 
+def test_a_direct_lattice_reads_its_order_on_first_use(u34):
+    """The constructor keeps what it is given and the pass's verdict only:
+    the covers, the down-sets and the join map each enter `__dict__` when
+    first read.  `from_matroid` seeds the covers from the cover walk."""
+    walked = FlatLattice.from_matroid(u34)
+    assert walked.__dict__["upper_covers"] is u34.flat_covers
+    for lat in (pentagon(), direct(walked)):
+        for name in ("upper_covers", "down", "_up_index"):
+            assert name not in lat.__dict__, name
+            getattr(lat, name)
+            assert name in lat.__dict__, name
+    assert lat.upper_covers == walked.upper_covers
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     raw_orders(),
@@ -396,6 +426,8 @@ def test_upper_covers_agree_with_the_up_set_walk_on_random_orders(order):
     except BoolrepError:
         return
     assert lat.upper_covers == upper_covers_by_upsets(lat.up)
+    assert lat.up[lat.bottom_index] == (1 << lat.size) - 1
+    assert lat.up[lat.top_index] == 1 << lat.top_index
 
 
 @settings(max_examples=300, deadline=None)
